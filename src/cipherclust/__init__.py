@@ -37,7 +37,6 @@ from .evaluation import (
     load_judgments,
     load_queries,
     run_benchmark,
-    static_baseline,
     tsap_at_10,
 )
 from .index import (

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import evaluation
-from .clustering import choose_centers, cluster_index, distribute, read_clusters, write_clusters
+from .clustering import cluster_index, read_clusters, write_clusters
 from .config import PipelineConfig, load_config
 from .crypto import (
     IdentityTokenCodec,
@@ -32,6 +32,7 @@ from .index import (
     read_keyword_file,
     trim,
     write_index,
+    write_lines,
 )
 from .matrices import dump_matrices, estimate_k, matrix_pipeline
 from .search import (
@@ -92,7 +93,7 @@ def _input_digest(path: Path) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
+    write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
 
 def _print_json(obj) -> None:
@@ -212,13 +213,7 @@ def cmd_pipeline(args) -> int:
     index_path = out_dir / "index.tsv"
     write_index(index, index_path)
 
-    trimmed = trim(index)
-    mats = matrix_pipeline(trimmed)
-    est = estimate_k(mats["C"])
-    k_target = est.k if config.k_mode == "auto" else int(config.k_mode)
-
-    centers = choose_centers(k_target, mats["C"], index)
-    clusters = distribute(index, centers, k_requested=k_target)
+    clusters, est = cluster_index(index, k=config.k_mode)
     clusters_path = out_dir / "clusters.jsonl"
     write_clusters(clusters, clusters_path)
 
@@ -231,7 +226,7 @@ def cmd_pipeline(args) -> int:
         "trace": est.trace,
         "k_estimate": est.k,
         "k_mode": config.k_mode,
-        "k_target": k_target,
+        "k_target": clusters.k_requested,
         "k_used": clusters.k_used,
     }
     k_report_path = out_dir / "k_report.json"
@@ -257,8 +252,7 @@ def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config
     if reread.triples() != index.triples():
         raise CLIError("index file round-trip mismatch")
     clusters = read_clusters(clusters_path)
-    tokens = clusters.all_tokens()
-    if len(tokens) != len(set(tokens)) or set(tokens) != set(index.entries):
+    if set(clusters.all_tokens()) != set(index.entries):
         raise CLIError("clusters file does not partition the index tokens")
     abstracts = read_abstracts(abstracts_path)
     if len(abstracts) != clusters.k_used:

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .crypto import CipherToken, token_from_b64, token_to_b64
-from .index import CentralIndex, IndexDataError, Posting, trim
-from .matrices import KEstimate, LabeledMatrix, MatrixRole, estimate_k, matrix_pipeline, separation_factors
+from .index import CentralIndex, IndexDataError, Posting, data_lines, trim, write_lines
+from .matrices import (
+    KEstimate, LabeledMatrix, MatrixRole, estimate_k, frequency_matrix, matrix_pipeline, separation_factors
+)
 
 
 class ClusteringError(ValueError):
@@ -177,24 +178,10 @@ def distribute(index: CentralIndex, centers: list[CipherToken], k_requested: int
             raise ClusteringError(f"center {token_to_b64(center)} is not in the index")
 
     tokens = index.tokens()
-    docs = list(index.docs)
-    doc_pos = {d: j for j, d in enumerate(docs)}
     center_list = sorted(centers)
     center_set = set(center_list)
 
-    # frequency matrix over the full index
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for token in tokens:
-        for p in index.entries[token]:
-            indices.append(doc_pos[p.doc])
-            data.append(float(p.frequency))
-        indptr.append(len(indices))
-    freq = sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(tokens), len(docs)),
-    )
+    freq = frequency_matrix(index, tokens)
     totals = np.asarray(freq.sum(axis=1)).ravel()
 
     token_pos = {t: i for i, t in enumerate(tokens)}
@@ -223,28 +210,22 @@ def distribute(index: CentralIndex, centers: list[CipherToken], k_requested: int
     return ClusterSet(clusters=clusters, index=index, k_requested=k_requested or len(centers))
 
 
-def cluster_index(index: CentralIndex, k: int | str = "auto") -> tuple[ClusterSet, KEstimate | None]:
+def cluster_index(index: CentralIndex, k: int | str = "auto") -> tuple[ClusterSet, KEstimate]:
     """Full clustering pass: trim, build matrices, pick centers, distribute.
 
     k may be a positive integer or "auto" to use the trace estimate. The
-    estimate is only computed on the auto path.
+    estimate is returned for a fixed k too; the cluster set's k_requested
+    is the k actually targeted.
     """
-    trimmed = trim(index)
-    mats = matrix_pipeline(trimmed)
-    estimate: KEstimate | None = None
-    if k == "auto":
-        estimate = estimate_k(mats["C"])
-        k_target = estimate.k
-    else:
-        k_target = int(k)
-        if k_target < 1:
-            raise ClusteringError(f"k must be >= 1, got {k_target}")
-    centers = choose_centers(k_target, mats["C"], index)
+    c = matrix_pipeline(trim(index))["C"]
+    estimate = estimate_k(c)
+    k_target = estimate.k if k == "auto" else int(k)
+    centers = choose_centers(k_target, c, index)
     return distribute(index, centers, k_requested=k_target), estimate
 
 
 # ---------------------------------------------------------------------------
-# clusters file (JSON lines, UTF-8, LF)
+# clusters file (JSON lines)
 
 def write_clusters(cluster_set: ClusterSet, path: str | Path) -> None:
     """One JSON object per cluster, ordered by id; tokens carry postings."""
@@ -259,21 +240,20 @@ def write_clusters(cluster_set: ClusterSet, path: str | Path) -> None:
         ]
         obj = {"id": cid, "center": token_to_b64(cluster.center), "tokens": tokens_payload}
         lines.append(json.dumps(obj, separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8", newline="\n")
+    write_lines(path, lines)
 
 
 def read_clusters(path: str | Path) -> ClusterSet:
     """Rebuild a ClusterSet (and its distributed index) from a clusters file.
 
     The requested k is not stored in the file; k_requested is set to the
-    cluster count actually present.
+    cluster count actually present. A token listed twice, in one cluster or
+    in two, and a posting list naming a document twice are rejected.
     """
     clusters: list[Cluster] = []
     acc: dict[CipherToken, dict[str, int]] = {}
     docs: set[str] = set()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in data_lines(path):
         try:
             obj = json.loads(line)
             center = token_from_b64(obj["center"])
@@ -285,11 +265,18 @@ def read_clusters(path: str | Path) -> ClusterSet:
         tokens = []
         for entry in token_objs:
             token = token_from_b64(entry["t"])
+            if token in acc:
+                raise IndexDataError(f"{path}:{lineno}: token {entry['t']} is listed twice")
             tokens.append(token)
-            by_doc = acc.setdefault(token, {})
+            by_doc = acc[token] = {}
             for doc_id, freq in entry["postings"]:
-                by_doc[str(doc_id)] = int(freq)
-                docs.add(str(doc_id))
+                doc_id = str(doc_id)
+                if doc_id in by_doc:
+                    raise IndexDataError(
+                        f"{path}:{lineno}: token {entry['t']} lists document {doc_id!r} twice"
+                    )
+                by_doc[doc_id] = int(freq)
+                docs.add(doc_id)
         clusters.append(Cluster(center=center, tokens=tuple(sorted(tokens))))
     entries = {
         token: tuple(Posting(d, f) for d, f in sorted(by_doc.items()))

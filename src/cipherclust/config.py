@@ -10,6 +10,8 @@ import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .index import data_lines
+
 CONFIG_ENV = "CLUSTCRYPT_CONFIG"
 
 _INT_FIELDS = ("keywords_per_doc", "abstract_size", "prune_width", "cutoff")
@@ -73,9 +75,9 @@ def _coerce(name: str, raw: str):
 def parse_config_file(path: str | Path) -> dict:
     """Line-oriented `key = value`; blank lines and #-comments are skipped."""
     values: dict = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in data_lines(path):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected `key = value`")

@@ -15,9 +15,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .clustering import ClusterSet, cluster_index
+from .clustering import ClusterSet
 from .crypto import TokenCodec, encrypt_query
-from .index import CentralIndex, index_digest
+from .index import data_lines, index_digest, write_lines
 from .search import Abstract, SearchResult, all_cluster_ids, prune, search
 
 TSAP_CUTOFF = 10
@@ -42,12 +42,9 @@ class EmbeddingTable:
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Parse the plain-text `word v1 ... vd` format; dimension must be uniform."""
-    raw = Path(path).read_bytes()
     vectors: dict[str, np.ndarray] = {}
     dimension: int | None = None
-    for lineno, line in enumerate(raw.decode("utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in data_lines(path):
         parts = line.split()
         word = parts[0].lower()
         vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
@@ -62,9 +59,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         vectors[word] = vec
     if dimension is None:
         raise EvaluationError(f"{path}: empty embedding table")
-    return EmbeddingTable(
-        dimension=dimension, vectors=vectors, digest=hashlib.sha256(raw).hexdigest()
-    )
+    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return EmbeddingTable(dimension=dimension, vectors=vectors, digest=digest)
 
 
 def cluster_coherence(words: Iterable[str], table: EmbeddingTable) -> float | None:
@@ -72,6 +68,8 @@ def cluster_coherence(words: Iterable[str], table: EmbeddingTable) -> float | No
 
     Words missing from the table (or with zero vectors) are skipped; fewer
     than two embeddable words means the cluster is not scorable (None).
+    For unit vectors u_i the pairwise sum is |sum u_i|^2 - n, so no n x n
+    matrix is needed.
     """
     vecs = []
     for word in words:
@@ -85,10 +83,8 @@ def cluster_coherence(words: Iterable[str], table: EmbeddingTable) -> float | No
     n = len(vecs)
     if n < 2:
         return None
-    unit = np.stack(vecs)
-    gram = unit @ unit.T
-    total = float(gram.sum() - np.trace(gram))  # off-diagonal sum, both triangles
-    return total / (n * (n - 1))
+    total = np.stack(vecs).sum(axis=0)
+    return (float(total @ total) - n) / (n * (n - 1))
 
 
 @dataclass(frozen=True)
@@ -152,11 +148,7 @@ class EvaluationReport:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-            newline="\n",
-        )
+        write_lines(path, [json.dumps(self.to_dict(), indent=2, sort_keys=True)])
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EvaluationReport":
@@ -247,14 +239,6 @@ def tsap_at_10(ranked: list[str], judgments: dict[tuple[str, str], int], query_i
     return total / TSAP_CUTOFF
 
 
-def static_baseline(index: CentralIndex, k_fixed: int) -> ClusterSet:
-    """Cluster with a predetermined k instead of the trace estimate."""
-    if k_fixed < 1:
-        raise EvaluationError(f"fixed k must be >= 1, got {k_fixed}")
-    clusters, _ = cluster_index(index, k=k_fixed)
-    return clusters
-
-
 def compare(dynamic: EvaluationReport, static: EvaluationReport) -> dict:
     """Overall coherency of both strategies plus relative improvement.
 
@@ -295,8 +279,8 @@ def compare(dynamic: EvaluationReport, static: EvaluationReport) -> dict:
 def load_judgments(path: str | Path) -> dict[tuple[str, str], int]:
     """TSV `queryId<TAB>docId<TAB>grade`, one grade per (query, doc)."""
     judgments: dict[tuple[str, str], int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
+    for lineno, line in data_lines(path):
+        if line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 3:
@@ -315,8 +299,8 @@ def load_judgments(path: str | Path) -> dict[tuple[str, str], int]:
 def load_queries(path: str | Path) -> list[tuple[str, str]]:
     """TSV `queryId<TAB>query text`."""
     queries = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
+    for lineno, line in data_lines(path):
+        if line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
@@ -327,18 +311,18 @@ def load_queries(path: str | Path) -> list[tuple[str, str]]:
 
 def write_results_file(results: dict[str, SearchResult], path: str | Path) -> None:
     """TSV `queryId<TAB>rank<TAB>docId<TAB>score`, queries in input order."""
-    lines = []
-    for query_id, result in results.items():
-        for rank, (doc, score) in enumerate(result.ranked, 1):
-            lines.append(f"{query_id}\t{rank}\t{doc}\t{score}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8", newline="\n")
+    write_lines(path, (
+        f"{query_id}\t{rank}\t{doc}\t{score}"
+        for query_id, result in results.items()
+        for rank, (doc, score) in enumerate(result.ranked, 1)
+    ))
 
 
 def read_results_file(path: str | Path) -> dict[str, list[str]]:
     """Ranked doc ids per query, in rank order."""
     ranked: dict[str, list[tuple[int, str]]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
+    for lineno, line in data_lines(path):
+        if line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 4:

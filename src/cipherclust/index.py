@@ -11,7 +11,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .crypto import CipherToken, TokenCodec, normalize_term, token_from_b64, token_to_b64
 
@@ -106,17 +106,17 @@ class TrimmedIndex:
 
 
 def extract_keywords(
-    document_text: str, n: int, stopwords: Iterable[str] = DEFAULT_STOPWORDS
+    document_text: str, n: int, stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS
 ) -> list[tuple[str, int]]:
     """Top-n non-stopword terms of a document by in-document frequency.
 
-    Ties break lexicographically; the same n must be used for every
-    document of a corpus.
+    Stopwords must already be normalized (lower case, no surrounding
+    whitespace). Ties break lexicographically; the same n must be used for
+    every document of a corpus.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    stop = {normalize_term(w) for w in stopwords}
-    counts = Counter(t for t in _WORD.findall(document_text.lower()) if t not in stop)
+    counts = Counter(t for t in _WORD.findall(document_text.lower()) if t not in stopwords)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:n]
 
@@ -193,9 +193,10 @@ def build_index_from_corpus(
     paths = sorted(p for p in corpus.iterdir() if p.is_file() and p.suffix == ".txt")
     if not paths:
         raise IndexDataError(f"no .txt documents found in {corpus}")
+    stop = frozenset(normalize_term(w) for w in stopwords)
     records = []
     for path in paths:
-        terms = extract_keywords(path.read_text(encoding="utf-8"), n, stopwords)
+        terms = extract_keywords(path.read_text(encoding="utf-8"), n, stop)
         pairs = [(codec.encrypt_token(term), freq) for term, freq in terms]
         records.append((path.stem, pairs))
     return ingest(records)
@@ -204,9 +205,7 @@ def build_index_from_corpus(
 def read_keyword_file(path: str | Path) -> list[tuple[str, list[tuple[str, int]]]]:
     """Parse a pre-extracted keyword file: `docId<TAB>term:freq[,term:freq]*`."""
     records: list[tuple[str, list[tuple[str, int]]]] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in data_lines(path):
         try:
             doc_id, rest = line.split("\t", 1)
         except ValueError:
@@ -235,23 +234,35 @@ def build_index_from_keywords(
 
 
 # ---------------------------------------------------------------------------
-# index file format (TSV, UTF-8, LF)
+# line files: UTF-8 with LF line endings; readers skip blank lines
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line followed by one LF, as UTF-8."""
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
+
+
+def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for every non-blank line of a UTF-8 file."""
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if line.strip():
+            yield lineno, line
+
+
+# ---------------------------------------------------------------------------
+# index file format (TSV)
 
 def write_index(index: CentralIndex, path: str | Path) -> None:
     """One line per token: `<b64 token>\\t<docId>:<freq>[,<docId>:<freq>]*`."""
-    lines = []
-    for token in index.tokens():
-        postings = ",".join(f"{p.doc}:{p.frequency}" for p in index.entries[token])
-        lines.append(f"{token_to_b64(token)}\t{postings}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8", newline="\n")
+    write_lines(path, (
+        f"{token_to_b64(token)}\t" + ",".join(f"{p.doc}:{p.frequency}" for p in index.entries[token])
+        for token in index.tokens()
+    ))
 
 
 def read_index(path: str | Path) -> CentralIndex:
     acc: dict[CipherToken, dict[str, int]] = {}
     docs: set[str] = set()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in data_lines(path):
         try:
             token_s, rest = line.split("\t", 1)
             token = token_from_b64(token_s)

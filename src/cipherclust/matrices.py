@@ -15,12 +15,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .crypto import CipherToken, token_to_b64
-from .index import TrimmedIndex
+from .index import CentralIndex, TrimmedIndex, write_lines
 
 
 class MatrixRole(Enum):
@@ -69,27 +70,37 @@ def _require(matrix: LabeledMatrix, role: MatrixRole) -> None:
         raise MatrixError(f"expected a {role.value} matrix, got {matrix.role.value}")
 
 
+def frequency_matrix(index: CentralIndex, tokens: Sequence[CipherToken]) -> sparse.csr_matrix:
+    """Token-document frequency matrix: rows follow `tokens`, columns `index.docs`.
+
+    Entries are the stored frequencies as floats, zero elsewhere.
+    """
+    doc_pos = {d: j for j, d in enumerate(index.docs)}
+    indptr = [0]
+    indices: list[int] = []
+    data: list[float] = []
+    for token in tokens:
+        for p in index.entries[token]:
+            indices.append(doc_pos[p.doc])
+            data.append(float(p.frequency))
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64), np.array(indptr)),
+        shape=(len(tokens), len(index.docs)),
+    )
+
+
 def build_A(trimmed: TrimmedIndex) -> LabeledMatrix:
     """Raw token-document frequency matrix over the kept tokens.
 
     Rows are kept tokens in byte order, columns are every document of the
-    index in id order; entries are stored frequencies, zero elsewhere.
+    index in id order.
     """
     if not trimmed.kept:
         raise MatrixError("trimmed index has no kept tokens")
     tokens = tuple(sorted(trimmed.kept))
-    docs = tuple(trimmed.index.docs)
-    doc_pos = {d: j for j, d in enumerate(docs)}
-    rows, cols, vals = [], [], []
-    for i, token in enumerate(tokens):
-        for p in trimmed.index.entries[token]:
-            rows.append(i)
-            cols.append(doc_pos[p.doc])
-            vals.append(float(p.frequency))
-    mat = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(len(tokens), len(docs)), dtype=np.float64
-    )
-    return LabeledMatrix(MatrixRole.RAW_A, tokens, docs, mat)
+    mat = frequency_matrix(trimmed.index, tokens)
+    return LabeledMatrix(MatrixRole.RAW_A, tokens, tuple(trimmed.index.docs), mat)
 
 
 def normalize(a: LabeledMatrix) -> LabeledMatrix:
@@ -195,7 +206,7 @@ def dump_matrix(matrix: LabeledMatrix, path: str | Path) -> None:
             j = csr.indices[pos]
             fields.append(f"{_label_str(matrix.col_labels[j])}:{csr.data[pos]:.12g}")
         lines.append("\t".join(fields))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8", newline="\n")
+    write_lines(path, lines)
 
 
 def dump_matrices(matrices: dict[str, LabeledMatrix], out_dir: str | Path) -> None:

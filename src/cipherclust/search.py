@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .clustering import ClusterSet
 from .crypto import CipherToken, token_from_b64, token_to_b64
-from .index import IndexDataError, Posting
+from .index import IndexDataError, data_lines, write_lines
 
 
 @dataclass(frozen=True)
@@ -75,17 +75,8 @@ def prune(query_tokens: Iterable[CipherToken], abstracts: list[Abstract], c: int
     return [cid for _, _, cid in scored[:c]]
 
 
-def tf_score(token: CipherToken, posting: Posting) -> int:
-    """Default document scorer: plain term frequency."""
-    return posting.frequency
-
-
 def search(
-    query_tokens: Iterable[CipherToken],
-    clusters: ClusterSet,
-    selected: Iterable[int],
-    cutoff: int,
-    scorer: Callable[[CipherToken, Posting], int] = tf_score,
+    query_tokens: Iterable[CipherToken], clusters: ClusterSet, selected: Iterable[int], cutoff: int
 ) -> SearchResult:
     """Rank documents of the selected clusters against the query tokens."""
     selected = tuple(selected)
@@ -99,7 +90,7 @@ def search(
             if token not in query:
                 continue
             for posting in clusters.index.entries[token]:
-                scores[posting.doc] = scores.get(posting.doc, 0) + scorer(token, posting)
+                scores[posting.doc] = scores.get(posting.doc, 0) + posting.frequency
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:cutoff]
     return SearchResult(ranked=tuple(ranked), clusters_searched=selected)
 
@@ -119,14 +110,12 @@ def write_abstracts(abstracts: list[Abstract], path: str | Path) -> None:
             "entries": [[token_to_b64(t), freq] for t, freq in abstract.entries],
         }
         lines.append(json.dumps(obj, separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8", newline="\n")
+    write_lines(path, lines)
 
 
 def read_abstracts(path: str | Path) -> list[Abstract]:
     abstracts = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in data_lines(path):
         try:
             obj = json.loads(line)
             entries = tuple((token_from_b64(t), int(f)) for t, f in obj["entries"])

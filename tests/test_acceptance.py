@@ -20,7 +20,6 @@ from cipherclust.evaluation import (
     load_embeddings,
     load_queries,
     run_benchmark,
-    static_baseline,
     tsap_at_10,
 )
 from cipherclust.index import TrimmedIndex, build_index_from_corpus, ingest, trim
@@ -269,7 +268,7 @@ def test_criterion_08_coherency_comparison(mini_corpus_dir, embeddings_path):
         index = build_index_from_corpus(mini_corpus_dir, IdentityTokenCodec(), n=20)
         table = load_embeddings(embeddings_path)
         dynamic, _ = cluster_index(index, k="auto")
-        static = static_baseline(index, 10)
+        static, _ = cluster_index(index, k=10)
         dynamic_report = coherence_report(dynamic, table)
         static_report = coherence_report(static, table)
         comparison = compare(dynamic_report, static_report)

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from cipherclust.clustering import (
     uniqueness,
     write_clusters,
 )
-from cipherclust.index import TrimmedIndex, ingest
+from cipherclust.crypto import IdentityTokenCodec
+from cipherclust.index import IndexDataError, TrimmedIndex, build_index_from_corpus, ingest
 from cipherclust.matrices import matrix_pipeline
 
 from conftest import random_index, records_from_freqs
@@ -231,9 +234,9 @@ class TestClusterIndexAndFiles:
         assert cs.k_used <= est.k
         assert set(cs.all_tokens()) == set(example_index.tokens())
 
-    def test_fixed_k_skips_estimate(self, example_index):
+    def test_fixed_k_still_returns_estimate(self, example_index):
         cs, est = cluster_index(example_index, k=2)
-        assert est is None
+        assert est == cluster_index(example_index, k="auto")[1]
         assert cs.k_requested == 2
 
     def test_round_trip(self, tmp_path, example_index):
@@ -252,3 +255,43 @@ class TestClusterIndexAndFiles:
         write_clusters(cs, p1)
         write_clusters(cluster_index(example_index, k="auto")[0], p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+
+@pytest.fixture
+def mini_clusters_file(tmp_path, mini_corpus_dir):
+    index = build_index_from_corpus(mini_corpus_dir, IdentityTokenCodec(), n=20)
+    path = tmp_path / "clusters.jsonl"
+    write_clusters(cluster_index(index, k="auto")[0], path)
+    return path
+
+
+def _edit_line(path, lineno: int, edit) -> None:
+    """Apply edit to the cluster object on one (1-based) line and write the file back."""
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[lineno - 1])
+    edit(obj)
+    lines[lineno - 1] = json.dumps(obj, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestReadClustersRejectsDuplicates:
+    @pytest.mark.parametrize("lineno", [1, 2], ids=["same-line", "other-line"])
+    def test_token_listed_twice(self, mini_clusters_file, lineno):
+        entry = json.loads(mini_clusters_file.read_text().splitlines()[0])["tokens"][0]
+        # the copy carries other frequencies, which a merging reader would hide
+        copy = {"t": entry["t"], "postings": [[d, f + 1] for d, f in entry["postings"]]}
+        _edit_line(mini_clusters_file, lineno, lambda obj: obj["tokens"].append(copy))
+        where = re.escape(f"{mini_clusters_file}:{lineno}:")
+        with pytest.raises(IndexDataError, match=where + ".*listed twice"):
+            read_clusters(mini_clusters_file)
+
+    def test_document_listed_twice_in_one_posting_list(self, mini_clusters_file):
+        def repeat_first_posting(obj):
+            postings = obj["tokens"][0]["postings"]
+            postings.append([postings[0][0], postings[0][1] + 3])
+
+        _edit_line(mini_clusters_file, 2, repeat_first_posting)
+        where = re.escape(f"{mini_clusters_file}:2:")
+        with pytest.raises(IndexDataError, match=where + ".*lists document .* twice"):
+            read_clusters(mini_clusters_file)

@@ -92,6 +92,25 @@ class TestPipelineCommand:
         assert m_auto["k"]["k_mode"] == "auto" and m_fixed["k"]["k_mode"] == 2
         assert m_auto["artifacts"]["clusters.jsonl"] != m_fixed["artifacts"]["clusters.jsonl"]
 
+    @pytest.mark.parametrize("k", ["auto", "2"])
+    def test_cluster_command_writes_the_pipeline_clusters(self, tmp_path, mini_corpus_dir, k):
+        run = tmp_path / "run"
+        assert main(["pipeline", "--corpus", str(mini_corpus_dir), "--identity", "--out", str(run), "--k", k]) == 0
+        out = tmp_path / "clusters.jsonl"
+        assert main(["cluster", "--index", str(run / "index.tsv"), "--k", k, "--out", str(out)]) == 0
+        assert out.read_bytes() == (run / "clusters.jsonl").read_bytes()
+
+    def test_fixed_k_reports_the_estimate(self, tmp_path, mini_corpus_dir, pipeline_dir):
+        fixed = tmp_path / "fixed"
+        assert main(
+            ["pipeline", "--corpus", str(mini_corpus_dir), "--identity", "--out", str(fixed), "--k", "2"]
+        ) == 0
+        auto = json.loads((pipeline_dir / "k_report.json").read_text())
+        two = json.loads((fixed / "k_report.json").read_text())
+        assert two["k_target"] == 2
+        for name in ("m", "trace", "k_estimate"):
+            assert two[name] == auto[name], name
+
     def test_keyed_needs_key(self, tmp_path, mini_corpus_dir, capsys):
         rc = main(["pipeline", "--corpus", str(mini_corpus_dir), "--out", str(tmp_path / "x")])
         assert rc == 1

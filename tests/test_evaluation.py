@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cipherclust.clustering import cluster_index, write_clusters
+from cipherclust.clustering import ClusteringError, cluster_index, write_clusters
 from cipherclust.evaluation import (
     EvaluationError,
     EvaluationReport,
@@ -13,7 +15,6 @@ from cipherclust.evaluation import (
     load_queries,
     read_results_file,
     run_benchmark,
-    static_baseline,
     tsap_at_10,
     write_results_file,
 )
@@ -90,6 +91,25 @@ class TestClusterCoherence:
         table = table_from({f"w{i}": rng.normal(size=5).tolist() for i in range(12)})
         got = cluster_coherence([f"w{i}" for i in range(12)], table)
         assert -1.0 - 1e-9 <= got <= 1.0 + 1e-9
+
+    def test_matches_pairwise_loop_in_linear_memory(self):
+        rng = np.random.default_rng(5)
+        small = table_from({f"w{i}": rng.normal(size=6).tolist() for i in range(9)})
+        unit = [v / np.linalg.norm(v) for v in small.vectors.values()]
+        pairs = [float(unit[i] @ unit[j]) for i in range(9) for j in range(i + 1, 9)]
+        got = cluster_coherence(list(small.vectors), small)
+        assert got == pytest.approx(sum(pairs) / len(pairs), rel=0, abs=1e-12)
+
+        # an n x n Gram matrix over these would need 512 MB
+        big = table_from({f"w{i}": v for i, v in enumerate(rng.normal(size=(8000, 8)).tolist())})
+        words = list(big.vectors)
+        tracemalloc.start()
+        try:
+            cluster_coherence(words, big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestCoherenceReport:
@@ -169,26 +189,26 @@ class TestTsap:
 
 class TestStaticBaseline:
     def test_k_fixed_1_single_cluster(self, example_index):
-        cs = static_baseline(example_index, 1)
+        cs, _ = cluster_index(example_index, k=1)
         assert cs.k_used == 1
         assert set(cs.all_tokens()) == set(example_index.tokens())
 
     def test_enough_admissible_tokens_gives_exactly_k(self):
         records = [(f"d{i:02d}", [(f"t{i:02d}".encode(), 2)]) for i in range(12)]
-        cs = static_baseline(ingest(records), 10)
+        cs, _ = cluster_index(ingest(records), k=10)
         assert cs.k_used == 10
 
     def test_fixed_k_equal_to_estimate_reproduces_dynamic_path(self, tmp_path, example_index):
         dynamic, est = cluster_index(example_index, k="auto")
-        static = static_baseline(example_index, est.k)
+        static, _ = cluster_index(example_index, k=est.k)
         p1, p2 = tmp_path / "dyn.jsonl", tmp_path / "sta.jsonl"
         write_clusters(dynamic, p1)
         write_clusters(static, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_k_must_be_positive(self, example_index):
-        with pytest.raises(EvaluationError):
-            static_baseline(example_index, 0)
+        with pytest.raises(ClusteringError):
+            cluster_index(example_index, k=0)
 
 
 class TestCompare:

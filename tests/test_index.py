@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cipherclust.crypto import IdentityTokenCodec
 from cipherclust.index import (
     IndexDataError,
     TrimmedIndex,
+    build_index_from_corpus,
     doc_cooccurrence,
     extract_keywords,
     ingest,
@@ -34,6 +36,11 @@ class TestExtractKeywords:
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             extract_keywords("x", 0, set())
+
+    def test_corpus_stopwords_are_normalized(self, tmp_path):
+        (tmp_path / "a.txt").write_text("apple apple banana\n")
+        index = build_index_from_corpus(tmp_path, IdentityTokenCodec(), 5, stopwords=["Apple"])
+        assert index.tokens() == [b"banana"]
 
     @given(text=st.text(alphabet="abc d", max_size=60), n=st.integers(1, 5))
     def test_size_and_monotone_frequencies(self, text, n):
