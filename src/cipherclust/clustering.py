@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -145,11 +145,19 @@ class Cluster:
 
 @dataclass(frozen=True)
 class ClusterSet:
-    """k_used clusters whose token union equals the distributed index."""
+    """k_used clusters whose token union equals the distributed index.
+
+    token_sets holds each cluster's tokens as a frozenset, built once here
+    so a search probes a cluster per query token instead of scanning it.
+    """
 
     clusters: tuple[Cluster, ...]
     index: CentralIndex
     k_requested: int
+    token_sets: tuple[frozenset[CipherToken], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "token_sets", tuple(frozenset(c.tokens) for c in self.clusters))
 
     @property
     def k_used(self) -> int:
@@ -247,36 +255,54 @@ def read_clusters(path: str | Path) -> ClusterSet:
     """Rebuild a ClusterSet (and its distributed index) from a clusters file.
 
     The requested k is not stored in the file; k_requested is set to the
-    cluster count actually present. A token listed twice, in one cluster or
-    in two, and a posting list naming a document twice are rejected.
+    cluster count actually present. Rejected with path:lineno: a malformed
+    line or token entry, a token listed twice (in one cluster or in two), a
+    posting list naming a document twice, a frequency that is not an integer
+    >= 1, and a center missing from its own cluster's tokens. Since clusters
+    are disjoint, the last also rejects two clusters sharing a center.
+    Document ids are shared, one string per document.
     """
     clusters: list[Cluster] = []
     acc: dict[CipherToken, dict[str, int]] = {}
-    docs: set[str] = set()
+    docs: dict[str, str] = {}
     for lineno, line in data_lines(path):
+        where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
             center = token_from_b64(obj["center"])
-            token_objs = obj["tokens"]
-        except (ValueError, KeyError) as exc:
-            raise IndexDataError(f"{path}:{lineno}: malformed cluster line: {exc}")
-        if len(clusters) != int(obj["id"]):
-            raise IndexDataError(f"{path}:{lineno}: cluster ids must be 0,1,2,... in order")
+            token_objs = list(obj["tokens"])
+            cid = int(obj["id"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise IndexDataError(f"{where}: malformed cluster line: {exc}")
+        if len(clusters) != cid:
+            raise IndexDataError(f"{where}: cluster ids must be 0,1,2,... in order")
         tokens = []
         for entry in token_objs:
-            token = token_from_b64(entry["t"])
+            try:
+                name = entry["t"]
+                token = token_from_b64(name)
+                postings = list(entry["postings"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise IndexDataError(f"{where}: malformed token entry: {exc}")
             if token in acc:
-                raise IndexDataError(f"{path}:{lineno}: token {entry['t']} is listed twice")
+                raise IndexDataError(f"{where}: token {name} is listed twice")
             tokens.append(token)
             by_doc = acc[token] = {}
-            for doc_id, freq in entry["postings"]:
+            for posting in postings:
+                try:
+                    doc_id, freq = posting
+                except (ValueError, TypeError) as exc:
+                    raise IndexDataError(f"{where}: token {name} has a malformed posting: {exc}")
                 doc_id = str(doc_id)
-                if doc_id in by_doc:
+                if type(freq) is not int or freq < 1:
                     raise IndexDataError(
-                        f"{path}:{lineno}: token {entry['t']} lists document {doc_id!r} twice"
+                        f"{where}: token {name} has frequency {freq!r} for {doc_id!r}; need an integer >= 1"
                     )
-                by_doc[doc_id] = int(freq)
-                docs.add(doc_id)
+                if doc_id in by_doc:
+                    raise IndexDataError(f"{where}: token {name} lists document {doc_id!r} twice")
+                by_doc[docs.setdefault(doc_id, doc_id)] = freq
+        if center not in tokens:
+            raise IndexDataError(f"{where}: center {obj['center']} is not among the cluster's tokens")
         clusters.append(Cluster(center=center, tokens=tuple(sorted(tokens))))
     entries = {
         token: tuple(Posting(d, f) for d, f in sorted(by_doc.items()))

@@ -5,11 +5,19 @@ frequency. A query is scored against the abstracts to decide which clusters
 are worth searching; documents in the surviving clusters are then ranked by
 summed term frequency. Clusters and abstracts are immutable at query time,
 so concurrent queries over shared snapshots are safe.
+
+Query cost follows the query, not the clusters. The lookup structures are
+built once, when an Abstract or ClusterSet is constructed (so at load time
+for read_abstracts and read_clusters): each abstract holds a token ->
+frequency dict and its minimum token, each cluster a frozenset of its
+tokens. prune then costs O(clusters x query tokens), and search costs one
+membership probe per query token in each selected cluster plus the postings
+it adds: O(selected x query tokens + postings).
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -20,14 +28,23 @@ from .index import IndexDataError, data_lines, write_lines
 
 @dataclass(frozen=True)
 class Abstract:
+    """A cluster's top tokens; entries must name each token once."""
+
     cluster_id: int
     entries: tuple[tuple[CipherToken, int], ...]  # (token, corpus frequency), highest first
+    frequencies: dict[CipherToken, int] = field(init=False, compare=False, repr=False)
+    # prune's tie-break: cluster token sets are disjoint, so it is unique per abstract
+    min_token: CipherToken | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        frequencies = dict(self.entries)
+        if len(frequencies) != len(self.entries):
+            raise ValueError(f"abstract of cluster {self.cluster_id} lists a token twice")
+        object.__setattr__(self, "frequencies", frequencies)
+        object.__setattr__(self, "min_token", min(frequencies, default=None))
 
     def frequency_of(self, token: CipherToken) -> int:
-        for t, freq in self.entries:
-            if t == token:
-                return freq
-        return 0
+        return self.frequencies.get(token, 0)
 
 
 @dataclass(frozen=True)
@@ -64,11 +81,10 @@ def prune(query_tokens: Iterable[CipherToken], abstracts: list[Abstract], c: int
     query = set(query_tokens)
     scored = []
     for abstract in abstracts:
-        score = sum(freq for token, freq in abstract.entries if token in query)
+        frequencies = abstract.frequencies
+        score = sum(frequencies[token] for token in query if token in frequencies)
         if score > 0:
-            # min entry token is a relabeling-independent tie-break: cluster
-            # token sets are disjoint, so it is unique per abstract
-            scored.append((-score, min(t for t, _ in abstract.entries), abstract.cluster_id))
+            scored.append((-score, abstract.min_token, abstract.cluster_id))
     if not scored:
         return [abstract.cluster_id for abstract in abstracts]
     scored.sort()
@@ -78,19 +94,31 @@ def prune(query_tokens: Iterable[CipherToken], abstracts: list[Abstract], c: int
 def search(
     query_tokens: Iterable[CipherToken], clusters: ClusterSet, selected: Iterable[int], cutoff: int
 ) -> SearchResult:
-    """Rank documents of the selected clusters against the query tokens."""
+    """Rank documents of the selected clusters against the query tokens.
+
+    selected must name distinct cluster ids in 0..k_used-1.
+    """
     selected = tuple(selected)
     if not selected:
         raise ValueError("at least one cluster must be selected")
+    token_sets = clusters.token_sets
+    seen: set[int] = set()
+    for cid in selected:
+        if not 0 <= cid < len(token_sets):
+            raise ValueError(f"cluster id {cid} is out of range 0..{len(token_sets) - 1}")
+        if cid in seen:
+            raise ValueError(f"cluster id {cid} is selected twice")
+        seen.add(cid)
     query = set(query_tokens)
+    entries = clusters.index.entries
     scores: dict[str, int] = {}
     for cid in selected:
-        cluster = clusters.clusters[cid]
-        for token in cluster.tokens:
-            if token not in query:
+        members = token_sets[cid]
+        for token in query:
+            if token not in members:
                 continue
-            for posting in clusters.index.entries[token]:
-                scores[posting.doc] = scores.get(posting.doc, 0) + posting.frequency
+            for doc, freq in entries[token]:
+                scores[doc] = scores.get(doc, 0) + freq
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:cutoff]
     return SearchResult(ranked=tuple(ranked), clusters_searched=selected)
 

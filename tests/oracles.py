@@ -129,3 +129,55 @@ def assignment_matches(
     scores = relatedness_scores(freqs, token, centers)
     best = max(scores.values())
     return scores[got_center] >= best - tol
+
+
+def scan_frequency(entries: list[tuple[bytes, int]], token: bytes) -> int:
+    """Frequency of a token in an abstract's entries by a linear scan; 0 if absent."""
+    for t, freq in entries:
+        if t == token:
+            return freq
+    return 0
+
+
+def scan_prune(
+    query_tokens: list[bytes], abstracts: list[tuple[int, list[tuple[bytes, int]]]], c: int
+) -> list[int]:
+    """Top-c cluster ids by summed abstract frequency, walking every abstract entry.
+
+    abstracts are (cluster id, entries) pairs. Ties break on the abstract's
+    smallest token; when no abstract scores, every id is returned in order.
+    """
+    query = set(query_tokens)
+    scored = []
+    for cluster_id, entries in abstracts:
+        score = 0
+        smallest = None
+        for token, freq in entries:
+            if token in query:
+                score += freq
+            if smallest is None or token < smallest:
+                smallest = token
+        if score > 0:
+            scored.append((-score, smallest, cluster_id))
+    if not scored:
+        return [cluster_id for cluster_id, _ in abstracts]
+    scored.sort()
+    return [cluster_id for _, _, cluster_id in scored[:c]]
+
+
+def scan_search(
+    query_tokens: list[bytes],
+    cluster_tokens: list[list[bytes]],
+    postings: dict[bytes, list[tuple[str, int]]],
+    selected: list[int],
+    cutoff: int,
+) -> list[tuple[str, int]]:
+    """Top-cutoff (doc, summed frequency) pairs, walking every token of each selected cluster."""
+    query = set(query_tokens)
+    scores: dict[str, int] = {}
+    for cluster_id in selected:
+        for token in cluster_tokens[cluster_id]:
+            if token in query:
+                for doc, freq in postings[token]:
+                    scores[doc] = scores.get(doc, 0) + freq
+    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:cutoff]

@@ -295,3 +295,42 @@ class TestReadClustersRejectsDuplicates:
         where = re.escape(f"{mini_clusters_file}:2:")
         with pytest.raises(IndexDataError, match=where + ".*lists document .* twice"):
             read_clusters(mini_clusters_file)
+
+
+class TestReadClustersRejectsMalformedEntries:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda entry: entry.pop("t"),
+            lambda entry: entry.pop("postings"),
+            lambda entry: entry["postings"][0].__setitem__(1, "x"),
+            lambda entry: entry["postings"][0].__setitem__(1, 1.5),
+            lambda entry: entry["postings"][0].pop(),
+        ],
+        ids=["no-t", "no-postings", "string-frequency", "float-frequency", "short-posting"],
+    )
+    def test_bad_token_entry(self, mini_clusters_file, edit):
+        _edit_line(mini_clusters_file, 2, lambda obj: edit(obj["tokens"][0]))
+        with pytest.raises(IndexDataError, match=re.escape(f"{mini_clusters_file}:2:")):
+            read_clusters(mini_clusters_file)
+
+    def test_frequency_below_one(self, mini_clusters_file):
+        _edit_line(mini_clusters_file, 2, lambda obj: obj["tokens"][0]["postings"][0].__setitem__(1, 0))
+        where = re.escape(f"{mini_clusters_file}:2:")
+        with pytest.raises(IndexDataError, match=where + ".*frequency 0"):
+            read_clusters(mini_clusters_file)
+
+    def test_center_outside_its_cluster(self, mini_clusters_file):
+        lines = mini_clusters_file.read_text().splitlines()
+        foreign = json.loads(lines[0])["tokens"][-1]["t"]
+        _edit_line(mini_clusters_file, 2, lambda obj: obj.__setitem__("center", foreign))
+        where = re.escape(f"{mini_clusters_file}:2:")
+        with pytest.raises(IndexDataError, match=where + ".*not among the cluster's tokens"):
+            read_clusters(mini_clusters_file)
+
+    def test_two_clusters_share_a_center(self, mini_clusters_file):
+        first_center = json.loads(mini_clusters_file.read_text().splitlines()[0])["center"]
+        _edit_line(mini_clusters_file, 2, lambda obj: obj.__setitem__("center", first_center))
+        where = re.escape(f"{mini_clusters_file}:2:")
+        with pytest.raises(IndexDataError, match=where + ".*not among the cluster's tokens"):
+            read_clusters(mini_clusters_file)

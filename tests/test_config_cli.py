@@ -196,6 +196,21 @@ class TestStageCommands:
         ) == 0
         assert capsys.readouterr().out.strip()
 
+    def test_search_full_width_prune_equals_no_prune(self, pipeline_dir, queries_path, capsys):
+        from cipherclust.evaluation import load_queries
+
+        k_used = json.loads((pipeline_dir / "k_report.json").read_text())["k_used"]
+        base = ["--clusters", str(pipeline_dir / "clusters.jsonl"), "--identity"]
+        hits = 0
+        for _, text in load_queries(queries_path):
+            assert main(["search", "--query", text, *base, "--no-prune"]) == 0
+            full = capsys.readouterr().out
+            assert main(["search", "--query", text, *base, "--c", str(k_used),
+                         "--abstracts", str(pipeline_dir / "abstracts.jsonl")]) == 0
+            assert capsys.readouterr().out == full, text
+            hits += bool(full)
+        assert hits
+
     def test_search_requires_abstracts_unless_no_prune(self, pipeline_dir):
         with pytest.raises(SystemExit):
             main(["search", "--query", "x", "--clusters", str(pipeline_dir / "clusters.jsonl"), "--identity"])

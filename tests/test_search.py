@@ -1,10 +1,15 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipherclust.clustering import Cluster, ClusterSet, distribute
-from cipherclust.index import ingest
+from cipherclust.index import IndexDataError, ingest
 from cipherclust.search import (
     Abstract,
+    SearchResult,
     all_cluster_ids,
     build_abstracts,
     format_results,
@@ -14,7 +19,8 @@ from cipherclust.search import (
     write_abstracts,
 )
 
-from conftest import random_index
+from conftest import random_index, records_from_freqs
+from oracles import scan_frequency, scan_prune, scan_search
 
 
 def small_cluster_set():
@@ -119,6 +125,16 @@ class TestSearch:
         with pytest.raises(ValueError):
             search([b"T"], small_cluster_set(), [], cutoff=10)
 
+    @pytest.mark.parametrize("cid", [2, -1])
+    def test_selected_id_out_of_range(self, cid):
+        with pytest.raises(ValueError, match=f"cluster id {cid} is out of range"):
+            search([b"net"], small_cluster_set(), [0, cid], cutoff=10)
+
+    def test_selected_id_repeated(self):
+        # counting cluster 0 twice would score d1 6 instead of 3
+        with pytest.raises(ValueError, match="cluster id 0 is selected twice"):
+            search([b"net"], small_cluster_set(), [0, 1, 0], cutoff=10)
+
 
 class TestPrunedVersusFull:
     def test_full_width_prune_equals_whole_index_search(self):
@@ -168,3 +184,74 @@ class TestAbstractsFile:
         )
         text = format_results(search([b"T"], cs, [0], cutoff=10))
         assert text == "1\td2\t5\n2\td1\t3\n"
+
+    def test_token_listed_twice_rejected(self, tmp_path):
+        path = tmp_path / "abstracts.jsonl"
+        write_abstracts(build_abstracts(small_cluster_set(), a=10), path)
+        lines = path.read_text().splitlines()
+        lines[1] = '{"cluster":1,"entries":[["Y2FrZQ==",8],["Y2FrZQ==",4]]}'  # "cake" twice
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IndexDataError, match=re.escape(f"{path}:2:") + ".*lists a token twice"):
+            read_abstracts(path)
+
+
+@st.composite
+def query_fixtures(draw):
+    """A random index split into disjoint clusters, with abstracts and a query.
+
+    Abstract size a ranges from 1 to more than the largest cluster holds;
+    the query mixes known, unknown and repeated tokens.
+    """
+    tokens = draw(st.lists(st.binary(min_size=1, max_size=3), min_size=1, max_size=12, unique=True))
+    n_docs = draw(st.integers(1, 6))
+    freqs = {
+        token: draw(st.dictionaries(st.sampled_from([f"d{j}" for j in range(n_docs)]),
+                                    st.integers(1, 9), min_size=1))
+        for token in tokens
+    }
+    k = draw(st.integers(1, min(5, len(tokens))))
+    owner = list(range(k)) + [draw(st.integers(0, k - 1)) for _ in tokens[k:]]
+    members = [sorted(t for t, o in zip(tokens, owner) if o == cid) for cid in range(k)]
+    clusters = tuple(
+        Cluster(center=draw(st.sampled_from(m)), tokens=tuple(m)) for m in members
+    )
+    cs = ClusterSet(clusters=clusters, index=ingest(records_from_freqs(freqs)), k_requested=k)
+    a = draw(st.integers(1, len(tokens) + 1))
+    order = draw(st.permutations(range(k)))
+    built = build_abstracts(cs, a)
+    abstracts = [built[cid] for cid in order]
+    unknown = st.binary(min_size=1, max_size=3).filter(lambda t: t not in freqs)
+    query = draw(st.lists(st.one_of(st.sampled_from(tokens), unknown), max_size=6))
+    return cs, abstracts, query, draw(unknown)
+
+
+class TestAgainstScanReference:
+    """prune, search and frequency_of against the scan-based references in oracles."""
+
+    @settings(deadline=None)
+    @given(fixture=query_fixtures(), data=st.data())
+    def test_matches_scan_reference(self, fixture, data):
+        cs, abstracts, query, unknown = fixture
+        k = cs.k_used
+        ref_abstracts = [(a.cluster_id, list(a.entries)) for a in abstracts]
+        cluster_tokens = [list(c.tokens) for c in cs.clusters]
+        postings = {t: [(p.doc, p.frequency) for p in ps] for t, ps in cs.index.entries.items()}
+        every_token = list(cs.index.entries)
+
+        for abstract in abstracts:
+            for token in every_token + [unknown]:
+                assert abstract.frequency_of(token) == scan_frequency(list(abstract.entries), token)
+
+        # drawn, repeated-token, all-zero fallback, empty and all-token queries
+        queries = [query, query + query[:2], [unknown], [], every_token]
+        widths = [data.draw(st.integers(1, k + 2)), k, k + 3]
+        cutoff = data.draw(st.integers(1, 10))
+        some = data.draw(st.permutations(range(k)))[: data.draw(st.integers(1, k))]
+        for q in queries:
+            for c in widths:
+                selected = prune(q, abstracts, c)
+                assert selected == scan_prune(q, ref_abstracts, c)
+                for chosen in (selected, some, list(range(k))):
+                    want = scan_search(q, cluster_tokens, postings, chosen, cutoff)
+                    got = search(q, cs, chosen, cutoff)
+                    assert got == SearchResult(ranked=tuple(want), clusters_searched=tuple(chosen))
