@@ -7,9 +7,12 @@ win. There is no iterative center shifting. Remaining tokens are then
 assigned to the center with the highest relatedness, a contribution-weighted
 log co-occurrence score that only needs frequencies, never plaintext.
 
-Center selection is inherently sequential (the coverage set evolves);
-distribution reads immutable inputs only, so callers may shard tokens across
-workers using the pure relatedness function.
+Center selection is inherently sequential (the coverage set evolves).
+Distribution is batched: it scores the token-center pairs that share a
+document, plus the few disjoint centers that can still win or tie, so its
+cost follows co-occurrence rather than tokens x centers. The scalar
+contribution / cooccurrence / relatedness functions define the score one
+pair at a time.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .crypto import CipherToken, token_from_b64, token_to_b64
 from .index import CentralIndex, IndexDataError, Posting, data_lines, trim, write_lines
@@ -170,12 +174,48 @@ class ClusterSet:
         return out
 
 
+# matrix elements per scoring block: bounds distribute's temporaries, not its results
+_SCORE_BLOCK = 1 << 13
+
+
+def _pattern(m: sparse.csr_matrix) -> sparse.csr_matrix:
+    """The nonzero pattern of a CSR matrix as a boolean matrix."""
+    return sparse.csr_matrix((np.ones(m.nnz, dtype=bool), m.indices, m.indptr), shape=m.shape)
+
+
 def distribute(index: CentralIndex, centers: list[CipherToken], k_requested: int | None = None) -> ClusterSet:
     """Assign every non-center token of the index to its most related center.
 
-    Ties break toward the lexicographically smaller center ciphertext.
-    Summation order inside each score is canonicalized so relabeled but
-    otherwise identical inputs produce identical assignments.
+    Ties break toward the lexicographically smaller center ciphertext. Each
+    score sums the token's per-document terms kappa * log(rho) in sorted
+    order, so relabeled but otherwise identical inputs produce identical
+    assignments.
+
+    Only the pairs the argmax depends on are scored. A center that shares
+    no document with the token scores D(T_c) = sum(kappa * log(f / (T_t +
+    T_c))), which is non-increasing in the center's total frequency T_c:
+    T_t + T_c is exact, IEEE division and multiplication by kappa > 0 round
+    monotonically, log is monotone, and sorting then summing in a fixed
+    order keeps the terms' order. A center that shares a document scores at
+    least D of its own T_c, since f + f_c >= f. So:
+
+    1. Every co-occurring pair is scored exactly. The pairs are the
+       nonzeros of the boolean product F . F_c^T.
+    2. The distinct T_c are walked in ascending order, scoring D against
+       the smallest-ciphertext center of each, until D falls strictly below
+       the token's best score so far. D bounds every disjoint center at that
+       T_c or above, so none of them can win or tie. A disjoint center with
+       the same T_c as a scored one scores the same and has a larger
+       ciphertext; if the scored one co-occurs, its exact score is at least
+       D. So every exact tie, including ties between different T_c, still
+       goes to the smaller ciphertext.
+    3. Pairs are scored in blocks of equal posting-list length with the
+       per-row arithmetic of scoring every pair, so the scores are
+       bit-identical to it.
+
+    Work and memory grow with nnz(F) + co-occurring pairs + T_c levels
+    scored per token (usually one or two); no tokens x centers array is
+    formed.
     """
     if not centers:
         raise ClusteringError("at least one center is required")
@@ -187,35 +227,91 @@ def distribute(index: CentralIndex, centers: list[CipherToken], k_requested: int
 
     tokens = index.tokens()
     center_list = sorted(centers)
-    center_set = set(center_list)
+    clusters = tuple(
+        Cluster(center=c, tokens=tuple(sorted([c] + [tokens[i] for i in rows])))
+        for c, rows in zip(center_list, _assign(index, tokens, center_list))
+    )
+    return ClusterSet(clusters=clusters, index=index, k_requested=k_requested or len(centers))
+
+
+def _assign(index: CentralIndex, tokens: list[CipherToken], center_list: list[CipherToken]) -> list[list[int]]:
+    """distribute's scoring: per center (byte order), the rows in `tokens` it wins, ascending."""
+    n_centers, n_docs = len(center_list), len(index.docs)
 
     freq = frequency_matrix(index, tokens)
     totals = np.asarray(freq.sum(axis=1)).ravel()
+    lengths = np.diff(freq.indptr)
 
     token_pos = {t: i for i, t in enumerate(tokens)}
     center_rows = np.array([token_pos[c] for c in center_list], dtype=np.int64)
-    center_dense = freq[center_rows].toarray()
+    center_freq = freq[center_rows]
+    center_freq.sort_indices()
     center_totals = totals[center_rows]
+    # ascending center * n_docs + doc keys of the centers' postings, for f_c lookups
+    center_keys = np.repeat(np.arange(n_centers), np.diff(center_freq.indptr)) * n_docs + center_freq.indices
+    is_center = np.zeros(len(tokens), dtype=bool)
+    is_center[center_rows] = True
 
-    members: dict[CipherToken, list[CipherToken]] = {c: [] for c in center_list}
-    for i, token in enumerate(tokens):
-        if token in center_set:
-            continue
-        lo, hi = freq.indptr[i], freq.indptr[i + 1]
-        cols = freq.indices[lo:hi]
-        f = freq.data[lo:hi]
-        kappa = f / totals[i]
-        rho = (f[None, :] + center_dense[:, cols]) / (totals[i] + center_totals)[:, None]
-        terms = kappa[None, :] * np.log(rho)
-        scores = np.sum(np.sort(terms, axis=1), axis=1)
-        best = scores.max()
-        winner = min(center_list[j] for j in np.flatnonzero(scores == best))
-        members[winner].append(token)
+    def score(tok: np.ndarray, cen: np.ndarray, shared: bool) -> np.ndarray:
+        """Relatedness of each (token row, center index) pair; shared=False scores as if f_c = 0."""
+        out = np.empty(len(tok))
+        if not len(tok):
+            return out
+        width_of = lengths[tok]
+        by_width = np.argsort(width_of, kind="stable")
+        for group in np.split(by_width, np.flatnonzero(np.diff(width_of[by_width])) + 1):
+            width = int(width_of[group[0]])
+            step = max(1, _SCORE_BLOCK // max(width, 1))
+            for lo in range(0, len(group), step):
+                rows = group[lo:lo + step]
+                t, c = tok[rows], cen[rows]
+                at = freq.indptr[t][:, None] + np.arange(width)
+                f = freq.data[at]
+                t_total = totals[t][:, None]
+                num = f
+                if shared:
+                    keys = c[:, None] * n_docs + freq.indices[at]
+                    hit = np.minimum(np.searchsorted(center_keys, keys), len(center_keys) - 1)
+                    num = f + np.where(center_keys[hit] == keys, center_freq.data[hit], 0.0)
+                rho = num / (t_total + center_totals[c][:, None])
+                terms = (f / t_total) * np.log(rho)
+                out[rows] = np.sum(np.sort(terms, axis=1), axis=1)
+        return out
 
-    clusters = tuple(
-        Cluster(center=c, tokens=tuple(sorted([c] + members[c]))) for c in center_list
-    )
-    return ClusterSet(clusters=clusters, index=index, k_requested=k_requested or len(centers))
+    # co-occurring pairs of the non-center tokens, scored exactly
+    shared_pairs = (_pattern(freq) @ _pattern(center_freq).T).tocoo()
+    keep = ~is_center[shared_pairs.row]
+    co_tok, co_cen = shared_pairs.row[keep].astype(np.int64), shared_pairs.col[keep].astype(np.int64)
+    pair_tok, pair_cen, pair_score = [co_tok], [co_cen], [score(co_tok, co_cen, shared=True)]
+    best = np.full(len(tokens), -np.inf)
+    np.maximum.at(best, co_tok, pair_score[0])
+
+    # T_c levels in ascending order, each led by its smallest center index
+    # (= ciphertext); score the leader as if disjoint while that reaches the best
+    by_total = np.argsort(center_totals, kind="stable")
+    sorted_totals = center_totals[by_total]
+    leaders = by_total[np.flatnonzero(np.r_[True, sorted_totals[1:] != sorted_totals[:-1]])]
+    tok = np.flatnonzero(~is_center)
+    for leader in leaders:
+        if not len(tok):
+            break
+        cen = np.full(len(tok), leader)
+        s = score(tok, cen, shared=False)
+        pair_tok.append(tok)
+        pair_cen.append(cen)
+        pair_score.append(s)
+        reached = s >= best[tok]
+        best[tok] = np.maximum(best[tok], s)
+        tok = tok[reached]
+
+    # per token the best score wins, ties to the smaller center index (= ciphertext)
+    pair_tok, pair_cen, pair_score = (np.concatenate(a) for a in (pair_tok, pair_cen, pair_score))
+    order = np.lexsort((pair_cen, -pair_score, pair_tok))
+    won = order[np.diff(pair_tok[order], prepend=-1) != 0]
+    by_center = won[np.argsort(pair_cen[won], kind="stable")]
+    split = np.searchsorted(pair_cen[by_center], np.arange(n_centers + 1))
+    members = pair_tok[by_center].tolist()
+    return [members[split[j]:split[j + 1]] for j in range(n_centers)]
 
 
 def cluster_index(index: CentralIndex, k: int | str = "auto") -> tuple[ClusterSet, KEstimate]:
@@ -304,6 +400,9 @@ def read_clusters(path: str | Path) -> ClusterSet:
         if center not in tokens:
             raise IndexDataError(f"{where}: center {obj['center']} is not among the cluster's tokens")
         clusters.append(Cluster(center=center, tokens=tuple(sorted(tokens))))
+        # free the parsed line before the next parse or the index build; a
+        # one-cluster file is a single line holding every posting
+        del obj, token_objs
     entries = {
         token: tuple(Posting(d, f) for d, f in sorted(by_doc.items()))
         for token, by_doc in sorted(acc.items())

@@ -194,12 +194,8 @@ def build_index_from_corpus(
     if not paths:
         raise IndexDataError(f"no .txt documents found in {corpus}")
     stop = frozenset(normalize_term(w) for w in stopwords)
-    records = []
-    for path in paths:
-        terms = extract_keywords(path.read_text(encoding="utf-8"), n, stop)
-        pairs = [(codec.encrypt_token(term), freq) for term, freq in terms]
-        records.append((path.stem, pairs))
-    return ingest(records)
+    records = ((path.stem, extract_keywords(path.read_text(encoding="utf-8"), n, stop)) for path in paths)
+    return build_index_from_keywords(records, codec)
 
 
 def read_keyword_file(path: str | Path) -> list[tuple[str, list[tuple[str, int]]]]:
@@ -224,12 +220,22 @@ def read_keyword_file(path: str | Path) -> list[tuple[str, list[tuple[str, int]]
 
 
 def build_index_from_keywords(
-    records: list[tuple[str, list[tuple[str, int]]]], codec: TokenCodec
+    records: Iterable[tuple[str, list[tuple[str, int]]]], codec: TokenCodec
 ) -> CentralIndex:
-    encrypted = [
-        (doc_id, [(codec.encrypt_token(term), freq) for term, freq in pairs])
-        for doc_id, pairs in records
-    ]
+    """Encrypt per-document (term, frequency) lists and ingest them.
+
+    Each distinct term is encrypted once per build. The term -> token map is
+    local to the call, so no key-derived value outlives the build. Records
+    are consumed one at a time, so a generator of extracted documents never
+    holds more than one plaintext list.
+    """
+    token_of: dict[str, CipherToken] = {}
+    encrypted = []
+    for doc_id, pairs in records:
+        for term, _ in pairs:
+            if term not in token_of:
+                token_of[term] = codec.encrypt_token(term)
+        encrypted.append((doc_id, [(token_of[term], freq) for term, freq in pairs]))
     return ingest(encrypted)
 
 

@@ -12,7 +12,9 @@ for read_abstracts and read_clusters): each abstract holds a token ->
 frequency dict and its minimum token, each cluster a frozenset of its
 tokens. prune then costs O(clusters x query tokens), and search costs one
 membership probe per query token in each selected cluster plus the postings
-it adds: O(selected x query tokens + postings).
+it adds: O(selected x query tokens + postings), plus an integer sort of the
+scores to find the cutoff-th best and a keyed sort of the documents that
+reach it.
 """
 from __future__ import annotations
 
@@ -96,8 +98,12 @@ def search(
 ) -> SearchResult:
     """Rank documents of the selected clusters against the query tokens.
 
-    selected must name distinct cluster ids in 0..k_used-1.
+    selected must name distinct cluster ids in 0..k_used-1 and cutoff must be
+    >= 1. Only documents scoring at least the cutoff-th best score are
+    sorted, so ties at the cutoff rank as in a full sort.
     """
+    if cutoff < 1:
+        raise ValueError(f"result cutoff must be >= 1, got {cutoff}")
     selected = tuple(selected)
     if not selected:
         raise ValueError("at least one cluster must be selected")
@@ -119,7 +125,11 @@ def search(
                 continue
             for doc, freq in entries[token]:
                 scores[doc] = scores.get(doc, 0) + freq
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:cutoff]
+    items = scores.items()
+    if len(scores) > cutoff:
+        floor = sorted(scores.values(), reverse=True)[cutoff - 1]
+        items = [kv for kv in items if kv[1] >= floor]
+    ranked = sorted(items, key=lambda kv: (-kv[1], kv[0]))[:cutoff]
     return SearchResult(ranked=tuple(ranked), clusters_searched=selected)
 
 

@@ -28,15 +28,16 @@ EXAMPLE_DOCS = ("d1", "d2", "d3", "d4", "d5", "d6")
 
 
 def records_from_freqs(freqs: dict[bytes, dict[str, int]], docs=None) -> list:
-    """Doc-major records for ingest() from a token-major frequency map."""
-    all_docs = set(docs or [])
-    for by_doc in freqs.values():
-        all_docs.update(by_doc)
-    records = []
-    for doc in sorted(all_docs):
-        pairs = [(t, freqs[t][doc]) for t in sorted(freqs) if doc in freqs[t]]
-        records.append((doc, pairs))
-    return records
+    """Doc-major records for ingest() from a token-major frequency map.
+
+    Documents come in id order, each with its (token, frequency) pairs in
+    token order; one pass over the map's entries.
+    """
+    by_doc: dict[str, list] = {doc: [] for doc in docs or []}
+    for token in sorted(freqs):
+        for doc, freq in freqs[token].items():
+            by_doc.setdefault(doc, []).append((token, freq))
+    return sorted(by_doc.items())
 
 
 @pytest.fixture
@@ -87,3 +88,17 @@ def random_index(rng: np.random.Generator, n_tokens: int, n_docs: int, **kw):
     freqs = random_freqs(rng, n_tokens, n_docs, **kw)
     docs = [f"d{j:04d}" for j in range(n_docs)]
     return ingest(records_from_freqs(freqs, docs)), freqs
+
+
+def structured_freqs(rng, n_tokens, n_docs, n_topics):
+    """Topic-structured synthetic corpus: tokens post only into topic docs."""
+    docs_per_topic = n_docs // n_topics
+    freqs = {}
+    for i in range(n_tokens):
+        topic = i % n_topics
+        base = topic * docs_per_topic
+        width = int(rng.integers(3, 7))
+        chosen = base + rng.choice(docs_per_topic, size=width, replace=False)
+        token = bytes(rng.integers(33, 127, size=4).tolist()) + f"{i:05d}".encode()
+        freqs[token] = {f"d{j:04d}": int(rng.integers(1, 40)) for j in chosen}
+    return freqs

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def dense_pipeline(a: list[list[float]]):
     """Brute-force A -> N -> R -> S -> C on a dense row-major matrix."""
@@ -116,6 +118,42 @@ def brute_force_assignments(
         best = max(scores.values())
         out[token] = min(c for c in centers if scores[c] == best)
     return out
+
+
+def dense_distribute(
+    entries: dict[bytes, tuple[tuple[str, int], ...]], docs: tuple[str, ...], centers: list[bytes]
+) -> list[tuple[bytes, tuple[bytes, ...]]]:
+    """(center, byte-sorted tokens) per center, scoring every token against every center.
+
+    Each token's (centers x postings) block of kappa * log(rho) terms is
+    sorted and summed per row; the best score wins and ties go to the
+    smaller center bytes. This is the exact reference for distribute, which
+    skips the pairs that cannot win or tie: its scores must match these bit
+    for bit, so the arithmetic is the same numpy per-row arithmetic.
+    """
+    doc_pos = {d: j for j, d in enumerate(docs)}
+    center_list = sorted(centers)
+    totals = {t: float(sum(f for _, f in postings)) for t, postings in entries.items()}
+    center_dense = np.zeros((len(center_list), len(docs)))
+    for row, center in enumerate(center_list):
+        for doc, f in entries[center]:
+            center_dense[row, doc_pos[doc]] = f
+    center_totals = np.array([totals[c] for c in center_list])
+
+    members: dict[bytes, list[bytes]] = {c: [] for c in center_list}
+    for token in sorted(entries):
+        if token in members:
+            continue
+        cols = np.array([doc_pos[d] for d, _ in entries[token]], dtype=np.int64)
+        f = np.array([float(f) for _, f in entries[token]])
+        kappa = f / totals[token]
+        rho = (f[None, :] + center_dense[:, cols]) / (totals[token] + center_totals)[:, None]
+        terms = kappa[None, :] * np.log(rho)
+        scores = np.sum(np.sort(terms, axis=1), axis=1)
+        best = scores.max()
+        winner = min(center_list[j] for j in np.flatnonzero(scores == best))
+        members[winner].append(token)
+    return [(c, tuple(sorted([c] + members[c]))) for c in center_list]
 
 
 def assignment_matches(

@@ -26,7 +26,7 @@ from cipherclust.index import TrimmedIndex, build_index_from_corpus, ingest, tri
 from cipherclust.matrices import estimate_k, matrix_pipeline
 from cipherclust.search import all_cluster_ids, build_abstracts, prune, search
 
-from conftest import EXAMPLE_DOCS, EXAMPLE_FREQS, random_index, records_from_freqs
+from conftest import EXAMPLE_DOCS, EXAMPLE_FREQS, random_index, records_from_freqs, structured_freqs
 from oracles import (
     algorithm_centers,
     assignment_matches,
@@ -307,24 +307,10 @@ def test_criterion_09_tsap_unit_suite():
             assert tsap_at_10(ranked, grades, "q") >= before
 
 
-def _structured_freqs(rng, n_tokens, n_docs, n_topics):
-    """Topic-structured synthetic corpus: tokens post only into topic docs."""
-    docs_per_topic = n_docs // n_topics
-    freqs = {}
-    for i in range(n_tokens):
-        topic = i % n_topics
-        base = topic * docs_per_topic
-        width = int(rng.integers(3, 7))
-        chosen = base + rng.choice(docs_per_topic, size=width, replace=False)
-        token = bytes(rng.integers(33, 127, size=4).tolist()) + f"{i:05d}".encode()
-        freqs[token] = {f"d{j:04d}": int(rng.integers(1, 40)) for j in chosen}
-    return freqs
-
-
 def test_criterion_10_desk_scale_throughput():
     with criterion(10, "10k x 2k synthetic pipeline under 60 seconds"):
         rng = np.random.default_rng(1010)
-        freqs = _structured_freqs(rng, n_tokens=10_000, n_docs=2_000, n_topics=100)
+        freqs = structured_freqs(rng, n_tokens=10_000, n_docs=2_000, n_topics=100)
         docs = [f"d{j:04d}" for j in range(2_000)]
         records = records_from_freqs(freqs, docs)
 

@@ -4,8 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipherclust.clustering import (
+    Cluster,
     ClusteringError,
     centrality,
     choose_centers,
@@ -19,11 +22,11 @@ from cipherclust.clustering import (
     write_clusters,
 )
 from cipherclust.crypto import IdentityTokenCodec
-from cipherclust.index import IndexDataError, TrimmedIndex, build_index_from_corpus, ingest
-from cipherclust.matrices import matrix_pipeline
+from cipherclust.index import IndexDataError, TrimmedIndex, build_index_from_corpus, ingest, trim
+from cipherclust.matrices import estimate_k, matrix_pipeline
 
-from conftest import random_index, records_from_freqs
-from oracles import algorithm_centers, assignment_matches
+from conftest import random_index, records_from_freqs, structured_freqs
+from oracles import algorithm_centers, assignment_matches, dense_distribute
 
 R_VJHZ_UH5W = -1.74591957360867  # frozen term-by-term evaluation over the example
 
@@ -221,6 +224,69 @@ class TestDistribute:
             distribute(example_index, [b"missing"])
         with pytest.raises(ClusteringError):
             distribute(example_index, [b"Uh5W", b"Uh5W"])
+
+
+@st.composite
+def distribute_cases(draw):
+    """(token -> {doc: frequency}, centers) in four shapes.
+
+    random: any postings, any centers. disjoint: each center alone in its own
+    document with total T or T + 1 (equal and one-apart totals; T = 10**15
+    makes log ties between different totals likely), no other token sharing
+    a document with a center. shared: one document holds every token, so
+    every center co-occurs with every token. all-centers: nothing to score.
+    """
+    shape = draw(st.sampled_from(["random", "disjoint", "shared", "all-centers"]))
+    names = draw(st.lists(st.binary(min_size=1, max_size=3), min_size=1, max_size=12, unique=True))
+    docs = [f"d{j}" for j in range(draw(st.integers(1, 6)))]
+    postings = st.dictionaries(st.sampled_from(docs), st.integers(1, 4), min_size=1)
+    freqs = {name: draw(postings) for name in names}
+    if shape == "all-centers":
+        return freqs, names
+    n_centers = draw(st.integers(1, len(names)))
+    centers = draw(st.permutations(names))[:n_centers]
+    if shape == "disjoint":
+        base = draw(st.sampled_from([3, 10**15]))
+        for i, center in enumerate(centers):
+            freqs[center] = {f"c{i}": base + draw(st.integers(0, 1))}
+    elif shape == "shared":
+        for name in names:
+            freqs[name]["all"] = draw(st.integers(1, 4))
+    return freqs, centers
+
+
+class TestDistributeAgainstDenseScorer:
+    """distribute skips disjoint pairs; the clusters must equal scoring every pair."""
+
+    @staticmethod
+    def check(index, centers):
+        want = tuple(Cluster(center=c, tokens=t) for c, t in dense_distribute(index.entries, index.docs, centers))
+        assert distribute(index, centers).clusters == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=distribute_cases())
+    def test_equal_cluster_sets(self, case):
+        freqs, centers = case
+        self.check(ingest(records_from_freqs(freqs)), centers)
+
+    def test_tie_between_different_totals_goes_to_the_smaller_ciphertext(self):
+        big = 10**15
+        idx = ingest([("d0", [(b"t", 2)]), ("d1", [(b"z", big)]), ("d2", [(b"m", big + 1)]),
+                      ("d3", [(b"a", big + 2)])])
+        # the three disjoint centers score the same although their totals
+        # differ, and the one with the largest total has the smallest bytes
+        assert len({relatedness(c, b"t", idx) for c in (b"z", b"m", b"a")}) == 1
+        self.check(idx, [b"z", b"m", b"a"])
+        assert distribute(idx, [b"z", b"m", b"a"]).clusters[0].tokens == (b"a", b"t")
+
+    def test_criterion_10_generator(self):
+        rng = np.random.default_rng(1010)
+        freqs = structured_freqs(rng, n_tokens=10_000, n_docs=2_000, n_topics=100)
+        index = ingest(records_from_freqs(freqs, [f"d{j:04d}" for j in range(2_000)]))
+        c = matrix_pipeline(trim(index))["C"]
+        centers = choose_centers(estimate_k(c).k, c, index)
+        assert len(centers) > 100
+        self.check(index, centers)
 
 
 class TestClusterIndexAndFiles:

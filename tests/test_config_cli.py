@@ -211,6 +211,14 @@ class TestStageCommands:
             hits += bool(full)
         assert hits
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_search_rejects_a_cutoff_below_one(self, pipeline_dir, capsys, top):
+        rc = main(["search", "--query", "garlic sauce", "--clusters", str(pipeline_dir / "clusters.jsonl"),
+                   "--abstracts", str(pipeline_dir / "abstracts.jsonl"), "--identity", "--top", top])
+        out = capsys.readouterr()
+        assert rc == 1 and out.out == ""
+        assert "result cutoff must be >= 1" in out.err
+
     def test_search_requires_abstracts_unless_no_prune(self, pipeline_dir):
         with pytest.raises(SystemExit):
             main(["search", "--query", "x", "--clusters", str(pipeline_dir / "clusters.jsonl"), "--identity"])

@@ -8,6 +8,7 @@ from cipherclust.index import (
     IndexDataError,
     TrimmedIndex,
     build_index_from_corpus,
+    build_index_from_keywords,
     doc_cooccurrence,
     extract_keywords,
     ingest,
@@ -17,7 +18,7 @@ from cipherclust.index import (
     write_index,
 )
 
-from conftest import random_index, records_from_freqs
+from conftest import EXAMPLE_DOCS, EXAMPLE_FREQS, random_freqs, random_index, records_from_freqs
 
 
 class TestExtractKeywords:
@@ -194,3 +195,41 @@ class TestKeywordFile:
         path.write_text("doc1\tnet\n")
         with pytest.raises(IndexDataError):
             read_keyword_file(path)
+
+
+class CountingCodec(IdentityTokenCodec):
+    def __init__(self):
+        self.calls: list[str] = []
+
+    def encrypt_token(self, plaintext):
+        self.calls.append(plaintext)
+        return super().encrypt_token(plaintext)
+
+
+class TestEncryptOncePerBuild:
+    def test_keyword_records(self):
+        records = [("d1", [("net", 3), ("cake", 1)]), ("d2", [("net", 2)]), ("d3", [("cake", 4), ("net", 1)])]
+        codec = CountingCodec()
+        index = build_index_from_keywords(records, codec)
+        assert sorted(codec.calls) == ["cake", "net"]
+        assert index == ingest([(d, [(t.encode(), f) for t, f in pairs]) for d, pairs in records])
+        # the term -> token map does not outlive a build
+        build_index_from_keywords(records, codec)
+        assert sorted(codec.calls) == ["cake", "cake", "net", "net"]
+
+    def test_corpus(self, mini_corpus_dir):
+        codec = CountingCodec()
+        index = build_index_from_corpus(mini_corpus_dir, codec, 20)
+        assert len(codec.calls) == len(set(codec.calls)) == index.token_count
+
+
+def test_records_from_freqs_matches_a_per_document_scan():
+    def per_document_scan(freqs, docs):
+        all_docs = set(docs) | {d for by_doc in freqs.values() for d in by_doc}
+        return [(d, [(t, freqs[t][d]) for t in sorted(freqs) if d in freqs[t]]) for d in sorted(all_docs)]
+
+    assert records_from_freqs(EXAMPLE_FREQS, EXAMPLE_DOCS) == per_document_scan(EXAMPLE_FREQS, EXAMPLE_DOCS)
+    freqs = random_freqs(np.random.default_rng(3), 200, 40)
+    docs = [f"d{j:04d}" for j in range(45)]  # five documents without tokens
+    assert records_from_freqs(freqs, docs) == per_document_scan(freqs, docs)
+    assert records_from_freqs(freqs) == per_document_scan(freqs, [])

@@ -135,6 +135,30 @@ class TestSearch:
         with pytest.raises(ValueError, match="cluster id 0 is selected twice"):
             search([b"net"], small_cluster_set(), [0, 1, 0], cutoff=10)
 
+    @pytest.mark.parametrize("cutoff", [0, -1])
+    def test_cutoff_must_be_positive(self, cutoff):
+        with pytest.raises(ValueError, match="result cutoff must be >= 1"):
+            search([b"net"], small_cluster_set(), [0, 1], cutoff=cutoff)
+
+    def test_ties_at_the_cutoff_rank_as_in_a_full_sort(self):
+        scores = {"d0": 3, "d3": 2, "d1": 2, "d2": 2, "d4": 1}
+        idx = ingest([(doc, [(b"T", f)]) for doc, f in scores.items()])
+        cs = ClusterSet(clusters=(Cluster(center=b"T", tokens=(b"T",)),), index=idx, k_requested=1)
+        assert search([b"T"], cs, [0], cutoff=2).ranked == (("d0", 3), ("d1", 2))
+        assert search([b"T"], cs, [0], cutoff=4).ranked == (("d0", 3), ("d1", 2), ("d2", 2), ("d3", 2))
+
+    @settings(deadline=None)
+    @given(
+        scores=st.dictionaries(st.sampled_from([f"d{j:02d}" for j in range(30)]), st.integers(1, 4), min_size=1),
+        cutoff=st.integers(1, 32),
+    )
+    def test_threshold_selection_equals_full_sort(self, scores, cutoff):
+        # frequencies 1..4 over up to 30 documents: most draws tie at the cutoff
+        idx = ingest([(doc, [(b"T", f)]) for doc, f in scores.items()])
+        cs = ClusterSet(clusters=(Cluster(center=b"T", tokens=(b"T",)),), index=idx, k_requested=1)
+        want = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:cutoff]
+        assert search([b"T"], cs, [0], cutoff).ranked == tuple(want)
+
 
 class TestPrunedVersusFull:
     def test_full_width_prune_equals_whole_index_search(self):
