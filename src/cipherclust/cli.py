@@ -8,6 +8,7 @@ on its own.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -248,8 +249,7 @@ def cmd_pipeline(args) -> int:
 
 def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config) -> None:
     """Re-read every artifact and check its format invariants."""
-    reread = read_index(index_path)
-    if reread.triples() != index.triples():
+    if read_index(index_path).entries != index.entries:
         raise CLIError("index file round-trip mismatch")
     clusters = read_clusters(clusters_path)
     if set(clusters.all_tokens()) != set(index.entries):
@@ -351,6 +351,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "search" and not args.no_prune and not args.abstracts:
         parser.error("search needs --abstracts unless --no-prune is given")
+    # Everything alive now (the imported modules, numpy's and scipy's among
+    # them) lives as long as the command: keep the collector from rescanning it.
+    gc.freeze()
     try:
         return args.func(args)
     except (ValueError, LookupError, OSError) as exc:
@@ -358,6 +361,8 @@ def main(argv: list[str] | None = None) -> int:
         # evaluation) is a ValueError subclass
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from .crypto import CipherToken, token_from_b64, token_to_b64
-from .index import CentralIndex, IndexDataError, Posting, data_lines, trim, write_lines
+from .index import CentralIndex, IndexDataError, data_lines, trim, write_lines
 from .matrices import (
     KEstimate, LabeledMatrix, MatrixRole, estimate_k, frequency_matrix, matrix_pipeline, separation_factors
 )
@@ -101,7 +101,7 @@ def contribution(token: CipherToken, doc: str, index: CentralIndex) -> float:
     """Share of the token's corpus frequency contributed by one document."""
     if token not in index.entries:
         raise KeyError(token)
-    freq = next((p.frequency for p in index.entries[token] if p.doc == doc), 0)
+    freq = next((f for d, f in index.entries[token] if d == doc), 0)
     if freq == 0:
         return 0.0
     return freq / index.total_frequency(token)
@@ -113,8 +113,8 @@ def cooccurrence(token: CipherToken, doc: str, center: CipherToken, index: Centr
         raise KeyError(token)
     if center not in index.entries:
         raise KeyError(center)
-    f_t = next((p.frequency for p in index.entries[token] if p.doc == doc), 0)
-    f_c = next((p.frequency for p in index.entries[center] if p.doc == doc), 0)
+    f_t = next((f for d, f in index.entries[token] if d == doc), 0)
+    f_c = next((f for d, f in index.entries[center] if d == doc), 0)
     if f_t + f_c == 0:
         return 0.0
     return (f_t + f_c) / (index.total_frequency(token) + index.total_frequency(center))
@@ -131,12 +131,12 @@ def relatedness(center: CipherToken, token: CipherToken, index: CentralIndex) ->
     if center not in index.entries:
         raise KeyError(center)
     total = index.total_frequency(token) + index.total_frequency(center)
-    center_freq = {p.doc: p.frequency for p in index.entries[center]}
+    center_freq = dict(index.entries[center])
     token_total = index.total_frequency(token)
     terms = []
-    for p in index.entries[token]:
-        kappa = p.frequency / token_total
-        rho = (p.frequency + center_freq.get(p.doc, 0)) / total
+    for doc, freq in index.entries[token]:
+        kappa = freq / token_total
+        rho = (freq + center_freq.get(doc, 0)) / total
         terms.append(kappa * math.log(rho))
     return math.fsum(terms)
 
@@ -332,16 +332,14 @@ def cluster_index(index: CentralIndex, k: int | str = "auto") -> tuple[ClusterSe
 # clusters file (JSON lines)
 
 def write_clusters(cluster_set: ClusterSet, path: str | Path) -> None:
-    """One JSON object per cluster, ordered by id; tokens carry postings."""
+    """One JSON object per cluster, ordered by id; tokens carry postings.
+
+    Postings are written as they are held: json encodes a tuple as an array.
+    """
+    entries = cluster_set.index.entries
     lines = []
     for cid, cluster in enumerate(cluster_set.clusters):
-        tokens_payload = [
-            {
-                "t": token_to_b64(token),
-                "postings": [[p.doc, p.frequency] for p in cluster_set.index.entries[token]],
-            }
-            for token in cluster.tokens
-        ]
+        tokens_payload = [{"t": token_to_b64(token), "postings": entries[token]} for token in cluster.tokens]
         obj = {"id": cid, "center": token_to_b64(cluster.center), "tokens": tokens_payload}
         lines.append(json.dumps(obj, separators=(",", ":")))
     write_lines(path, lines)
@@ -403,9 +401,6 @@ def read_clusters(path: str | Path) -> ClusterSet:
         # free the parsed line before the next parse or the index build; a
         # one-cluster file is a single line holding every posting
         del obj, token_objs
-    entries = {
-        token: tuple(Posting(d, f) for d, f in sorted(by_doc.items()))
-        for token, by_doc in sorted(acc.items())
-    }
+    entries = {token: tuple(sorted(by_doc.items())) for token, by_doc in sorted(acc.items())}
     index = CentralIndex(entries=entries, docs=tuple(sorted(docs)))
     return ClusterSet(clusters=tuple(clusters), index=index, k_requested=len(clusters))

@@ -119,4 +119,4 @@ def token_to_b64(token: CipherToken) -> str:
 
 
 def token_from_b64(text: str) -> CipherToken:
-    return base64.b64decode(text.encode("ascii"), validate=True)
+    return base64.b64decode(text, validate=True)

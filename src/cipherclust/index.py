@@ -3,6 +3,12 @@
 The index is the system's source of truth: a map from encrypted token to a
 posting list of (document id, frequency). Frequencies stay plaintext; only
 token identities are ciphertext.
+
+A posting is a plain `(doc, frequency)` tuple and a posting list a plain
+tuple of them, sorted by document id. CPython's garbage collector stops
+tracking an exact tuple of strs and ints after the first collection it
+survives (a tuple subclass stays tracked for life), so an index of any size
+adds nothing to later collections.
 """
 from __future__ import annotations
 
@@ -11,7 +17,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .crypto import CipherToken, TokenCodec, normalize_term, token_from_b64, token_to_b64
 
@@ -20,9 +26,7 @@ class IndexDataError(ValueError):
     """Malformed or inconsistent index input."""
 
 
-class Posting(NamedTuple):
-    doc: str
-    frequency: int
+Posting = tuple[str, int]  # (document id, frequency)
 
 
 # Characters that would break the TSV / posting-list syntax.
@@ -68,17 +72,16 @@ class CentralIndex:
         return self.entries[token]
 
     def doc_set(self, token: CipherToken) -> frozenset[str]:
-        return frozenset(p.doc for p in self.entries[token])
+        return frozenset(doc for doc, _ in self.entries[token])
 
     def total_frequency(self, token: CipherToken) -> int:
-        return sum(p.frequency for p in self.entries[token])
+        return sum(freq for _, freq in self.entries[token])
 
     def triples(self) -> list[tuple[CipherToken, str, int]]:
         """All (token, doc, frequency) triples in canonical order."""
         out = []
         for token in self.tokens():
-            for p in self.entries[token]:
-                out.append((token, p.doc, p.frequency))
+            out.extend((token, doc, freq) for doc, freq in self.entries[token])
         return out
 
 
@@ -147,10 +150,7 @@ def ingest(records: list[tuple[str, list[tuple[CipherToken, int]]]]) -> CentralI
                     f"{by_doc[doc_id]} vs {freq}"
                 )
             by_doc[doc_id] = freq
-    entries = {
-        token: tuple(Posting(d, f) for d, f in sorted(by_doc.items()))
-        for token, by_doc in sorted(acc.items())
-    }
+    entries = {token: tuple(sorted(by_doc.items())) for token, by_doc in sorted(acc.items())}
     return CentralIndex(entries=entries, docs=tuple(sorted(seen_docs)))
 
 
@@ -248,8 +248,12 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
 
 
 def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, line) for every non-blank line of a UTF-8 file."""
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    """(line number, line) for every non-blank line of a UTF-8 file.
+
+    Lines end at LF only (CR LF and CR read as LF). str.splitlines would also
+    split at U+2028, U+0085 and other characters a document id may hold.
+    """
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         if line.strip():
             yield lineno, line
 
@@ -260,12 +264,19 @@ def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 def write_index(index: CentralIndex, path: str | Path) -> None:
     """One line per token: `<b64 token>\\t<docId>:<freq>[,<docId>:<freq>]*`."""
     write_lines(path, (
-        f"{token_to_b64(token)}\t" + ",".join(f"{p.doc}:{p.frequency}" for p in index.entries[token])
+        f"{token_to_b64(token)}\t" + ",".join(f"{doc}:{freq}" for doc, freq in index.entries[token])
         for token in index.tokens()
     ))
 
 
 def read_index(path: str | Path) -> CentralIndex:
+    """Parse an index file written by write_index.
+
+    Rejected with path:lineno: a malformed line or posting, a frequency that
+    is not an integer >= 1, a token on two lines and a document listed twice
+    for one token. The per-posting loop only splits and converts; a line that
+    fails the checks after it is diagnosed by _posting_fault.
+    """
     acc: dict[CipherToken, dict[str, int]] = {}
     docs: set[str] = set()
     for lineno, line in data_lines(path):
@@ -274,23 +285,41 @@ def read_index(path: str | Path) -> CentralIndex:
             token = token_from_b64(token_s)
         except ValueError:
             raise IndexDataError(f"{path}:{lineno}: malformed index line")
-        by_doc = acc.setdefault(token, {})
-        for item in rest.split(","):
-            doc_id, sep, freq_s = item.rpartition(":")
-            if not sep or not doc_id:
-                raise IndexDataError(f"{path}:{lineno}: malformed posting {item!r}")
-            freq = int(freq_s)
-            if freq < 1:
-                raise IndexDataError(f"{path}:{lineno}: bad frequency in {item!r}")
-            if doc_id in by_doc and by_doc[doc_id] != freq:
-                raise IndexDataError(f"{path}:{lineno}: conflicting frequencies for {doc_id!r}")
-            by_doc[doc_id] = freq
-            docs.add(doc_id)
-    entries = {
-        token: tuple(Posting(d, f) for d, f in sorted(by_doc.items()))
-        for token, by_doc in sorted(acc.items())
-    }
+        if token in acc:
+            raise IndexDataError(f"{path}:{lineno}: token {token_s} is listed twice")
+        items = rest.split(",")
+        by_doc: dict[str, int] = {}
+        try:
+            for item in items:
+                doc_id, _, freq_s = item.rpartition(":")
+                by_doc[doc_id] = int(freq_s)
+        except ValueError:
+            raise IndexDataError(f"{path}:{lineno}: {_posting_fault(items)}") from None
+        if len(by_doc) != len(items) or "" in by_doc or min(by_doc.values()) < 1:
+            raise IndexDataError(f"{path}:{lineno}: {_posting_fault(items)}")
+        acc[token] = by_doc
+        docs.update(by_doc)
+    entries = {token: tuple(sorted(by_doc.items())) for token, by_doc in sorted(acc.items())}
     return CentralIndex(entries=entries, docs=tuple(sorted(docs)))
+
+
+def _posting_fault(items: list[str]) -> str:
+    """The first fault among a faulty line's `docId:freq` items, in line order."""
+    seen: set[str] = set()
+    for item in items:
+        doc_id, sep, freq_s = item.rpartition(":")
+        if not sep or not doc_id:
+            return f"malformed posting {item!r}"
+        try:
+            freq = int(freq_s)
+        except ValueError:
+            return f"frequency {freq_s!r} of {doc_id!r} is not an integer"
+        if freq < 1:
+            return f"bad frequency in {item!r}; need an integer >= 1"
+        if doc_id in seen:
+            return f"document {doc_id!r} is listed twice"
+        seen.add(doc_id)
+    raise AssertionError("_posting_fault called on a valid line")
 
 
 def index_digest(index: CentralIndex) -> str:

@@ -80,9 +80,9 @@ def frequency_matrix(index: CentralIndex, tokens: Sequence[CipherToken]) -> spar
     indices: list[int] = []
     data: list[float] = []
     for token in tokens:
-        for p in index.entries[token]:
-            indices.append(doc_pos[p.doc])
-            data.append(float(p.frequency))
+        for doc, freq in index.entries[token]:
+            indices.append(doc_pos[doc])
+            data.append(float(freq))
         indptr.append(len(indices))
     return sparse.csr_matrix(
         (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64), np.array(indptr)),

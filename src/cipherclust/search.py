@@ -152,14 +152,32 @@ def write_abstracts(abstracts: list[Abstract], path: str | Path) -> None:
 
 
 def read_abstracts(path: str | Path) -> list[Abstract]:
+    """Parse an abstracts file written by write_abstracts.
+
+    Rejected with path:lineno: a malformed line or entry, a frequency that is
+    not an integer >= 1, a token listed twice and cluster ids that do not run
+    0, 1, 2, ... in order.
+    """
     abstracts = []
     for lineno, line in data_lines(path):
+        where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
-            entries = tuple((token_from_b64(t), int(f)) for t, f in obj["entries"])
-            abstracts.append(Abstract(cluster_id=int(obj["cluster"]), entries=entries))
-        except (ValueError, KeyError) as exc:
-            raise IndexDataError(f"{path}:{lineno}: malformed abstract line: {exc}")
+            cid = obj["cluster"]
+            entries = tuple((token_from_b64(t), f) for t, f in obj["entries"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise IndexDataError(f"{where}: malformed abstract line: {exc}")
+        if type(cid) is not int or cid != len(abstracts):
+            raise IndexDataError(f"{where}: cluster id {cid!r}; ids must be 0,1,2,... in order")
+        for token, freq in entries:
+            if type(freq) is not int or freq < 1:
+                raise IndexDataError(
+                    f"{where}: token {token_to_b64(token)} has frequency {freq!r}; need an integer >= 1"
+                )
+        try:
+            abstracts.append(Abstract(cluster_id=cid, entries=entries))
+        except ValueError as exc:
+            raise IndexDataError(f"{where}: {exc}")
     return abstracts
 
 

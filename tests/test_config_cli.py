@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -118,6 +119,17 @@ class TestPipelineCommand:
         diagnostic = json.loads(err.splitlines()[-1])
         assert "error" in diagnostic and "message" in diagnostic
 
+    def test_document_named_with_a_line_separator(self, tmp_path, key_file):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a\u2028b.txt").write_text("router bandwidth router\n")
+        (corpus / "c.txt").write_text("router cake\n")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--corpus", str(corpus), "--key", str(key_file), "--out", str(out)]) == 0
+        from cipherclust.index import read_index
+
+        assert read_index(out / "index.tsv").docs == ("a\u2028b", "c")
+
     def test_missing_input_fails(self, tmp_path, capsys):
         rc = main(["pipeline", "--corpus", str(tmp_path / "nope"), "--identity", "--out", str(tmp_path / "x")])
         assert rc == 1
@@ -219,6 +231,17 @@ class TestStageCommands:
         assert rc == 1 and out.out == ""
         assert "result cutoff must be >= 1" in out.err
 
+    def test_search_reports_a_malformed_abstracts_file(self, tmp_path, pipeline_dir, capsys):
+        abstracts = tmp_path / "abs.jsonl"
+        abstracts.write_text('{"cluster":0,"entries":5}\n')
+        rc = main(["search", "--query", "garlic sauce", "--clusters", str(pipeline_dir / "clusters.jsonl"),
+                   "--abstracts", str(abstracts), "--identity"])
+        out = capsys.readouterr()
+        assert rc == 1 and out.out == ""
+        diagnostic = json.loads(out.err.strip().splitlines()[-1])
+        assert diagnostic["error"] == "IndexDataError"
+        assert diagnostic["message"].startswith(f"{abstracts}:1: malformed abstract line")
+
     def test_search_requires_abstracts_unless_no_prune(self, pipeline_dir):
         with pytest.raises(SystemExit):
             main(["search", "--query", "x", "--clusters", str(pipeline_dir / "clusters.jsonl"), "--identity"])
@@ -229,6 +252,25 @@ class TestStageCommands:
                 ["build-index", "--corpus", str(mini_corpus_dir), "--key", str(key_file),
                  "--identity", "--out", str(tmp_path / "i.tsv")]
             )
+
+
+class TestCollectorState:
+    """main freezes the heap it starts with for the command, and always thaws it."""
+
+    def test_unfrozen_after_success(self, tmp_path, mini_corpus_dir):
+        assert main(["build-index", "--corpus", str(mini_corpus_dir), "--identity",
+                     "--out", str(tmp_path / "i.tsv")]) == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_unfrozen_after_error(self, tmp_path, capsys):
+        assert main(["pipeline", "--corpus", str(tmp_path / "nope"), "--identity", "--out", str(tmp_path / "x")]) == 1
+        assert gc.get_freeze_count() == 0
+
+    def test_command_runs_frozen(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr("cipherclust.cli.cmd_build_index", lambda args: seen.append(gc.get_freeze_count()) or 0)
+        assert main(["build-index", "--keywords", "x", "--identity", "--out", str(tmp_path / "i.tsv")]) == 0
+        assert seen and seen[0] > 0 and gc.get_freeze_count() == 0
 
 
 class TestEvaluateCommands:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from cipherclust.index import (
     TrimmedIndex,
     build_index_from_corpus,
     build_index_from_keywords,
+    data_lines,
     doc_cooccurrence,
     extract_keywords,
     ingest,
@@ -54,7 +57,7 @@ class TestExtractKeywords:
 class TestIngest:
     def test_merges_postings_per_token(self):
         idx = ingest([("d1", [(b"T", 3)]), ("d2", [(b"T", 5)])])
-        assert [(p.doc, p.frequency) for p in idx.entries[b"T"]] == [("d1", 3), ("d2", 5)]
+        assert [(doc, freq) for doc, freq in idx.entries[b"T"]] == [("d1", 3), ("d2", 5)]
 
     def test_empty_input(self):
         idx = ingest([])
@@ -65,7 +68,7 @@ class TestIngest:
     def test_worked_example_shape(self, example_index):
         assert example_index.token_count == 5
         assert example_index.doc_count == 6
-        uh5w = {p.doc: p.frequency for p in example_index.entries[b"Uh5W"]}
+        uh5w = {doc: freq for doc, freq in example_index.entries[b"Uh5W"]}
         assert uh5w == {"d1": 30, "d3": 23, "d4": 4, "d5": 40}
 
     def test_conflicting_duplicate_rejected(self):
@@ -179,6 +182,34 @@ class TestIndexFile:
         path.write_text("notbase64!!\td1:1\n")
         with pytest.raises(IndexDataError):
             read_index(path)
+
+    # "VA==" and "VQ==" are the tokens b"T" and b"U"
+    @pytest.mark.parametrize("body, lineno, fault", [
+        ("VA==\td1:3,d2:x\n", 1, "frequency 'x' of 'd2' is not an integer"),
+        ("VA==\td1:3\nVQ==\td1:1\n\nVA==\td2:4\n", 4, "token VA== is listed twice"),
+        ("VA==\td1:3,d1:3\n", 1, "document 'd1' is listed twice"),
+        ("VA==\td1:3,d2:0\n", 1, "bad frequency in 'd2:0'"),
+        ("VA==\td1:3,:2\n", 1, "malformed posting ':2'"),
+        ("VA==\td1:3,d2\n", 1, "malformed posting 'd2'"),
+        ("VA==\t\n", 1, "malformed posting ''"),
+    ], ids=["non-integer", "token-twice", "document-twice", "zero", "no-doc", "no-colon", "empty"])
+    def test_rejected_with_path_and_line(self, tmp_path, body, lineno, fault):
+        path = tmp_path / "bad.tsv"
+        path.write_text(body)
+        with pytest.raises(IndexDataError, match=re.escape(f"{path}:{lineno}: {fault}")):
+            read_index(path)
+
+    def test_document_ids_with_unicode_line_separators(self, tmp_path):
+        idx = ingest([("a\u2028b", [(b"T", 2)]), ("c\x85d\x0be", [(b"T", 1), (b"U", 4)])])
+        path = tmp_path / "index.tsv"
+        write_index(idx, path)
+        assert read_index(path) == idx
+
+
+def test_data_lines_split_at_lf_only(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes("a\u2028b\n \nc\x85d\x0c\r\ne\n".encode("utf-8"))
+    assert list(data_lines(path)) == [(1, "a\u2028b"), (3, "c\x85d\x0c"), (4, "e")]
 
 
 class TestKeywordFile:

@@ -218,6 +218,27 @@ class TestAbstractsFile:
         with pytest.raises(IndexDataError, match=re.escape(f"{path}:2:") + ".*lists a token twice"):
             read_abstracts(path)
 
+    # "Y2FrZQ==" is the token b"cake"
+    @pytest.mark.parametrize("line, fault", [
+        ('{"cluster":1,"entries":5}', "malformed abstract line"),
+        ('{"cluster":1,"entries":[[5,3]]}', "malformed abstract line"),
+        ('[1]', "malformed abstract line"),
+        ('{"cluster":1,"entries":[["Y2FrZQ==",1.5]]}', "frequency 1.5; need an integer >= 1"),
+        ('{"cluster":1,"entries":[["Y2FrZQ==","3"]]}', "frequency '3'; need an integer >= 1"),
+        ('{"cluster":1,"entries":[["Y2FrZQ==",0]]}', "frequency 0; need an integer >= 1"),
+        ('{"cluster":1,"entries":[["Y2FrZQ==",-2]]}', "frequency -2; need an integer >= 1"),
+        ('{"cluster":2,"entries":[["Y2FrZQ==",8]]}', "cluster id 2; ids must be 0,1,2,... in order"),
+        ('{"cluster":"1","entries":[["Y2FrZQ==",8]]}', "cluster id '1'; ids must be 0,1,2,... in order"),
+    ], ids=["entries-not-a-list", "token-not-a-string", "not-an-object", "float", "string",
+            "zero", "negative", "id-skipped", "id-string"])
+    def test_malformed_second_line_rejected(self, tmp_path, line, fault):
+        path = tmp_path / "abstracts.jsonl"
+        write_abstracts(build_abstracts(small_cluster_set(), a=10), path)
+        first = path.read_text().splitlines()[0]
+        path.write_text(f"{first}\n{line}\n")
+        with pytest.raises(IndexDataError, match=re.escape(f"{path}:2:") + ".*" + re.escape(fault)):
+            read_abstracts(path)
+
 
 @st.composite
 def query_fixtures(draw):
@@ -259,7 +280,7 @@ class TestAgainstScanReference:
         k = cs.k_used
         ref_abstracts = [(a.cluster_id, list(a.entries)) for a in abstracts]
         cluster_tokens = [list(c.tokens) for c in cs.clusters]
-        postings = {t: [(p.doc, p.frequency) for p in ps] for t, ps in cs.index.entries.items()}
+        postings = {t: [(doc, freq) for doc, freq in ps] for t, ps in cs.index.entries.items()}
         every_token = list(cs.index.entries)
 
         for abstract in abstracts:
