@@ -4,6 +4,9 @@ Subcommands: build-index, estimate-k, cluster, abstracts, search, evaluate
 (coherence | tsap | compare), pipeline. Stages talk to each other only
 through the documented file formats, so any stage can be re-run or replaced
 on its own.
+
+Only the numeric commands (estimate-k, cluster, evaluate, pipeline) load
+numpy and scipy; build-index, abstracts and search never do.
 """
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import evaluation
 from .clustering import cluster_index, read_clusters, write_clusters
 from .config import PipelineConfig, load_config
 from .crypto import (
@@ -35,16 +37,19 @@ from .index import (
     write_index,
     write_lines,
 )
-from .matrices import dump_matrices, estimate_k, matrix_pipeline
 from .search import (
     all_cluster_ids,
     build_abstracts,
+    check_pairing,
     format_results,
     prune,
     read_abstracts,
     search,
     write_abstracts,
 )
+
+# commands whose code imports numpy or scipy; main imports them before the freeze
+NUMERIC_COMMANDS = frozenset({"estimate-k", "cluster", "evaluate", "pipeline"})
 
 
 class CLIError(ValueError):
@@ -117,6 +122,8 @@ def cmd_build_index(args) -> int:
 
 
 def cmd_estimate_k(args) -> int:
+    from .matrices import dump_matrices, estimate_k, matrix_pipeline
+
     index = read_index(args.index)
     trimmed = trim(index)
     mats = matrix_pipeline(trimmed)
@@ -150,6 +157,7 @@ def cmd_search(args) -> int:
         selected = all_cluster_ids(clusters)
     else:
         abstracts = read_abstracts(args.abstracts)
+        check_pairing(abstracts, clusters, args.abstracts)
         selected = prune(tokens, abstracts, args.c)
     result = search(tokens, clusters, selected, args.top)
     sys.stdout.write(format_results(result))
@@ -157,6 +165,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_evaluate_coherence(args) -> int:
+    from . import evaluation
+
     clusters = read_clusters(args.clusters)
     table = evaluation.load_embeddings(args.embeddings)
     report = evaluation.coherence_report(clusters, table)
@@ -168,6 +178,8 @@ def cmd_evaluate_coherence(args) -> int:
 
 
 def cmd_evaluate_tsap(args) -> int:
+    from . import evaluation
+
     ranked = evaluation.read_results_file(args.results)
     judgments = evaluation.load_judgments(args.judgments)
     report = evaluation.EvaluationReport(
@@ -181,6 +193,8 @@ def cmd_evaluate_tsap(args) -> int:
 
 
 def cmd_evaluate_compare(args) -> int:
+    from . import evaluation
+
     dynamic = evaluation.EvaluationReport.load(args.dynamic)
     static = evaluation.EvaluationReport.load(args.static)
     comparison = evaluation.compare(dynamic, static)
@@ -255,8 +269,7 @@ def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config
     if set(clusters.all_tokens()) != set(index.entries):
         raise CLIError("clusters file does not partition the index tokens")
     abstracts = read_abstracts(abstracts_path)
-    if len(abstracts) != clusters.k_used:
-        raise CLIError("abstract count does not match cluster count")
+    check_pairing(abstracts, clusters, abstracts_path)
     for abstract in abstracts:
         if len(abstract.entries) > config.abstract_size:
             raise CLIError("abstract exceeds the configured size")
@@ -351,8 +364,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "search" and not args.no_prune and not args.abstracts:
         parser.error("search needs --abstracts unless --no-prune is given")
+    if args.command in NUMERIC_COMMANDS:
+        # matrices imports numpy and scipy.sparse: here, not at module level,
+        # so search never loads them, and before the freeze, so their import
+        # objects are frozen too
+        from . import matrices  # noqa: F401
     # Everything alive now (the imported modules, numpy's and scipy's among
-    # them) lives as long as the command: keep the collector from rescanning it.
+    # them for a numeric command) lives as long as the command: keep the
+    # collector from rescanning it.
     gc.freeze()
     try:
         return args.func(args)

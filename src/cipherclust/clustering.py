@@ -13,6 +13,10 @@ document, plus the few disjoint centers that can still win or tie, so its
 cost follows co-occurrence rather than tokens x centers. The scalar
 contribution / cooccurrence / relatedness functions define the score one
 pair at a time.
+
+numpy, scipy and the matrices module are imported by the functions that
+compute with them, so reading and writing clusters files (the search path)
+loads neither library.
 """
 from __future__ import annotations
 
@@ -20,15 +24,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
-from scipy import sparse
+from typing import TYPE_CHECKING
 
 from .crypto import CipherToken, token_from_b64, token_to_b64
 from .index import CentralIndex, IndexDataError, data_lines, trim, write_lines
-from .matrices import (
-    KEstimate, LabeledMatrix, MatrixRole, estimate_k, frequency_matrix, matrix_pipeline, separation_factors
-)
+
+if TYPE_CHECKING:
+    from scipy import sparse
+
+    from .matrices import KEstimate, LabeledMatrix
 
 
 class ClusteringError(ValueError):
@@ -71,6 +75,8 @@ def choose_centers(k: int, c: LabeledMatrix, index: CentralIndex) -> list[Cipher
     centralities outrank all finite ones and tie-break by higher degree,
     then ciphertext bytes.
     """
+    from .matrices import MatrixRole, separation_factors
+
     if k < 1:
         raise ClusteringError(f"k must be >= 1, got {k}")
     if c.role is not MatrixRole.C_TOKEN_TO_TOKEN:
@@ -180,6 +186,9 @@ _SCORE_BLOCK = 1 << 13
 
 def _pattern(m: sparse.csr_matrix) -> sparse.csr_matrix:
     """The nonzero pattern of a CSR matrix as a boolean matrix."""
+    import numpy as np
+    from scipy import sparse
+
     return sparse.csr_matrix((np.ones(m.nnz, dtype=bool), m.indices, m.indptr), shape=m.shape)
 
 
@@ -236,6 +245,10 @@ def distribute(index: CentralIndex, centers: list[CipherToken], k_requested: int
 
 def _assign(index: CentralIndex, tokens: list[CipherToken], center_list: list[CipherToken]) -> list[list[int]]:
     """distribute's scoring: per center (byte order), the rows in `tokens` it wins, ascending."""
+    import numpy as np
+
+    from .matrices import frequency_matrix
+
     n_centers, n_docs = len(center_list), len(index.docs)
 
     freq = frequency_matrix(index, tokens)
@@ -321,6 +334,8 @@ def cluster_index(index: CentralIndex, k: int | str = "auto") -> tuple[ClusterSe
     estimate is returned for a fixed k too; the cluster set's k_requested
     is the k actually targeted.
     """
+    from .matrices import estimate_k, matrix_pipeline
+
     c = matrix_pipeline(trim(index))["C"]
     estimate = estimate_k(c)
     k_target = estimate.k if k == "auto" else int(k)

@@ -133,6 +133,33 @@ def search(
     return SearchResult(ranked=tuple(ranked), clusters_searched=selected)
 
 
+def check_pairing(abstracts: list[Abstract], clusters: ClusterSet, path: str | Path) -> None:
+    """Reject abstracts that were not built from these clusters.
+
+    There must be one abstract per cluster, and each entry must name a token
+    of its own cluster with that token's total frequency in the clusters'
+    index. The error names the abstracts file and the cluster id. Costs one
+    pass over the postings of the abstracts' tokens.
+    """
+    n, k = len(abstracts), clusters.k_used
+    if n != k:
+        unpaired = f"the abstract of cluster {k} has no cluster" if n > k else f"cluster {n} has no abstract"
+        raise IndexDataError(f"{path}: {n} abstracts for {k} clusters; {unpaired}")
+    for abstract, members in zip(abstracts, clusters.token_sets):
+        for token, freq in abstract.entries:
+            if token not in members:
+                raise IndexDataError(
+                    f"{path}: abstract of cluster {abstract.cluster_id} names token "
+                    f"{token_to_b64(token)}, which is not in that cluster"
+                )
+            total = clusters.index.total_frequency(token)
+            if freq != total:
+                raise IndexDataError(
+                    f"{path}: abstract of cluster {abstract.cluster_id} gives token "
+                    f"{token_to_b64(token)} frequency {freq}; the clusters give {total}"
+                )
+
+
 def all_cluster_ids(clusters: ClusterSet) -> list[int]:
     return list(range(len(clusters.clusters)))
 

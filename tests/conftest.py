@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cipherclust import ingest
 from cipherclust.config import CONFIG_ENV
+from cipherclust.index import ingest
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 
 import pytest
 
@@ -241,6 +242,71 @@ class TestStageCommands:
         diagnostic = json.loads(out.err.strip().splitlines()[-1])
         assert diagnostic["error"] == "IndexDataError"
         assert diagnostic["message"].startswith(f"{abstracts}:1: malformed abstract line")
+
+    def test_search_rejects_abstracts_of_other_clusters(self, tmp_path, pipeline_dir, capsys):
+        clusters = tmp_path / "two.jsonl"
+        assert main(["cluster", "--index", str(pipeline_dir / "index.tsv"), "--k", "2", "--out", str(clusters)]) == 0
+        abstracts = pipeline_dir / "abstracts.jsonl"
+        assert len(abstracts.read_text().splitlines()) == 6
+        rc = main(["search", "--query", "garlic sauce", "--clusters", str(clusters),
+                   "--abstracts", str(abstracts), "--identity"])
+        out = capsys.readouterr()
+        assert rc == 1 and out.out == ""
+        diagnostic = json.loads(out.err.strip().splitlines()[-1])
+        assert diagnostic["error"] == "IndexDataError"
+        assert diagnostic["message"] == (
+            f"{abstracts}: 6 abstracts for 2 clusters; the abstract of cluster 2 has no cluster"
+        )
+
+    @staticmethod
+    def _tampered_search(tmp_path, pipeline_dir, capsys, edit):
+        """Search with pipeline_dir's abstracts after edit(list of parsed lines); return the diagnostic."""
+        lines = [json.loads(line) for line in (pipeline_dir / "abstracts.jsonl").read_text().splitlines()]
+        edit(lines)
+        abstracts = tmp_path / "abs.jsonl"
+        abstracts.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        rc = main(["search", "--query", "garlic sauce", "--clusters", str(pipeline_dir / "clusters.jsonl"),
+                   "--abstracts", str(abstracts), "--identity"])
+        out = capsys.readouterr()
+        assert rc == 1 and out.out == ""
+        diagnostic = json.loads(out.err.strip().splitlines()[-1])
+        assert diagnostic["error"] == "IndexDataError"
+        assert diagnostic["message"].startswith(f"{abstracts}: abstract of cluster 1 ")
+        return diagnostic["message"]
+
+    def test_search_rejects_an_edited_abstract_frequency(self, tmp_path, pipeline_dir, capsys):
+        original = []
+
+        def edit(lines):
+            entry = lines[1]["entries"][-1]
+            original.append(entry[1])
+            entry[1] += 1
+
+        message = self._tampered_search(tmp_path, pipeline_dir, capsys, edit)
+        assert message.endswith(f"frequency {original[0] + 1}; the clusters give {original[0]}")
+
+    def test_search_rejects_a_token_of_another_cluster(self, tmp_path, pipeline_dir, capsys):
+        def edit(lines):
+            lines[1]["entries"].append(lines[0]["entries"][0])
+
+        message = self._tampered_search(tmp_path, pipeline_dir, capsys, edit)
+        assert message.endswith("which is not in that cluster")
+
+    def test_pipeline_validation_checks_the_pairing(self, tmp_path, pipeline_dir):
+        from cipherclust.cli import _validate_artifacts
+        from cipherclust.config import PipelineConfig
+        from cipherclust.index import IndexDataError, read_index
+
+        index_path, clusters_path = pipeline_dir / "index.tsv", pipeline_dir / "clusters.jsonl"
+        index, config = read_index(index_path), PipelineConfig().validate()
+        _validate_artifacts(index, index_path, clusters_path, pipeline_dir / "abstracts.jsonl", config)
+        lines = (pipeline_dir / "abstracts.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        first["entries"][0][1] += 1
+        abstracts = tmp_path / "abs.jsonl"
+        abstracts.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n")
+        with pytest.raises(IndexDataError, match=f"^{re.escape(str(abstracts))}: abstract of cluster 0 gives token"):
+            _validate_artifacts(index, index_path, clusters_path, abstracts, config)
 
     def test_search_requires_abstracts_unless_no_prune(self, pipeline_dir):
         with pytest.raises(SystemExit):

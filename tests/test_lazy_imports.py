@@ -1,0 +1,81 @@
+"""The search path loads neither numpy nor scipy; numeric commands load them before the freeze.
+
+Each check runs in a fresh interpreter, because this test process already
+holds numpy and scipy.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from cipherclust.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+REPORT_NUMERIC = "print(json.dumps(sorted(m for m in ('numpy', 'scipy') if m in sys.modules)))"
+
+# runs main(argv) with gc.freeze recording whether scipy.sparse is loaded at each call
+RECORD_FREEZE = """
+import gc, json, sys
+seen = []
+freeze = gc.freeze
+def recording_freeze():
+    seen.append("scipy.sparse" in sys.modules)
+    freeze()
+gc.freeze = recording_freeze
+from cipherclust.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps({"rc": rc, "seen": seen}))
+"""
+
+
+def run_python(code: str, *args: str):
+    """Run code in a fresh interpreter with args as sys.argv[1:]; return its last stdout line as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("lazy") / "run"
+    assert main(["pipeline", "--corpus", str(DATA_DIR / "mini_corpus"), "--identity", "--out", str(out)]) == 0
+    return out
+
+
+def test_library_modules_load_neither_numpy_nor_scipy():
+    code = (
+        "import json, sys\n"
+        "import cipherclust, cipherclust.crypto, cipherclust.index, cipherclust.search\n"
+        "import cipherclust.clustering, cipherclust.cli\n"
+        + REPORT_NUMERIC
+    )
+    assert run_python(code) == []
+
+
+@pytest.mark.parametrize("extra", [[], ["--no-prune"]])
+def test_search_command_loads_neither_numpy_nor_scipy(run_dir, extra):
+    code = "import json, sys\nfrom cipherclust.cli import main\nassert main(sys.argv[1:]) == 0\n" + REPORT_NUMERIC
+    args = ["search", "--query", "garlic sauce", "--clusters", str(run_dir / "clusters.jsonl"),
+            "--abstracts", str(run_dir / "abstracts.jsonl"), "--identity", *extra]
+    assert run_python(code, *args) == []
+
+
+@pytest.mark.parametrize("command", ["pipeline", "cluster", "estimate-k", "evaluate coherence"])
+def test_numeric_commands_load_scipy_before_the_freeze(run_dir, tmp_path, command):
+    args = {
+        "pipeline": ["--corpus", str(DATA_DIR / "mini_corpus"), "--identity", "--out", str(tmp_path / "run")],
+        "cluster": ["--index", str(run_dir / "index.tsv"), "--k", "2", "--out", str(tmp_path / "c.jsonl")],
+        "estimate-k": ["--index", str(run_dir / "index.tsv")],
+        "evaluate coherence": ["--clusters", str(run_dir / "clusters.jsonl"),
+                               "--embeddings", str(DATA_DIR / "synthetic_embeddings.txt")],
+    }[command]
+    assert run_python(RECORD_FREEZE, *command.split(), *args) == {"rc": 0, "seen": [True]}
