@@ -5,8 +5,8 @@ Subcommands: build-index, estimate-k, cluster, abstracts, search, evaluate
 through the documented file formats, so any stage can be re-run or replaced
 on its own.
 
-Only the numeric commands (estimate-k, cluster, evaluate, pipeline) load
-numpy and scipy; build-index, abstracts and search never do.
+Only the numeric commands (estimate-k, cluster, evaluate coherence,
+pipeline) load numpy and scipy; the others never do.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import gc
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .clustering import cluster_index, read_clusters, write_clusters
@@ -38,7 +39,6 @@ from .index import (
     write_lines,
 )
 from .search import (
-    all_cluster_ids,
     build_abstracts,
     check_pairing,
     format_results,
@@ -47,10 +47,6 @@ from .search import (
     search,
     write_abstracts,
 )
-
-# commands whose code imports numpy or scipy; main imports them before the freeze
-NUMERIC_COMMANDS = frozenset({"estimate-k", "cluster", "evaluate", "pipeline"})
-
 
 class CLIError(ValueError):
     pass
@@ -154,7 +150,7 @@ def cmd_search(args) -> int:
     codec = _resolve_codec(args)
     tokens = encrypt_query(codec, args.query)
     if args.no_prune:
-        selected = all_cluster_ids(clusters)
+        selected = range(clusters.k_used)
     else:
         abstracts = read_abstracts(args.abstracts)
         check_pairing(abstracts, clusters, args.abstracts)
@@ -250,7 +246,7 @@ def cmd_pipeline(args) -> int:
     _validate_artifacts(index, index_path, clusters_path, abstracts_path, config)
 
     manifest = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "input": {"path": str(args.corpus or args.keywords), "sha256": _input_digest(input_path)},
         "artifacts": {
             p.name: _file_sha256(p) for p in (index_path, k_report_path, clusters_path, abstracts_path)
@@ -273,6 +269,10 @@ def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config
     for abstract in abstracts:
         if len(abstract.entries) > config.abstract_size:
             raise CLIError("abstract exceeds the configured size")
+
+
+# handlers whose code imports numpy or scipy; main imports them before the freeze
+NUMERIC_HANDLERS = frozenset({cmd_estimate_k, cmd_cluster, cmd_evaluate_coherence, cmd_pipeline})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "search" and not args.no_prune and not args.abstracts:
         parser.error("search needs --abstracts unless --no-prune is given")
-    if args.command in NUMERIC_COMMANDS:
+    if args.func in NUMERIC_HANDLERS:
         # matrices imports numpy and scipy.sparse: here, not at module level,
         # so search never loads them, and before the freeze, so their import
         # objects are frozen too

@@ -5,14 +5,14 @@ degree: a token whose uniqueness (new documents vs already-covered ones)
 exceeds 1 becomes a candidate, scored by centrality; the top-k candidates
 win. There is no iterative center shifting. Remaining tokens are then
 assigned to the center with the highest relatedness, a contribution-weighted
-log co-occurrence score that only needs frequencies, never plaintext.
+log co-occurrence score that only needs frequencies, never plaintext. The
+score of one token-center pair is defined in the `distribute` docstring;
+`tests/oracles.py` (`relatedness_scores`) states it as a plain loop.
 
 Center selection is inherently sequential (the coverage set evolves).
 Distribution is batched: it scores the token-center pairs that share a
 document, plus the few disjoint centers that can still win or tie, so its
-cost follows co-occurrence rather than tokens x centers. The scalar
-contribution / cooccurrence / relatedness functions define the score one
-pair at a time.
+cost follows co-occurrence rather than tokens x centers.
 
 numpy, scipy and the matrices module are imported by the functions that
 compute with them, so reading and writing clusters files (the search path)
@@ -75,12 +75,10 @@ def choose_centers(k: int, c: LabeledMatrix, index: CentralIndex) -> list[Cipher
     centralities outrank all finite ones and tie-break by higher degree,
     then ciphertext bytes.
     """
-    from .matrices import MatrixRole, separation_factors
+    from .matrices import separation_factors
 
     if k < 1:
         raise ClusteringError(f"k must be >= 1, got {k}")
-    if c.role is not MatrixRole.C_TOKEN_TO_TOKEN:
-        raise ClusteringError("center selection needs the token-to-token matrix")
     sep = separation_factors(c)
     degree = {t: len(index.entries[t]) for t in sep}
     order = sorted(sep, key=lambda t: (-degree[t], t))
@@ -101,50 +99,6 @@ def choose_centers(k: int, c: LabeledMatrix, index: CentralIndex) -> list[Cipher
 
     admitted.sort(key=rank)
     return [token for token, _ in admitted[:k]]
-
-
-def contribution(token: CipherToken, doc: str, index: CentralIndex) -> float:
-    """Share of the token's corpus frequency contributed by one document."""
-    if token not in index.entries:
-        raise KeyError(token)
-    freq = next((f for d, f in index.entries[token] if d == doc), 0)
-    if freq == 0:
-        return 0.0
-    return freq / index.total_frequency(token)
-
-
-def cooccurrence(token: CipherToken, doc: str, center: CipherToken, index: CentralIndex) -> float:
-    """Joint in-document frequency share of a token and a center."""
-    if token not in index.entries:
-        raise KeyError(token)
-    if center not in index.entries:
-        raise KeyError(center)
-    f_t = next((f for d, f in index.entries[token] if d == doc), 0)
-    f_c = next((f for d, f in index.entries[center] if d == doc), 0)
-    if f_t + f_c == 0:
-        return 0.0
-    return (f_t + f_c) / (index.total_frequency(token) + index.total_frequency(center))
-
-
-def relatedness(center: CipherToken, token: CipherToken, index: CentralIndex) -> float:
-    """Sum over the token's documents of contribution * log(co-occurrence).
-
-    Non-positive; closer to zero means more related. fsum keeps the result
-    independent of document enumeration order.
-    """
-    if token not in index.entries:
-        raise KeyError(token)
-    if center not in index.entries:
-        raise KeyError(center)
-    total = index.total_frequency(token) + index.total_frequency(center)
-    center_freq = dict(index.entries[center])
-    token_total = index.total_frequency(token)
-    terms = []
-    for doc, freq in index.entries[token]:
-        kappa = freq / token_total
-        rho = (freq + center_freq.get(doc, 0)) / total
-        terms.append(kappa * math.log(rho))
-    return math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -195,10 +149,15 @@ def _pattern(m: sparse.csr_matrix) -> sparse.csr_matrix:
 def distribute(index: CentralIndex, centers: list[CipherToken], k_requested: int | None = None) -> ClusterSet:
     """Assign every non-center token of the index to its most related center.
 
+    The relatedness of token t to center c sums, over t's documents d,
+    kappa * log(rho): the contribution kappa = f_t(d) / T_t and the
+    co-occurrence rho = (f_t(d) + f_c(d)) / (T_t + T_c), where f is an
+    in-document frequency and T a total frequency. It is never positive;
+    closer to zero means more related.
+
     Ties break toward the lexicographically smaller center ciphertext. Each
-    score sums the token's per-document terms kappa * log(rho) in sorted
-    order, so relabeled but otherwise identical inputs produce identical
-    assignments.
+    score sums the token's per-document terms in sorted order, so relabeled
+    but otherwise identical inputs produce identical assignments.
 
     Only the pairs the argmax depends on are scored. A center that shares
     no document with the token scores D(T_c) = sum(kappa * log(f / (T_t +
@@ -367,9 +326,10 @@ def read_clusters(path: str | Path) -> ClusterSet:
     cluster count actually present. Rejected with path:lineno: a malformed
     line or token entry, a token listed twice (in one cluster or in two), a
     posting list naming a document twice, a frequency that is not an integer
-    >= 1, and a center missing from its own cluster's tokens. Since clusters
-    are disjoint, the last also rejects two clusters sharing a center.
-    Document ids are shared, one string per document.
+    >= 1, a document id that is not a string, and a center missing from its
+    own cluster's tokens. Since clusters are disjoint, the last also rejects
+    two clusters sharing a center. Document ids are shared, one string per
+    document.
     """
     clusters: list[Cluster] = []
     acc: dict[CipherToken, dict[str, int]] = {}
@@ -402,7 +362,8 @@ def read_clusters(path: str | Path) -> ClusterSet:
                     doc_id, freq = posting
                 except (ValueError, TypeError) as exc:
                     raise IndexDataError(f"{where}: token {name} has a malformed posting: {exc}")
-                doc_id = str(doc_id)
+                if type(doc_id) is not str:
+                    raise IndexDataError(f"{where}: token {name} has document id {doc_id!r}; need a string")
                 if type(freq) is not int or freq < 1:
                     raise IndexDataError(
                         f"{where}: token {name} has frequency {freq!r} for {doc_id!r}; need an integer >= 1"

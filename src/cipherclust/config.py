@@ -42,16 +42,6 @@ class PipelineConfig:
             raise ConfigError(f"codec must be 'keyed' or 'identity', got {self.codec!r}")
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "keywords_per_doc": self.keywords_per_doc,
-            "abstract_size": self.abstract_size,
-            "prune_width": self.prune_width,
-            "cutoff": self.cutoff,
-            "k_mode": self.k_mode,
-            "codec": self.codec,
-        }
-
 
 def _coerce(name: str, raw: str):
     raw = raw.strip()

@@ -59,8 +59,6 @@ def normalize_term(word: str) -> str:
 class TokenCodec:
     """Deterministic word -> CipherToken mapping; subclasses plug in schemes."""
 
-    name: str = "abstract"
-
     def encrypt_token(self, plaintext: str) -> CipherToken:
         raise NotImplementedError
 
@@ -71,8 +69,6 @@ class KeyedTokenCodec(TokenCodec):
     Output length never depends on input length, so token sizes leak nothing
     about the underlying words.
     """
-
-    name = "keyed"
 
     def __init__(self, key: SecretKey) -> None:
         self._key = key
@@ -87,16 +83,10 @@ class KeyedTokenCodec(TokenCodec):
 class IdentityTokenCodec(TokenCodec):
     """Pass-through codec for evaluation mode: tokens stay readable."""
 
-    name = "identity"
-
     def encrypt_token(self, plaintext: str) -> CipherToken:
         if not plaintext:
             raise CryptoError("cannot encrypt an empty token")
         return plaintext.encode("utf-8")
-
-    @staticmethod
-    def decode(token: CipherToken) -> str:
-        return token.decode("utf-8")
 
 
 def encrypt_query(codec: TokenCodec, query: str) -> list[CipherToken]:

@@ -2,6 +2,8 @@
 
 Coherence needs readable tokens, so it only applies to indexes built with
 the identity codec; the clustering code path itself is unchanged either way.
+numpy is imported by the coherence functions that compute with it, so
+TSAP scoring and report comparison load no numeric library.
 """
 from __future__ import annotations
 
@@ -11,14 +13,15 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .clustering import ClusterSet
 from .crypto import TokenCodec, encrypt_query
 from .index import data_lines, index_digest, write_lines
-from .search import Abstract, SearchResult, all_cluster_ids, prune, search
+from .search import Abstract, SearchResult, prune, search
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TSAP_CUTOFF = 10
 GRADES = (0, 1, 2)
@@ -42,6 +45,8 @@ class EmbeddingTable:
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Parse the plain-text `word v1 ... vd` format; dimension must be uniform."""
+    import numpy as np
+
     vectors: dict[str, np.ndarray] = {}
     dimension: int | None = None
     for lineno, line in data_lines(path):
@@ -71,6 +76,8 @@ def cluster_coherence(words: Iterable[str], table: EmbeddingTable) -> float | No
     For unit vectors u_i the pairwise sum is |sum u_i|^2 - n, so no n x n
     matrix is needed.
     """
+    import numpy as np
+
     vecs = []
     for word in words:
         v = table.vectors.get(word)
@@ -350,7 +357,7 @@ def run_benchmark(
     """
     if repeats < 1:
         raise EvaluationError("repeats must be >= 1")
-    full_ids = all_cluster_ids(clusters)
+    full_ids = range(clusters.k_used)
     results: dict[str, SearchResult] = {}
     timings: list[SearchTiming] = []
     for query_id, text in queries:

@@ -32,6 +32,11 @@ Posting = tuple[str, int]  # (document id, frequency)
 # Characters that would break the TSV / posting-list syntax.
 _BAD_DOC_CHARS = re.compile(r"[\t\n\r:,]")
 
+# One `docId:freq` posting as write_index writes it, and a whole posting field.
+# [0-9], not \d: int() would also accept non-ASCII digits.
+_POSTING = r"[^\t:,]+:[1-9][0-9]*"
+_POSTING_FIELD = re.compile(f"{_POSTING}(?:,{_POSTING})*")
+
 _WORD = re.compile(r"[a-z0-9]+")
 
 DEFAULT_STOPWORDS = frozenset(
@@ -68,9 +73,6 @@ class CentralIndex:
     def tokens(self) -> list[CipherToken]:
         return sorted(self.entries)
 
-    def postings(self, token: CipherToken) -> tuple[Posting, ...]:
-        return self.entries[token]
-
     def doc_set(self, token: CipherToken) -> frozenset[str]:
         return frozenset(doc for doc, _ in self.entries[token])
 
@@ -97,15 +99,6 @@ class TrimmedIndex:
     kept: tuple[CipherToken, ...]
     excluded: tuple[CipherToken, ...]
     mean_doc_cooccurrence: float
-
-    @classmethod
-    def keep_all(cls, index: CentralIndex) -> "TrimmedIndex":
-        """A no-op trim: every token kept (used when trimming is not wanted)."""
-        if index.token_count == 0:
-            raise IndexDataError("cannot build a trimmed view of an empty index")
-        counts = [len(index.entries[t]) for t in index.tokens()]
-        mean = sum(counts) / len(counts)
-        return cls(index, tuple(index.tokens()), (), mean)
 
 
 def extract_keywords(
@@ -152,13 +145,6 @@ def ingest(records: list[tuple[str, list[tuple[CipherToken, int]]]]) -> CentralI
             by_doc[doc_id] = freq
     entries = {token: tuple(sorted(by_doc.items())) for token, by_doc in sorted(acc.items())}
     return CentralIndex(entries=entries, docs=tuple(sorted(seen_docs)))
-
-
-def doc_cooccurrence(index: CentralIndex, token: CipherToken) -> int:
-    """Number of documents containing the token (its posting-list length)."""
-    if token not in index.entries:
-        raise KeyError(token)
-    return len(index.entries[token])
 
 
 def trim(index: CentralIndex) -> TrimmedIndex:
@@ -272,10 +258,12 @@ def write_index(index: CentralIndex, path: str | Path) -> None:
 def read_index(path: str | Path) -> CentralIndex:
     """Parse an index file written by write_index.
 
-    Rejected with path:lineno: a malformed line or posting, a frequency that
-    is not an integer >= 1, a token on two lines and a document listed twice
-    for one token. The per-posting loop only splits and converts; a line that
-    fails the checks after it is diagnosed by _posting_fault.
+    Rejected with path:lineno: a malformed line or posting, a document id
+    holding a tab or colon, a frequency not written as write_index writes an
+    integer >= 1 (ASCII digits, no sign, separator, space or leading zero), a
+    token on two lines and a document listed twice for one token. One regex
+    match checks the posting field, so the per-posting loop only splits and
+    converts; a line that fails a check is diagnosed by _posting_fault.
     """
     acc: dict[CipherToken, dict[str, int]] = {}
     docs: set[str] = set()
@@ -288,14 +276,13 @@ def read_index(path: str | Path) -> CentralIndex:
         if token in acc:
             raise IndexDataError(f"{path}:{lineno}: token {token_s} is listed twice")
         items = rest.split(",")
+        if not _POSTING_FIELD.fullmatch(rest):
+            raise IndexDataError(f"{path}:{lineno}: {_posting_fault(items)}")
         by_doc: dict[str, int] = {}
-        try:
-            for item in items:
-                doc_id, _, freq_s = item.rpartition(":")
-                by_doc[doc_id] = int(freq_s)
-        except ValueError:
-            raise IndexDataError(f"{path}:{lineno}: {_posting_fault(items)}") from None
-        if len(by_doc) != len(items) or "" in by_doc or min(by_doc.values()) < 1:
+        for item in items:
+            doc_id, _, freq_s = item.partition(":")
+            by_doc[doc_id] = int(freq_s)
+        if len(by_doc) != len(items):
             raise IndexDataError(f"{path}:{lineno}: {_posting_fault(items)}")
         acc[token] = by_doc
         docs.update(by_doc)
@@ -310,12 +297,12 @@ def _posting_fault(items: list[str]) -> str:
         doc_id, sep, freq_s = item.rpartition(":")
         if not sep or not doc_id:
             return f"malformed posting {item!r}"
-        try:
-            freq = int(freq_s)
-        except ValueError:
-            return f"frequency {freq_s!r} of {doc_id!r} is not an integer"
-        if freq < 1:
-            return f"bad frequency in {item!r}; need an integer >= 1"
+        if _BAD_DOC_CHARS.search(doc_id):
+            return f"document id {doc_id!r} contains reserved characters"
+        if not re.fullmatch("[0-9]+", freq_s):
+            return f"frequency {freq_s!r} of {doc_id!r} is not an integer of ASCII digits"
+        if not re.fullmatch(_POSTING, item):
+            return f"bad frequency in {item!r}; need an integer >= 1 with no leading zero"
         if doc_id in seen:
             return f"document {doc_id!r} is listed twice"
         seen.add(doc_id)

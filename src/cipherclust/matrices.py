@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
@@ -24,27 +23,19 @@ from .crypto import CipherToken, token_to_b64
 from .index import CentralIndex, TrimmedIndex, write_lines
 
 
-class MatrixRole(Enum):
-    RAW_A = "A"
-    NORMALIZED_N = "N"
-    R_TOKEN_TO_DOC = "R"
-    S_DOC_TO_TOKEN = "S"
-    C_TOKEN_TO_TOKEN = "C"
-
-
 class MatrixError(ValueError):
     pass
 
 
 @dataclass(frozen=True)
 class LabeledMatrix:
-    """A sparse matrix with a declared role and row/column labels.
+    """A sparse matrix with row/column labels.
 
     Token labels are ciphertext bytes, document labels plain strings; both
-    are kept in byte order so all matrix layouts are reproducible.
+    are kept in byte order so all matrix layouts are reproducible. Only the
+    token-to-token matrix C has equal row and column labels.
     """
 
-    role: MatrixRole
     row_labels: tuple
     col_labels: tuple
     mat: sparse.csr_matrix
@@ -55,19 +46,6 @@ class LabeledMatrix:
                 f"shape {self.mat.shape} does not match labels "
                 f"({len(self.row_labels)}, {len(self.col_labels)})"
             )
-
-    def entry(self, row_label, col_label) -> float:
-        i = self.row_labels.index(row_label)
-        j = self.col_labels.index(col_label)
-        return float(self.mat[i, j])
-
-    def dense(self) -> np.ndarray:
-        return self.mat.toarray()
-
-
-def _require(matrix: LabeledMatrix, role: MatrixRole) -> None:
-    if matrix.role is not role:
-        raise MatrixError(f"expected a {role.value} matrix, got {matrix.role.value}")
 
 
 def frequency_matrix(index: CentralIndex, tokens: Sequence[CipherToken]) -> sparse.csr_matrix:
@@ -90,37 +68,8 @@ def frequency_matrix(index: CentralIndex, tokens: Sequence[CipherToken]) -> spar
     )
 
 
-def build_A(trimmed: TrimmedIndex) -> LabeledMatrix:
-    """Raw token-document frequency matrix over the kept tokens.
-
-    Rows are kept tokens in byte order, columns are every document of the
-    index in id order.
-    """
-    if not trimmed.kept:
-        raise MatrixError("trimmed index has no kept tokens")
-    tokens = tuple(sorted(trimmed.kept))
-    mat = frequency_matrix(trimmed.index, tokens)
-    return LabeledMatrix(MatrixRole.RAW_A, tokens, tuple(trimmed.index.docs), mat)
-
-
-def normalize(a: LabeledMatrix) -> LabeledMatrix:
-    """Divide every entry by its column maximum; all-zero columns stay zero.
-
-    True division per entry (not multiplication by a reciprocal) keeps the
-    pipeline exactly invariant under integer rescaling of the frequencies.
-    """
-    _require(a, MatrixRole.RAW_A)
-    csc = a.mat.tocsc(copy=True)
-    ncols = csc.shape[1]
-    col_of = np.repeat(np.arange(ncols), np.diff(csc.indptr))
-    col_max = np.zeros(ncols)
-    np.maximum.at(col_max, col_of, csc.data)
-    if csc.data.size:
-        csc.data = csc.data / col_max[col_of]
-    return LabeledMatrix(MatrixRole.NORMALIZED_N, a.row_labels, a.col_labels, csc.tocsr())
-
-
 def _row_normalized(mat: sparse.csr_matrix) -> sparse.csr_matrix:
+    """Divide every entry by its row sum; all-zero rows stay zero."""
     csr = mat.tocsr(copy=True)
     sums = np.zeros(csr.shape[0])
     row_of = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
@@ -130,33 +79,43 @@ def _row_normalized(mat: sparse.csr_matrix) -> sparse.csr_matrix:
     return csr
 
 
-def build_R(n: LabeledMatrix) -> LabeledMatrix:
-    """Row-normalize N: each row becomes the token's importance distribution."""
-    _require(n, MatrixRole.NORMALIZED_N)
-    return LabeledMatrix(
-        MatrixRole.R_TOKEN_TO_DOC, n.row_labels, n.col_labels, _row_normalized(n.mat)
-    )
+def matrix_pipeline(trimmed: TrimmedIndex) -> dict[str, LabeledMatrix]:
+    """Run A -> N -> R -> S -> C and return all five matrices by letter.
 
-
-def build_S(n: LabeledMatrix) -> LabeledMatrix:
-    """Column-normalize N and transpose: rows are documents, columns tokens.
-
-    Row d of S is document d's token-importance distribution; documents with
-    no kept tokens yield zero rows.
+    A: raw frequencies, rows the kept tokens in byte order, columns every
+    document of the index in id order. N: A divided by its column maxima,
+    by true division per entry (not multiplication by a reciprocal), which
+    keeps the chain exactly invariant under integer rescaling. R: N
+    row-normalized, each token's importance distribution over documents.
+    S: N column-normalized and transposed, each document's distribution
+    over tokens (documents with no kept token give zero rows). C = R . S,
+    kept sparse.
     """
-    _require(n, MatrixRole.NORMALIZED_N)
-    s = _row_normalized(n.mat.T.tocsr())
-    return LabeledMatrix(MatrixRole.S_DOC_TO_TOKEN, n.col_labels, n.row_labels, s)
+    if not trimmed.kept:
+        raise MatrixError("trimmed index has no kept tokens")
+    tokens = tuple(sorted(trimmed.kept))
+    docs = tuple(trimmed.index.docs)
+    a = frequency_matrix(trimmed.index, tokens)
 
+    csc = a.tocsc(copy=True)
+    col_of = np.repeat(np.arange(csc.shape[1]), np.diff(csc.indptr))
+    col_max = np.zeros(csc.shape[1])
+    np.maximum.at(col_max, col_of, csc.data)
+    if csc.data.size:
+        csc.data = csc.data / col_max[col_of]
+    n = csc.tocsr()
+    del csc, col_of, col_max  # not needed for R, S or C: free them before those are built
 
-def build_C(r: LabeledMatrix, s: LabeledMatrix) -> LabeledMatrix:
-    """Token-to-token similarity C = R . S (sparse product, kept sparse)."""
-    _require(r, MatrixRole.R_TOKEN_TO_DOC)
-    _require(s, MatrixRole.S_DOC_TO_TOKEN)
-    if r.col_labels != s.row_labels or r.row_labels != s.col_labels:
-        raise MatrixError("R and S labels are inconsistent")
-    c = (r.mat @ s.mat).tocsr()
-    return LabeledMatrix(MatrixRole.C_TOKEN_TO_TOKEN, r.row_labels, s.col_labels, c)
+    r = _row_normalized(n)
+    s = _row_normalized(n.T.tocsr())
+    c = (r @ s).tocsr()
+    return {
+        "A": LabeledMatrix(tokens, docs, a),
+        "N": LabeledMatrix(tokens, docs, n),
+        "R": LabeledMatrix(tokens, docs, r),
+        "S": LabeledMatrix(docs, tokens, s),
+        "C": LabeledMatrix(tokens, tokens, c),
+    }
 
 
 @dataclass(frozen=True)
@@ -168,28 +127,20 @@ class KEstimate:
 
 def separation_factors(c: LabeledMatrix) -> dict[CipherToken, float]:
     """Diagonal of C keyed by token (extracted without densifying)."""
-    _require(c, MatrixRole.C_TOKEN_TO_TOKEN)
+    if c.row_labels != c.col_labels:
+        raise MatrixError("separation factors need the token-to-token matrix C")
     diag = c.mat.diagonal()
     return {token: float(diag[i]) for i, token in enumerate(c.row_labels)}
 
 
 def estimate_k(c: LabeledMatrix) -> KEstimate:
     """k = ceil(sum of separation factors), clamped to [1, m]."""
-    _require(c, MatrixRole.C_TOKEN_TO_TOKEN)
+    if c.row_labels != c.col_labels:
+        raise MatrixError("the k estimate needs the token-to-token matrix C")
     m = len(c.row_labels)
     trace = math.fsum(c.mat.diagonal())
     k = min(max(math.ceil(trace), 1), m)
     return KEstimate(k=k, trace=trace, m=m)
-
-
-def matrix_pipeline(trimmed: TrimmedIndex) -> dict[str, LabeledMatrix]:
-    """Run A -> N -> R -> S -> C and return all five matrices by role letter."""
-    a = build_A(trimmed)
-    n = normalize(a)
-    r = build_R(n)
-    s = build_S(n)
-    c = build_C(r, s)
-    return {"A": a, "N": n, "R": r, "S": s, "C": c}
 
 
 def _label_str(label) -> str:

@@ -160,10 +160,6 @@ def check_pairing(abstracts: list[Abstract], clusters: ClusterSet, path: str | P
                 )
 
 
-def all_cluster_ids(clusters: ClusterSet) -> list[int]:
-    return list(range(len(clusters.clusters)))
-
-
 # ---------------------------------------------------------------------------
 # abstracts file (JSON lines) and results TSV
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cipherclust.config import CONFIG_ENV
-from cipherclust.index import ingest
+from cipherclust.index import TrimmedIndex, ingest
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -38,6 +38,17 @@ def records_from_freqs(freqs: dict[bytes, dict[str, int]], docs=None) -> list:
         for doc, freq in freqs[token].items():
             by_doc.setdefault(doc, []).append((token, freq))
     return sorted(by_doc.items())
+
+
+def keep_all(index) -> TrimmedIndex:
+    """A no-op trim: every token kept, so the matrices cover the whole index."""
+    counts = [len(postings) for postings in index.entries.values()]
+    return TrimmedIndex(index, tuple(index.tokens()), (), sum(counts) / len(counts))
+
+
+def entry(matrix, row_label, col_label) -> float:
+    """One entry of a LabeledMatrix, addressed by its labels."""
+    return float(matrix.mat[matrix.row_labels.index(row_label), matrix.col_labels.index(col_label)])
 
 
 @pytest.fixture

@@ -90,18 +90,26 @@ def algorithm_centers(
     return [token for token, _ in sorted(heap, key=key)[:k]]
 
 
+def contribution(freqs: dict[bytes, dict[str, int]], token: bytes, doc: str) -> float:
+    """kappa: the share of the token's total frequency held by one document."""
+    return freqs[token].get(doc, 0) / sum(freqs[token].values())
+
+
+def cooccurrence(freqs: dict[bytes, dict[str, int]], token: bytes, doc: str, center: bytes) -> float:
+    """rho: the joint in-document frequency share of a token and a center."""
+    joint = freqs[token].get(doc, 0) + freqs[center].get(doc, 0)
+    return joint / (sum(freqs[token].values()) + sum(freqs[center].values()))
+
+
 def relatedness_scores(
     freqs: dict[bytes, dict[str, int]], token: bytes, centers: list[bytes]
 ) -> dict[bytes, float]:
-    """Plain-loop contribution * log(co-occurrence) sums per center."""
-    totals = {t: sum(by_doc.values()) for t, by_doc in freqs.items()}
+    """Plain-loop contribution * log(co-occurrence) sums over the token's documents, per center."""
     scores = {}
     for center in centers:
         acc = 0.0
-        for doc, f in freqs[token].items():
-            kappa = f / totals[token]
-            rho = (f + freqs[center].get(doc, 0)) / (totals[token] + totals[center])
-            acc += kappa * math.log(rho)
+        for doc in freqs[token]:
+            acc += contribution(freqs, token, doc) * math.log(cooccurrence(freqs, token, doc, center))
         scores[center] = acc
     return scores
 

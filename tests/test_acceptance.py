@@ -22,11 +22,19 @@ from cipherclust.evaluation import (
     run_benchmark,
     tsap_at_10,
 )
-from cipherclust.index import TrimmedIndex, build_index_from_corpus, ingest, trim
+from cipherclust.index import build_index_from_corpus, ingest, trim
 from cipherclust.matrices import estimate_k, matrix_pipeline
-from cipherclust.search import all_cluster_ids, build_abstracts, prune, search
+from cipherclust.search import build_abstracts, prune, search
 
-from conftest import EXAMPLE_DOCS, EXAMPLE_FREQS, random_index, records_from_freqs, structured_freqs
+from conftest import (
+    EXAMPLE_DOCS,
+    EXAMPLE_FREQS,
+    entry,
+    keep_all,
+    random_index,
+    records_from_freqs,
+    structured_freqs,
+)
 from oracles import (
     algorithm_centers,
     assignment_matches,
@@ -53,7 +61,7 @@ def test_criterion_01_worked_example_golden():
     with criterion(1, "worked-example golden tables and k estimate"):
         started = time.perf_counter()
         index = ingest(records_from_freqs(EXAMPLE_FREQS, EXAMPLE_DOCS))
-        mats = matrix_pipeline(TrimmedIndex.keep_all(index))
+        mats = matrix_pipeline(keep_all(index))
         docs = EXAMPLE_DOCS
 
         table_n = {
@@ -65,7 +73,7 @@ def test_criterion_01_worked_example_golden():
         }
         for token, row in table_n.items():
             for doc, want in zip(docs, row):
-                assert mats["N"].entry(token, doc) == pytest.approx(want, abs=0.01)
+                assert entry(mats["N"], token, doc) == pytest.approx(want, abs=0.01)
 
         table_r = {
             b"Uh5W": [0.29, 0, 0.17, 0.04, 0.50, 0],
@@ -76,7 +84,7 @@ def test_criterion_01_worked_example_golden():
         }
         for token, row in table_r.items():
             for doc, want in zip(docs, row):
-                assert mats["R"].entry(token, doc) == pytest.approx(want, abs=0.01)
+                assert entry(mats["R"], token, doc) == pytest.approx(want, abs=0.01)
 
         # S rows d1, d2 (flagged vJHZ cell excluded), d4, d5, d6; the d3
         # reference row does not sum to 1 and is checked against the exact
@@ -92,16 +100,16 @@ def test_criterion_01_worked_example_golden():
         for doc, row in table_s.items():
             for token, want in zip(token_order, row):
                 if want is not None:
-                    assert mats["S"].entry(doc, token) == pytest.approx(want, abs=0.01)
+                    assert entry(mats["S"], doc, token) == pytest.approx(want, abs=0.01)
 
         # reference separation factors, minus the one propagated typo (tH7c)
         for token, want in {b"Uh5W": 0.39, b"/Vdn": 0.45, b"oR1r": 0.21, b"vJHZ": 0.58}.items():
-            assert mats["C"].entry(token, token) == pytest.approx(want, abs=0.02)
+            assert entry(mats["C"], token, token) == pytest.approx(want, abs=0.02)
 
         tokens = sorted(EXAMPLE_FREQS)
         dense_a = [[EXAMPLE_FREQS[t].get(d, 0) for d in docs] for t in tokens]
         exact_c, exact_trace = exact_pipeline(dense_a)
-        got_c = mats["C"].dense()
+        got_c = mats["C"].mat.toarray()
         for i in range(len(tokens)):
             for j in range(len(tokens)):
                 assert got_c[i][j] == pytest.approx(float(exact_c[i][j]), abs=1e-9)
@@ -170,11 +178,11 @@ def test_criterion_04_oracle_equivalence():
         rng = np.random.default_rng(4044)
         for _ in range(12):
             index, freqs = random_index(rng, int(rng.integers(2, 51)), int(rng.integers(1, 51)))
-            mats = matrix_pipeline(TrimmedIndex.keep_all(index))
+            mats = matrix_pipeline(keep_all(index))
             tokens = index.tokens()
             dense_a = [[float(freqs[t].get(d, 0)) for d in index.docs] for t in tokens]
             _, _, _, dense_c = dense_pipeline(dense_a)
-            assert np.allclose(mats["C"].dense(), dense_c, atol=1e-9)
+            assert np.allclose(mats["C"].mat.toarray(), dense_c, atol=1e-9)
 
             diag = {t: float(v) for t, v in zip(mats["C"].row_labels, mats["C"].mat.diagonal())}
             doc_sets = {t: index.doc_set(t) for t in tokens}
@@ -250,7 +258,7 @@ def test_criterion_07_pruned_search_consistency(mini_corpus_dir, queries_path):
             tokens = encrypt_query(codec, text)
             selected = prune(tokens, abstracts, c=clusters.k_used)
             pruned = search(tokens, clusters, selected, cutoff=10)
-            full = search(tokens, clusters, all_cluster_ids(clusters), cutoff=10)
+            full = search(tokens, clusters, range(clusters.k_used), cutoff=10)
             assert pruned.ranked == full.ranked
 
         # c = 3: per-query pruned time must not exceed whole-index time

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from cipherclust.crypto import IdentityTokenCodec
 from cipherclust.index import (
     IndexDataError,
-    TrimmedIndex,
     build_index_from_corpus,
     build_index_from_keywords,
     data_lines,
-    doc_cooccurrence,
     extract_keywords,
     ingest,
     read_index,
@@ -21,7 +19,7 @@ from cipherclust.index import (
     write_index,
 )
 
-from conftest import EXAMPLE_DOCS, EXAMPLE_FREQS, random_freqs, random_index, records_from_freqs
+from conftest import EXAMPLE_DOCS, EXAMPLE_FREQS, keep_all, random_freqs, random_index, records_from_freqs
 
 
 class TestExtractKeywords:
@@ -110,17 +108,19 @@ def test_ingest_round_trips_triples(data):
 
 
 class TestDocCooccurrence:
+    """A token's document co-occurrence is the size of its document set."""
+
     def test_worked_example(self, example_index):
-        assert doc_cooccurrence(example_index, b"Uh5W") == 4
-        assert doc_cooccurrence(example_index, b"oR1r") == 2
+        assert len(example_index.doc_set(b"Uh5W")) == 4
+        assert len(example_index.doc_set(b"oR1r")) == 2
 
     def test_single_posting(self):
         idx = ingest([("d1", [(b"T", 1)])])
-        assert doc_cooccurrence(idx, b"T") == 1
+        assert len(idx.doc_set(b"T")) == 1
 
     def test_unknown_token(self, example_index):
         with pytest.raises(KeyError):
-            doc_cooccurrence(example_index, b"nope")
+            example_index.doc_set(b"nope")
 
 
 class TestTrim:
@@ -152,7 +152,7 @@ class TestTrim:
                 assert len(idx.entries[token]) < trimmed.mean_doc_cooccurrence
 
     def test_keep_all(self, example_index):
-        assert len(TrimmedIndex.keep_all(example_index).kept) == 5
+        assert len(keep_all(example_index).kept) == 5
 
 
 class TestIndexFile:
@@ -192,10 +192,17 @@ class TestIndexFile:
         ("VA==\td1:3,:2\n", 1, "malformed posting ':2'"),
         ("VA==\td1:3,d2\n", 1, "malformed posting 'd2'"),
         ("VA==\t\n", 1, "malformed posting ''"),
-    ], ids=["non-integer", "token-twice", "document-twice", "zero", "no-doc", "no-colon", "empty"])
+        ("VA==\td1:+3,d\tx: 4,d3:1_0\n", 1, "frequency '+3' of 'd1' is not an integer"),
+        ("VA==\td1:3,d\tx:4\n", 1, "document id 'd\\tx' contains reserved characters"),
+        ("VA==\td1: 4\n", 1, "frequency ' 4' of 'd1' is not an integer"),
+        ("VA==\td1:1_0\n", 1, "frequency '1_0' of 'd1' is not an integer"),
+        ("VA==\td1:\u0663\n", 1, "frequency '\u0663' of 'd1' is not an integer"),
+        ("VA==\td1:3,d2:03\n", 1, "bad frequency in 'd2:03'"),
+    ], ids=["non-integer", "token-twice", "document-twice", "zero", "no-doc", "no-colon", "empty",
+            "sign", "tab-in-doc", "space", "underscore", "arabic-digit", "leading-zero"])
     def test_rejected_with_path_and_line(self, tmp_path, body, lineno, fault):
         path = tmp_path / "bad.tsv"
-        path.write_text(body)
+        path.write_text(body, encoding="utf-8")
         with pytest.raises(IndexDataError, match=re.escape(f"{path}:{lineno}: {fault}")):
             read_index(path)
 

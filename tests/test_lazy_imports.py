@@ -1,4 +1,6 @@
-"""The search path loads neither numpy nor scipy; numeric commands load them before the freeze.
+"""The search path and the file-only evaluate commands load neither numpy nor scipy.
+
+Numeric commands load them before the freeze.
 
 Each check runs in a fresh interpreter, because this test process already
 holds numpy and scipy.
@@ -55,7 +57,7 @@ def test_library_modules_load_neither_numpy_nor_scipy():
     code = (
         "import json, sys\n"
         "import cipherclust, cipherclust.crypto, cipherclust.index, cipherclust.search\n"
-        "import cipherclust.clustering, cipherclust.cli\n"
+        "import cipherclust.clustering, cipherclust.cli, cipherclust.evaluation\n"
         + REPORT_NUMERIC
     )
     assert run_python(code) == []
@@ -67,6 +69,20 @@ def test_search_command_loads_neither_numpy_nor_scipy(run_dir, extra):
     args = ["search", "--query", "garlic sauce", "--clusters", str(run_dir / "clusters.jsonl"),
             "--abstracts", str(run_dir / "abstracts.jsonl"), "--identity", *extra]
     assert run_python(code, *args) == []
+
+
+@pytest.mark.parametrize("command", ["evaluate tsap", "evaluate compare"])
+def test_evaluation_file_commands_load_neither_numpy_nor_scipy(tmp_path, command):
+    if command == "evaluate tsap":
+        (tmp_path / "results.tsv").write_text("q1\t1\tdoc01\t5\n")
+        (tmp_path / "judgments.tsv").write_text("q1\tdoc01\t2\n")
+        args = ["--results", str(tmp_path / "results.tsv"), "--judgments", str(tmp_path / "judgments.tsv")]
+    else:
+        (tmp_path / "dynamic.json").write_text(json.dumps({"overall": 0.5}))
+        (tmp_path / "static.json").write_text(json.dumps({"overall": 0.4}))
+        args = ["--dynamic", str(tmp_path / "dynamic.json"), "--static", str(tmp_path / "static.json")]
+    code = "import json, sys\nfrom cipherclust.cli import main\nassert main(sys.argv[1:]) == 0\n" + REPORT_NUMERIC
+    assert run_python(code, *command.split(), *args) == []
 
 
 @pytest.mark.parametrize("command", ["pipeline", "cluster", "estimate-k", "evaluate coherence"])

@@ -3,21 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from cipherclust.clustering import choose_centers
 from cipherclust.index import TrimmedIndex, ingest, trim
 from cipherclust.matrices import (
     MatrixError,
-    build_A,
-    build_C,
-    build_R,
-    build_S,
     dump_matrix,
     estimate_k,
     matrix_pipeline,
-    normalize,
     separation_factors,
 )
 
-from conftest import EXAMPLE_DOCS, EXAMPLE_FREQS, random_index, records_from_freqs
+from conftest import EXAMPLE_DOCS, EXAMPLE_FREQS, entry, keep_all, random_index, records_from_freqs
 from oracles import dense_pipeline, exact_pipeline
 
 # Frozen by the exact rational oracle over the worked example.
@@ -57,7 +53,7 @@ S_TOKEN_ORDER = [b"Uh5W", b"/Vdn", b"oR1r", b"vJHZ", b"tH7c"]
 
 def example_matrices():
     index = ingest(records_from_freqs(EXAMPLE_FREQS, EXAMPLE_DOCS))
-    return matrix_pipeline(TrimmedIndex.keep_all(index))
+    return matrix_pipeline(keep_all(index))
 
 
 def dense_example():
@@ -72,27 +68,27 @@ class TestWorkedExample:
         mats = example_matrices()
         a = mats["A"]
         assert a.mat.shape == (5, 6)
-        assert a.entry(b"Uh5W", "d1") == 30
-        assert a.entry(b"tH7c", "d3") == 68
-        assert a.entry(b"oR1r", "d1") == 0
+        assert entry(a, b"Uh5W", "d1") == 30
+        assert entry(a, b"tH7c", "d3") == 68
+        assert entry(a, b"oR1r", "d1") == 0
 
     def test_N_matches_reference_table(self):
         n = example_matrices()["N"]
         for token, row in TABLE_N.items():
             for d, want in zip(EXAMPLE_DOCS, row):
-                assert n.entry(token, d) == pytest.approx(want, abs=0.01)
+                assert entry(n, token, d) == pytest.approx(want, abs=0.01)
 
     def test_R_matches_reference_table(self):
         r = example_matrices()["R"]
         for token, row in TABLE_R.items():
             for d, want in zip(EXAMPLE_DOCS, row):
-                assert r.entry(token, d) == pytest.approx(want, abs=0.01)
+                assert entry(r, token, d) == pytest.approx(want, abs=0.01)
 
     def test_R_vJHZ_row_exact(self):
         r = example_matrices()["R"]
         want = [0.296, 0.296, 0, 0.112, 0, 0.296]
         for d, w in zip(EXAMPLE_DOCS, want):
-            assert r.entry(b"vJHZ", d) == pytest.approx(w, abs=0.005)
+            assert entry(r, b"vJHZ", d) == pytest.approx(w, abs=0.005)
 
     def test_S_matches_reference_table_outside_flagged_cells(self):
         s = example_matrices()["S"]
@@ -100,25 +96,25 @@ class TestWorkedExample:
             for token, want in zip(S_TOKEN_ORDER, row):
                 if want is None:
                     continue
-                assert s.entry(doc, token) == pytest.approx(want, abs=0.01)
+                assert entry(s, doc, token) == pytest.approx(want, abs=0.01)
 
     def test_S_d3_row_from_direct_normalization(self):
         s = example_matrices()["S"]
-        assert s.entry("d3", b"Uh5W") == pytest.approx(0.254, abs=0.005)
-        assert s.entry("d3", b"tH7c") == pytest.approx(0.746, abs=0.005)
-        row = [s.entry("d3", t) for t in S_TOKEN_ORDER]
+        assert entry(s, "d3", b"Uh5W") == pytest.approx(0.254, abs=0.005)
+        assert entry(s, "d3", b"tH7c") == pytest.approx(0.746, abs=0.005)
+        row = [entry(s, "d3", t) for t in S_TOKEN_ORDER]
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
 
     def test_C_diagonal_against_reference_values(self):
         c = example_matrices()["C"]
         for token, want in TABLE_C_DIAG.items():
-            assert c.entry(token, token) == pytest.approx(want, abs=0.02)
+            assert entry(c, token, token) == pytest.approx(want, abs=0.02)
 
     def test_C_matches_exact_oracle_and_k_is_3(self):
         mats = example_matrices()
         dense_a, tokens = dense_example()
         exact_c, exact_trace = exact_pipeline([[int(v) for v in row] for row in dense_a])
-        got = mats["C"].dense()
+        got = mats["C"].mat.toarray()
         for i in range(5):
             for j in range(5):
                 assert got[i][j] == pytest.approx(float(exact_c[i][j]), abs=1e-9)
@@ -139,90 +135,74 @@ class TestWorkedExample:
         dense_a, _ = dense_example()
         exact_c, _ = exact_pipeline([[int(v) for v in row] for row in dense_a])
         i = sorted(EXAMPLE_FREQS).index(b"tH7c")
-        assert c.entry(b"tH7c", b"tH7c") == pytest.approx(float(exact_c[i][i]), abs=1e-9)
+        assert entry(c, b"tH7c", b"tH7c") == pytest.approx(float(exact_c[i][i]), abs=1e-9)
 
 
 class TestBuildA:
     def test_single_cell(self):
         index = ingest([("d1", [(b"t", 7)])])
-        a = build_A(TrimmedIndex.keep_all(index))
-        assert a.dense().tolist() == [[7.0]]
+        a = matrix_pipeline(keep_all(index))["A"]
+        assert a.mat.toarray().tolist() == [[7.0]]
 
     def test_missing_posting_is_zero(self):
         index = ingest([("d1", [(b"t", 7)]), ("d2", [(b"u", 1)])])
-        a = build_A(TrimmedIndex.keep_all(index))
-        assert a.entry(b"t", "d2") == 0.0
+        a = matrix_pipeline(keep_all(index))["A"]
+        assert entry(a, b"t", "d2") == 0.0
 
     def test_empty_kept_rejected(self, example_index):
         bad = TrimmedIndex(index=example_index, kept=(), excluded=tuple(example_index.tokens()),
                            mean_doc_cooccurrence=1.0)
         with pytest.raises(MatrixError):
-            build_A(bad)
-
-    def test_role_checks(self, example_index):
-        a = build_A(TrimmedIndex.keep_all(example_index))
-        n = normalize(a)
-        with pytest.raises(MatrixError):
-            normalize(n)
-        with pytest.raises(MatrixError):
-            build_R(a)
+            matrix_pipeline(bad)
 
 
 class TestNormalize:
     def test_single_entry_column_becomes_one(self):
         index = ingest([("d1", [(b"t", 9)])])
-        n = normalize(build_A(TrimmedIndex.keep_all(index)))
-        assert n.dense().tolist() == [[1.0]]
+        n = matrix_pipeline(keep_all(index))["N"]
+        assert n.mat.toarray().tolist() == [[1.0]]
 
     def test_zero_column_stays_zero(self):
         # doc d2 exists but holds no kept token
         index = ingest([("d1", [(b"t", 3)]), ("d2", [])])
-        n = normalize(build_A(TrimmedIndex.keep_all(index)))
-        assert n.entry(b"t", "d2") == 0.0
+        n = matrix_pipeline(keep_all(index))["N"]
+        assert entry(n, b"t", "d2") == 0.0
 
     def test_columns_attain_one(self, example_index):
-        n = normalize(build_A(TrimmedIndex.keep_all(example_index)))
-        dense = n.dense()
+        n = matrix_pipeline(keep_all(example_index))["N"]
+        dense = n.mat.toarray()
         assert np.allclose(dense.max(axis=0), 1.0)
 
 
 class TestRandS:
     def test_single_nonzero_row_becomes_one(self):
         index = ingest([("d1", [(b"t", 5)]), ("d2", [(b"u", 2)])])
-        r = build_R(normalize(build_A(TrimmedIndex.keep_all(index))))
-        assert r.entry(b"t", "d1") == 1.0
+        r = matrix_pipeline(keep_all(index))["R"]
+        assert entry(r, b"t", "d1") == 1.0
 
     def test_S_shape_and_zero_rows(self):
         index = ingest([("d1", [(b"t", 3)]), ("d2", [])])
-        s = build_S(normalize(build_A(TrimmedIndex.keep_all(index))))
+        s = matrix_pipeline(keep_all(index))["S"]
         assert s.mat.shape == (2, 1)
-        assert s.entry("d2", b"t") == 0.0
-
-    def test_C_label_mismatch_rejected(self):
-        idx1 = ingest([("d1", [(b"t", 1)])])
-        idx2 = ingest([("x1", [(b"q", 1)])])
-        n1 = normalize(build_A(TrimmedIndex.keep_all(idx1)))
-        n2 = normalize(build_A(TrimmedIndex.keep_all(idx2)))
-        with pytest.raises(MatrixError):
-            build_C(build_R(n1), build_S(n2))
+        assert entry(s, "d2", b"t") == 0.0
 
     def test_one_token_C_is_identity(self):
         index = ingest([("d1", [(b"t", 4)]), ("d2", [(b"t", 9)])])
-        mats = matrix_pipeline(TrimmedIndex.keep_all(index))
-        assert mats["C"].dense().tolist() == [[1.0]]
+        mats = matrix_pipeline(keep_all(index))
+        assert mats["C"].mat.toarray().tolist() == [[1.0]]
 
 
 class TestEstimateK:
     def test_disjoint_tokens_give_k_equals_m(self):
         records = [(f"d{i}", [(f"t{i}".encode(), i + 1)]) for i in range(6)]
-        mats = matrix_pipeline(TrimmedIndex.keep_all(ingest(records)))
+        mats = matrix_pipeline(keep_all(ingest(records)))
         est = estimate_k(mats["C"])
         assert est.trace == pytest.approx(6.0, abs=1e-12)
         assert est.k == 6
 
     def test_identical_profiles_give_k_one(self):
         freqs = {f"t{i}".encode(): {"d1": 3, "d2": 5, "d3": 2} for i in range(4)}
-        mats = matrix_pipeline(TrimmedIndex.keep_all(ingest(records_from_freqs(freqs))))
+        mats = matrix_pipeline(keep_all(ingest(records_from_freqs(freqs))))
         est = estimate_k(mats["C"])
         diag = mats["C"].mat.diagonal()
         assert np.allclose(diag, 0.25, atol=1e-12)
@@ -230,10 +210,21 @@ class TestEstimateK:
         assert est.k == 1
 
     def test_separation_factors_match_diagonal(self, example_index):
-        mats = matrix_pipeline(TrimmedIndex.keep_all(example_index))
+        mats = matrix_pipeline(keep_all(example_index))
         sep = separation_factors(mats["C"])
         for i, token in enumerate(mats["C"].row_labels):
             assert sep[token] == mats["C"].mat.diagonal()[i]
+
+    @pytest.mark.parametrize("name", ["A", "S"])
+    def test_only_C_is_accepted(self, example_index, name):
+        # A and S have token and document labels; only C's rows and columns are both tokens
+        wrong = matrix_pipeline(keep_all(example_index))[name]
+        with pytest.raises(MatrixError):
+            estimate_k(wrong)
+        with pytest.raises(MatrixError):
+            separation_factors(wrong)
+        with pytest.raises(MatrixError):
+            choose_centers(1, wrong, example_index)
 
 
 class TestProperties:
@@ -261,7 +252,7 @@ class TestProperties:
             }
             mats = matrix_pipeline(trim(ingest(records_from_freqs(scaled, index.docs))))
             for name in ("N", "R", "S", "C"):
-                assert np.array_equal(base[name].dense(), mats[name].dense()), name
+                assert np.array_equal(base[name].mat.toarray(), mats[name].mat.toarray()), name
             assert estimate_k(mats["C"]).k == estimate_k(base["C"]).k
 
     def test_input_order_permutation_is_identity(self):
@@ -277,7 +268,7 @@ class TestProperties:
             ]
             mats = matrix_pipeline(trim(ingest(shuffled)))
             for name in ("A", "N", "R", "S", "C"):
-                assert np.array_equal(base[name].dense(), mats[name].dense()), name
+                assert np.array_equal(base[name].mat.toarray(), mats[name].mat.toarray()), name
 
     def test_relabeling_preserves_trace_and_k(self):
         rng = np.random.default_rng(31)
@@ -295,19 +286,19 @@ class TestProperties:
         rng = np.random.default_rng(77)
         for _ in range(15):
             index, freqs = random_index(rng, int(rng.integers(1, 50)), int(rng.integers(1, 50)))
-            mats = matrix_pipeline(TrimmedIndex.keep_all(index))
+            mats = matrix_pipeline(keep_all(index))
             tokens = sorted(freqs)
             dense_a = [[float(freqs[t].get(d, 0)) for d in index.docs] for t in tokens]
             n, r, s, c = dense_pipeline(dense_a)
-            assert np.allclose(mats["N"].dense(), n, atol=1e-9)
-            assert np.allclose(mats["R"].dense(), r, atol=1e-9)
-            assert np.allclose(mats["S"].dense(), s, atol=1e-9)
-            assert np.allclose(mats["C"].dense(), c, atol=1e-9)
+            assert np.allclose(mats["N"].mat.toarray(), n, atol=1e-9)
+            assert np.allclose(mats["R"].mat.toarray(), r, atol=1e-9)
+            assert np.allclose(mats["S"].mat.toarray(), s, atol=1e-9)
+            assert np.allclose(mats["C"].mat.toarray(), c, atol=1e-9)
 
 
 class TestDump:
     def test_dump_format(self, tmp_path, example_index):
-        mats = matrix_pipeline(TrimmedIndex.keep_all(example_index))
+        mats = matrix_pipeline(keep_all(example_index))
         out = tmp_path / "A.tsv"
         dump_matrix(mats["A"], out)
         lines = out.read_text().splitlines()

@@ -10,7 +10,6 @@ from cipherclust.index import IndexDataError, ingest
 from cipherclust.search import (
     Abstract,
     SearchResult,
-    all_cluster_ids,
     build_abstracts,
     format_results,
     prune,
@@ -172,7 +171,7 @@ class TestPrunedVersusFull:
             query = [tokens[i] for i in rng.choice(len(tokens), size=3, replace=False)]
             selected = prune(query, abstracts, c=cs.k_used)
             pruned = search(query, cs, selected, cutoff=10)
-            full = search(query, cs, all_cluster_ids(cs), cutoff=10)
+            full = search(query, cs, range(cs.k_used), cutoff=10)
             assert pruned.ranked == full.ranked
 
     def test_results_invariant_under_cluster_relabeling(self):
