@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: build-index, estimate-k, cluster, abstracts, search, evaluate
-(coherence | tsap | compare), pipeline. Stages talk to each other only
-through the documented file formats, so any stage can be re-run or replaced
-on its own.
+(coherence | search | tsap | compare), pipeline. Stages talk to each other
+only through the documented file formats, so any stage can be re-run or
+replaced on its own.
 
 Only the numeric commands (estimate-k, cluster, evaluate coherence,
 pipeline) load numpy and scipy; the others never do.
@@ -31,6 +31,7 @@ from .index import (
     DEFAULT_STOPWORDS,
     build_index_from_corpus,
     build_index_from_keywords,
+    index_digest,
     load_stopwords,
     read_index,
     read_keyword_file,
@@ -98,8 +99,12 @@ def _write_json(path: Path, obj) -> None:
     write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+def _emit(obj, out: str | None) -> None:
+    """Write a JSON report to the file out, or to stdout when out is None."""
+    if out:
+        _write_json(Path(out), obj)
+    else:
+        print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _build_index(args, config: PipelineConfig):
@@ -165,11 +170,22 @@ def cmd_evaluate_coherence(args) -> int:
 
     clusters = read_clusters(args.clusters)
     table = evaluation.load_embeddings(args.embeddings)
-    report = evaluation.coherence_report(clusters, table)
-    if args.out:
-        report.save(args.out)
-    else:
-        _print_json(report.to_dict())
+    _emit(evaluation.coherence_report(clusters, table).to_dict(), args.out)
+    return 0
+
+
+def cmd_evaluate_search(args) -> int:
+    from . import evaluation
+
+    codec = _resolve_codec(args)
+    clusters = read_clusters(args.clusters)
+    abstracts = read_abstracts(args.abstracts)
+    check_pairing(abstracts, clusters, args.abstracts)
+    queries = evaluation.load_queries(args.queries)
+    results, timings = evaluation.run_benchmark(queries, clusters, abstracts, codec, args.c, args.top)
+    evaluation.write_results_file(results, args.results)
+    report = evaluation.EvaluationReport(search_times=timings, corpus_sha256=index_digest(clusters.index))
+    _emit(report.to_dict(), args.out)
     return 0
 
 
@@ -181,10 +197,7 @@ def cmd_evaluate_tsap(args) -> int:
     report = evaluation.EvaluationReport(
         tsap_per_query=[(q, evaluation.tsap_at_10(docs, judgments, q)) for q, docs in ranked.items()]
     )
-    if args.out:
-        report.save(args.out)
-    else:
-        _print_json(report.to_dict())
+    _emit(report.to_dict(), args.out)
     return 0
 
 
@@ -193,11 +206,7 @@ def cmd_evaluate_compare(args) -> int:
 
     dynamic = evaluation.EvaluationReport.load(args.dynamic)
     static = evaluation.EvaluationReport.load(args.static)
-    comparison = evaluation.compare(dynamic, static)
-    if args.out:
-        _write_json(Path(args.out), comparison)
-    else:
-        _print_json(comparison)
+    _emit(evaluation.compare(dynamic, static), args.out)
     return 0
 
 
@@ -275,6 +284,11 @@ def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config
 NUMERIC_HANDLERS = frozenset({cmd_estimate_k, cmd_cluster, cmd_evaluate_coherence, cmd_pipeline})
 
 
+def _add_search_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--c", type=int, default=PipelineConfig.prune_width, help="prune width")
+    parser.add_argument("--top", type=int, default=PipelineConfig.cutoff, help="result cutoff")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cipherclust",
@@ -306,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("abstracts", help="build per-cluster abstracts")
     p.add_argument("--clusters", required=True, metavar="FILE")
-    p.add_argument("--a", type=int, default=100, help="tokens per abstract")
+    p.add_argument("--a", type=int, default=PipelineConfig.abstract_size, help="tokens per abstract")
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=cmd_abstracts)
 
@@ -315,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", required=True, metavar="FILE")
     p.add_argument("--abstracts", metavar="FILE")
     _add_codec_flags(p)
-    p.add_argument("--c", type=int, default=3, help="prune width")
-    p.add_argument("--top", type=int, default=10, help="result cutoff")
+    _add_search_flags(p)
     p.add_argument("--no-prune", action="store_true", help="search every cluster")
     p.set_defaults(func=cmd_search)
 
@@ -329,13 +342,23 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--out", metavar="FILE")
     pe.set_defaults(func=cmd_evaluate_coherence)
 
+    pe = esub.add_parser("search", help="search every query pruned and in full; write results and timings")
+    pe.add_argument("--queries", required=True, metavar="FILE")
+    pe.add_argument("--clusters", required=True, metavar="FILE")
+    pe.add_argument("--abstracts", required=True, metavar="FILE")
+    _add_codec_flags(pe)
+    _add_search_flags(pe)
+    pe.add_argument("--results", required=True, metavar="FILE", help="results TSV for evaluate tsap")
+    pe.add_argument("--out", metavar="FILE")
+    pe.set_defaults(func=cmd_evaluate_search)
+
     pe = esub.add_parser("tsap", help="TSAP@10 relevance scores")
     pe.add_argument("--results", required=True, metavar="FILE")
     pe.add_argument("--judgments", required=True, metavar="FILE")
     pe.add_argument("--out", metavar="FILE")
     pe.set_defaults(func=cmd_evaluate_tsap)
 
-    pe = esub.add_parser("compare", help="dynamic-k vs static-k coherency")
+    pe = esub.add_parser("compare", help="dynamic-k vs static-k coherency of two coherence reports")
     pe.add_argument("--dynamic", required=True, metavar="FILE")
     pe.add_argument("--static", required=True, metavar="FILE")
     pe.add_argument("--out", metavar="FILE")

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .crypto import CipherToken, token_from_b64, token_to_b64
-from .index import CentralIndex, IndexDataError, data_lines, trim, write_lines
+from .index import CentralIndex, IndexDataError, check_doc_id, data_lines, trim, write_lines
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -326,8 +326,9 @@ def read_clusters(path: str | Path) -> ClusterSet:
     cluster count actually present. Rejected with path:lineno: a malformed
     line or token entry, a token listed twice (in one cluster or in two), a
     posting list naming a document twice, a frequency that is not an integer
-    >= 1, a document id that is not a string, and a center missing from its
-    own cluster's tokens. Since clusters are disjoint, the last also rejects
+    >= 1, a document id that is not a string or that ingest rejects (checked
+    when the document is first seen), and a center missing from its own
+    cluster's tokens. Since clusters are disjoint, the last also rejects
     two clusters sharing a center. Document ids are shared, one string per
     document.
     """
@@ -370,7 +371,11 @@ def read_clusters(path: str | Path) -> ClusterSet:
                     )
                 if doc_id in by_doc:
                     raise IndexDataError(f"{where}: token {name} lists document {doc_id!r} twice")
-                by_doc[docs.setdefault(doc_id, doc_id)] = freq
+                shared = docs.get(doc_id)
+                if shared is None:
+                    check_doc_id(doc_id, f"{where}: ")
+                    shared = docs[doc_id] = doc_id
+                by_doc[shared] = freq
         if center not in tokens:
             raise IndexDataError(f"{where}: center {obj['center']} is not among the cluster's tokens")
         clusters.append(Cluster(center=center, tokens=tuple(sorted(tokens))))

@@ -39,9 +39,6 @@ class EmbeddingTable:
     vectors: dict[str, np.ndarray]
     digest: str | None = None
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.vectors
-
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Parse the plain-text `word v1 ... vd` format; dimension must be uniform."""
@@ -154,40 +151,21 @@ class EvaluationReport:
             "embeddings_sha256": self.embeddings_sha256,
         }
 
-    def save(self, path: str | Path) -> None:
-        write_lines(path, [json.dumps(self.to_dict(), indent=2, sort_keys=True)])
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "EvaluationReport":
-        return cls(
-            per_cluster=[
-                ClusterCoherence(
-                    cluster_id=int(c["cluster"]),
-                    coherence=c["coherence"],
-                    embeddable_tokens=int(c.get("embeddable_tokens", 0)),
-                    skipped_tokens=int(c.get("skipped_tokens", 0)),
-                )
-                for c in obj.get("per_cluster", [])
-            ],
-            overall=obj.get("overall"),
-            tsap_per_query=[(r["query"], float(r["score"])) for r in obj.get("tsap_per_query", [])],
-            search_times=[
-                SearchTiming(
-                    query_id=t["query"],
-                    pruned_ms=float(t["pruned_ms"]),
-                    full_ms=float(t["full_ms"]),
-                    prune_ms=float(t.get("prune_ms", 0.0)),
-                    clusters_searched=int(t.get("clusters_searched", 0)),
-                )
-                for t in obj.get("search_times", [])
-            ],
-            corpus_sha256=obj.get("corpus_sha256"),
-            embeddings_sha256=obj.get("embeddings_sha256"),
-        )
-
     @classmethod
     def load(cls, path: str | Path) -> "EvaluationReport":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read what compare uses from a coherence report: overall (a number
+        or null), corpus_sha256 and embeddings_sha256 (strings)."""
+        try:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+            overall, digests = obj["overall"], (obj["corpus_sha256"], obj["embeddings_sha256"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise EvaluationError(f"{path}: not a coherence report: {exc}")
+        if type(overall) not in (int, float, type(None)) or not all(type(d) is str for d in digests):
+            raise EvaluationError(
+                f"{path}: not a coherence report; need overall as a number or null and "
+                "corpus_sha256 and embeddings_sha256 as strings"
+            )
+        return cls(overall=overall, corpus_sha256=digests[0], embeddings_sha256=digests[1])
 
 
 def coherence_report(clusters: ClusterSet, table: EmbeddingTable) -> EvaluationReport:
@@ -252,18 +230,11 @@ def compare(dynamic: EvaluationReport, static: EvaluationReport) -> dict:
     The comparison is undefined (improvement None) when either side is
     non-scorable or the static overall is zero.
     """
-    if (
-        dynamic.corpus_sha256
-        and static.corpus_sha256
-        and dynamic.corpus_sha256 != static.corpus_sha256
-    ):
-        raise EvaluationError("reports were built over different corpora")
-    if (
-        dynamic.embeddings_sha256
-        and static.embeddings_sha256
-        and dynamic.embeddings_sha256 != static.embeddings_sha256
-    ):
-        raise EvaluationError("reports were built with different embedding tables")
+    for digest, inputs in (("corpus_sha256", "over different corpora"),
+                           ("embeddings_sha256", "with different embedding tables")):
+        ours, theirs = getattr(dynamic, digest), getattr(static, digest)
+        if ours and theirs and ours != theirs:
+            raise EvaluationError(f"reports were built {inputs}")
     flags = []
     improvement = None
     if dynamic.overall is None or static.overall is None or static.overall == 0.0:

@@ -66,10 +66,6 @@ class CentralIndex:
     def token_count(self) -> int:
         return len(self.entries)
 
-    @property
-    def doc_count(self) -> int:
-        return len(self.docs)
-
     def tokens(self) -> list[CipherToken]:
         return sorted(self.entries)
 
@@ -117,6 +113,15 @@ def extract_keywords(
     return ranked[:n]
 
 
+def check_doc_id(doc_id: str, where: str = "") -> None:
+    """Reject a document id that index.tsv cannot hold (empty, or holding a
+    tab, line break, colon or comma); `where` prefixes the message."""
+    if not doc_id:
+        raise IndexDataError(f"{where}document id must be non-empty")
+    if _BAD_DOC_CHARS.search(doc_id):
+        raise IndexDataError(f"{where}document id {doc_id!r} contains reserved characters")
+
+
 def ingest(records: list[tuple[str, list[tuple[CipherToken, int]]]]) -> CentralIndex:
     """Build a CentralIndex from per-document (token, frequency) lists.
 
@@ -126,10 +131,7 @@ def ingest(records: list[tuple[str, list[tuple[CipherToken, int]]]]) -> CentralI
     seen_docs: set[str] = set()
     acc: dict[CipherToken, dict[str, int]] = {}
     for doc_id, pairs in records:
-        if not doc_id:
-            raise IndexDataError("document id must be non-empty")
-        if _BAD_DOC_CHARS.search(doc_id):
-            raise IndexDataError(f"document id {doc_id!r} contains reserved characters")
+        check_doc_id(doc_id)
         if doc_id in seen_docs:
             raise IndexDataError(f"duplicate document id {doc_id!r}")
         seen_docs.add(doc_id)

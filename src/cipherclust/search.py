@@ -45,9 +45,6 @@ class Abstract:
         object.__setattr__(self, "frequencies", frequencies)
         object.__setattr__(self, "min_token", min(frequencies, default=None))
 
-    def frequency_of(self, token: CipherToken) -> int:
-        return self.frequencies.get(token, 0)
-
 
 @dataclass(frozen=True)
 class SearchResult:

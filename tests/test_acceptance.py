@@ -328,7 +328,7 @@ def test_criterion_10_desk_scale_throughput():
         abstracts = build_abstracts(clusters, a=100)
         elapsed = time.perf_counter() - started
 
-        assert index.token_count == 10_000 and index.doc_count == 2_000
+        assert index.token_count == 10_000 and len(index.docs) == 2_000
         assert est is not None and 1 <= est.k <= est.m
         assert clusters.k_used <= est.k
         assert len(abstracts) == clusters.k_used

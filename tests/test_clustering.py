@@ -372,9 +372,14 @@ class TestReadClustersRejectsMalformedEntries:
             lambda entry: entry["postings"][0].pop(),
             lambda entry: entry["postings"][0].__setitem__(0, 12345),
             lambda entry: entry["postings"][0].__setitem__(0, None),
+            lambda entry: entry["postings"][0].__setitem__(0, "a:b"),
+            lambda entry: entry["postings"][0].__setitem__(0, ""),
+            lambda entry: entry["postings"][0].__setitem__(0, "a\tb"),
+            lambda entry: entry["postings"][0].__setitem__(0, "a,b"),
         ],
         ids=["no-t", "no-postings", "string-frequency", "float-frequency", "short-posting",
-             "integer-document", "null-document"],
+             "integer-document", "null-document", "colon-document", "empty-document",
+             "tab-document", "comma-document"],
     )
     def test_bad_token_entry(self, mini_clusters_file, edit):
         _edit_line(mini_clusters_file, 2, lambda obj: edit(obj["tokens"][0]))

@@ -6,6 +6,7 @@ import pytest
 
 from cipherclust.cli import main
 from cipherclust.config import CONFIG_ENV, ConfigError, PipelineConfig, load_config, parse_config_file
+from conftest import DATA_DIR
 
 
 class TestConfig:
@@ -147,7 +148,7 @@ class TestStageCommands:
         from cipherclust.index import read_index
 
         index = read_index(index_path)
-        assert index.token_count == 3 and index.doc_count == 2
+        assert index.token_count == 3 and len(index.docs) == 2
 
     def test_pipeline_from_keyword_file(self, tmp_path):
         kw = tmp_path / "kw.tsv"
@@ -371,6 +372,61 @@ class TestEvaluateCommands:
         report = json.loads(capsys.readouterr().out)
         scores = {row["query"]: row["score"] for row in report["tsap_per_query"]}
         assert scores["q01"] == pytest.approx(0.1)  # doc01 graded 2 at rank 1, doc08 unjudged
+
+
+    @staticmethod
+    def _evaluate_search(tmp_path, clusters, abstracts, *extra):
+        return main(["evaluate", "search", "--queries", str(DATA_DIR / "queries.tsv"),
+                     "--clusters", str(clusters), "--abstracts", str(abstracts),
+                     "--results", str(tmp_path / "results.tsv"), *extra])
+
+    def test_search_results_match_the_search_command(self, tmp_path, pipeline_dir, queries_path, capsys):
+        from cipherclust.evaluation import load_queries
+
+        clusters, abstracts = pipeline_dir / "clusters.jsonl", pipeline_dir / "abstracts.jsonl"
+        assert self._evaluate_search(tmp_path, clusters, abstracts, "--identity", "--out",
+                                     str(tmp_path / "report.json")) == 0
+        expected = []
+        for query_id, text in load_queries(queries_path):
+            assert main(["search", "--query", text, "--clusters", str(clusters),
+                         "--abstracts", str(abstracts), "--identity"]) == 0
+            expected += [f"{query_id}\t{line}" for line in capsys.readouterr().out.splitlines()]
+        assert expected
+        assert (tmp_path / "results.tsv").read_text().splitlines() == expected
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [t["query"] for t in report["search_times"]] == [q for q, _ in load_queries(queries_path)]
+
+    def test_search_rejects_abstracts_of_other_clusters(self, tmp_path, pipeline_dir, capsys):
+        clusters = tmp_path / "two.jsonl"
+        assert main(["cluster", "--index", str(pipeline_dir / "index.tsv"), "--k", "2", "--out", str(clusters)]) == 0
+        abstracts = pipeline_dir / "abstracts.jsonl"
+        assert self._evaluate_search(tmp_path, clusters, abstracts, "--identity") == 1
+        out = capsys.readouterr()
+        assert out.out == "" and not (tmp_path / "results.tsv").exists()
+        diagnostic = json.loads(out.err.strip().splitlines()[-1])
+        assert diagnostic == {
+            "error": "IndexDataError",
+            "message": f"{abstracts}: 6 abstracts for 2 clusters; the abstract of cluster 2 has no cluster",
+        }
+
+    def test_search_needs_a_codec(self, tmp_path, pipeline_dir, capsys):
+        rc = self._evaluate_search(tmp_path, pipeline_dir / "clusters.jsonl", pipeline_dir / "abstracts.jsonl")
+        out = capsys.readouterr()
+        assert rc == 1 and out.out == "" and not (tmp_path / "results.tsv").exists()
+        diagnostic = json.loads(out.err.strip().splitlines()[-1])
+        assert diagnostic == {"error": "CLIError", "message": "either --key <file> or --identity is required"}
+
+    def test_compare_rejects_a_tsap_report(self, tmp_path, judgments_path, capsys):
+        results, tsap = tmp_path / "results.tsv", tmp_path / "tsap.json"
+        results.write_text("q01\t1\tdoc01\t9\n")
+        assert main(["evaluate", "tsap", "--results", str(results), "--judgments", str(judgments_path),
+                     "--out", str(tsap)]) == 0
+        rc = main(["evaluate", "compare", "--dynamic", str(tsap), "--static", str(tsap)])
+        out = capsys.readouterr()
+        assert rc == 1 and out.out == ""
+        diagnostic = json.loads(out.err.strip().splitlines()[-1])
+        assert diagnostic["error"] == "EvaluationError"
+        assert diagnostic["message"].startswith(f"{tsap}: not a coherence report")
 
 
 class TestConfigCodecResolution:

@@ -1,8 +1,10 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from cipherclust.cli import _emit
 from cipherclust.clustering import ClusteringError, cluster_index, write_clusters
 from cipherclust.evaluation import (
     EvaluationError,
@@ -136,9 +138,30 @@ class TestCoherenceReport:
         clusters, _ = cluster_index(index, k="auto")
         report = coherence_report(clusters, load_embeddings(embeddings_path))
         path = tmp_path / "report.json"
-        report.save(path)
+        _emit(report.to_dict(), str(path))
         again = EvaluationReport.load(path)
-        assert again.to_dict() == report.to_dict()
+        read = (again.overall, again.corpus_sha256, again.embeddings_sha256)
+        assert read == (report.overall, report.corpus_sha256, report.embeddings_sha256)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"overall": 0.5, "corpus_sha256": "x", "embeddings_sha256": null}',
+            '{"overall": "0.5", "corpus_sha256": "x", "embeddings_sha256": "y"}',
+            '{"overall": true, "corpus_sha256": "x", "embeddings_sha256": "y"}',
+            '{"overall": 0.5, "corpus_sha256": 7, "embeddings_sha256": "y"}',
+            '{"overall": 0.5, "embeddings_sha256": "y"}',
+            '[0.5]',
+            'overall = 0.5',
+        ],
+        ids=["null-embeddings", "string-overall", "bool-overall", "integer-corpus", "no-corpus",
+             "list", "not-json"],
+    )
+    def test_load_rejects_what_is_not_a_coherence_report(self, tmp_path, text):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        with pytest.raises(EvaluationError, match=re.escape(f"{path}: not a coherence report")):
+            EvaluationReport.load(path)
 
 
 class TestTsap:

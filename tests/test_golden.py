@@ -10,6 +10,11 @@ import hashlib
 import pytest
 
 from cipherclust.cli import main
+from cipherclust.clustering import read_clusters
+from cipherclust.crypto import IdentityTokenCodec
+from cipherclust.evaluation import load_queries, run_benchmark, write_results_file
+from cipherclust.search import read_abstracts
+from conftest import DATA_DIR
 
 ARTIFACTS = ("index.tsv", "clusters.jsonl", "abstracts.jsonl", "k_report.json")
 
@@ -44,6 +49,17 @@ GOLDEN_MATRICES = {
 }
 
 
+# evaluation outputs over the identity-auto build: the coherence report with
+# the bundled embeddings, its comparison against the --k 10 build's report,
+# the results TSV of data/queries.tsv at --c 3 --top 10, and its TSAP report
+GOLDEN_EVALUATION = {
+    "coherence": "4975c27c74cfaf7e3e98aacee6d1208192cf1ac69742094fb3f44e349c5e17cd",
+    "compare": "2c41f6c294a85ac3f6d7bd5df8c957a2dcc5d7f8ed9968125a78102a506833df",
+    "results": "1ce0e1cb1240dc7e40023de34fa843a8edcc500f7156d4cdd7625d05d6abfe16",
+    "tsap": "3b613ec88100eae1d355787049191e0f36670617da0aca6bd7615bcb3fc6d0f1",
+}
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -72,3 +88,59 @@ def test_dumped_matrices(tmp_path, mini_corpus_dir, key_file):
     dump = tmp_path / "dump"
     assert main(["estimate-k", "--index", str(tmp_path / "run" / "index.tsv"), "--dump-matrices", str(dump)]) == 0
     assert {f: sha256(dump / f) for f in GOLDEN_MATRICES} == GOLDEN_MATRICES
+
+
+@pytest.fixture(scope="module")
+def evaluation_dir(tmp_path_factory):
+    """Both identity builds, their coherence reports and the results TSV."""
+    out = tmp_path_factory.mktemp("evaluation")
+    embeddings = str(DATA_DIR / "synthetic_embeddings.txt")
+    for name, k in (("auto", []), ("k10", ["--k", "10"])):
+        assert main(["pipeline", "--corpus", str(DATA_DIR / "mini_corpus"), "--identity", *k,
+                     "--out", str(out / name)]) == 0
+        assert main(["evaluate", "coherence", "--clusters", str(out / name / "clusters.jsonl"),
+                     "--embeddings", embeddings, "--out", str(out / f"{name}.json")]) == 0
+    results, _ = run_benchmark(
+        load_queries(DATA_DIR / "queries.tsv"), read_clusters(out / "auto" / "clusters.jsonl"),
+        read_abstracts(out / "auto" / "abstracts.jsonl"), IdentityTokenCodec(),
+        prune_width=3, cutoff=10, repeats=1,
+    )
+    write_results_file(results, out / "results.tsv")
+    return out
+
+
+def evaluate_args(name, run):
+    return {
+        "coherence": ["coherence", "--clusters", str(run / "auto" / "clusters.jsonl"),
+                      "--embeddings", str(DATA_DIR / "synthetic_embeddings.txt")],
+        "compare": ["compare", "--dynamic", str(run / "auto.json"), "--static", str(run / "k10.json")],
+        "tsap": ["tsap", "--results", str(run / "results.tsv"),
+                 "--judgments", str(DATA_DIR / "judgments.tsv")],
+    }[name]
+
+
+def test_results_file(evaluation_dir):
+    assert sha256(evaluation_dir / "results.tsv") == GOLDEN_EVALUATION["results"]
+
+
+@pytest.mark.parametrize("name", ["coherence", "compare", "tsap"])
+def test_evaluate_report_file(tmp_path, evaluation_dir, name):
+    out = tmp_path / "report.json"
+    assert main(["evaluate", *evaluate_args(name, evaluation_dir), "--out", str(out)]) == 0
+    assert sha256(out) == GOLDEN_EVALUATION[name]
+
+
+@pytest.mark.parametrize("name", ["coherence", "compare", "tsap"])
+def test_evaluate_report_stdout(capsys, evaluation_dir, name):
+    assert main(["evaluate", *evaluate_args(name, evaluation_dir)]) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(printed).hexdigest() == GOLDEN_EVALUATION[name]
+
+
+def test_evaluate_search_results_file(tmp_path, evaluation_dir):
+    run = evaluation_dir / "auto"
+    assert main(["evaluate", "search", "--queries", str(DATA_DIR / "queries.tsv"),
+                 "--clusters", str(run / "clusters.jsonl"), "--abstracts", str(run / "abstracts.jsonl"),
+                 "--identity", "--c", "3", "--top", "10", "--results", str(tmp_path / "results.tsv"),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert sha256(tmp_path / "results.tsv") == GOLDEN_EVALUATION["results"]

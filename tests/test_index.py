@@ -59,13 +59,13 @@ class TestIngest:
 
     def test_empty_input(self):
         idx = ingest([])
-        assert idx.token_count == 0 and idx.doc_count == 0
+        assert idx.token_count == 0 and len(idx.docs) == 0
         with pytest.raises(IndexDataError):
             trim(idx)
 
     def test_worked_example_shape(self, example_index):
         assert example_index.token_count == 5
-        assert example_index.doc_count == 6
+        assert len(example_index.docs) == 6
         uh5w = {doc: freq for doc, freq in example_index.entries[b"Uh5W"]}
         assert uh5w == {"d1": 30, "d3": 23, "d4": 4, "d5": 40}
 

@@ -71,15 +71,20 @@ def test_search_command_loads_neither_numpy_nor_scipy(run_dir, extra):
     assert run_python(code, *args) == []
 
 
-@pytest.mark.parametrize("command", ["evaluate tsap", "evaluate compare"])
-def test_evaluation_file_commands_load_neither_numpy_nor_scipy(tmp_path, command):
-    if command == "evaluate tsap":
+@pytest.mark.parametrize("command", ["evaluate search", "evaluate tsap", "evaluate compare"])
+def test_evaluation_file_commands_load_neither_numpy_nor_scipy(run_dir, tmp_path, command):
+    if command == "evaluate search":
+        args = ["--queries", str(DATA_DIR / "queries.tsv"), "--clusters", str(run_dir / "clusters.jsonl"),
+                "--abstracts", str(run_dir / "abstracts.jsonl"), "--identity",
+                "--results", str(tmp_path / "results.tsv"), "--out", str(tmp_path / "report.json")]
+    elif command == "evaluate tsap":
         (tmp_path / "results.tsv").write_text("q1\t1\tdoc01\t5\n")
         (tmp_path / "judgments.tsv").write_text("q1\tdoc01\t2\n")
         args = ["--results", str(tmp_path / "results.tsv"), "--judgments", str(tmp_path / "judgments.tsv")]
     else:
-        (tmp_path / "dynamic.json").write_text(json.dumps({"overall": 0.5}))
-        (tmp_path / "static.json").write_text(json.dumps({"overall": 0.4}))
+        digests = {"corpus_sha256": "c", "embeddings_sha256": "e"}
+        (tmp_path / "dynamic.json").write_text(json.dumps({"overall": 0.5, **digests}))
+        (tmp_path / "static.json").write_text(json.dumps({"overall": 0.4, **digests}))
         args = ["--dynamic", str(tmp_path / "dynamic.json"), "--static", str(tmp_path / "static.json")]
     code = "import json, sys\nfrom cipherclust.cli import main\nassert main(sys.argv[1:]) == 0\n" + REPORT_NUMERIC
     assert run_python(code, *command.split(), *args) == []

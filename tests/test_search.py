@@ -42,7 +42,7 @@ class TestBuildAbstracts:
         cs = small_cluster_set()
         abstracts = build_abstracts(cs, a=10)
         assert len(abstracts[0].entries) == 2
-        assert abstracts[0].frequency_of(b"net") == 8
+        assert abstracts[0].frequencies.get(b"net", 0) == 8
 
     def test_cardinality_cut(self):
         cs = small_cluster_set()
@@ -270,7 +270,7 @@ def query_fixtures(draw):
 
 
 class TestAgainstScanReference:
-    """prune, search and frequency_of against the scan-based references in oracles."""
+    """prune, search and abstract frequencies against the scan-based references in oracles."""
 
     @settings(deadline=None)
     @given(fixture=query_fixtures(), data=st.data())
@@ -284,7 +284,7 @@ class TestAgainstScanReference:
 
         for abstract in abstracts:
             for token in every_token + [unknown]:
-                assert abstract.frequency_of(token) == scan_frequency(list(abstract.entries), token)
+                assert abstract.frequencies.get(token, 0) == scan_frequency(list(abstract.entries), token)
 
         # drawn, repeated-token, all-zero fallback, empty and all-token queries
         queries = [query, query + query[:2], [unknown], [], every_token]
