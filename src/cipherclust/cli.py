@@ -271,7 +271,7 @@ def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config
     if read_index(index_path).entries != index.entries:
         raise CLIError("index file round-trip mismatch")
     clusters = read_clusters(clusters_path)
-    if set(clusters.all_tokens()) != set(index.entries):
+    if clusters.cluster_of.keys() != index.entries.keys():
         raise CLIError("clusters file does not partition the index tokens")
     abstracts = read_abstracts(abstracts_path)
     check_pairing(abstracts, clusters, abstracts_path)

@@ -109,19 +109,23 @@ class Cluster:
 
 @dataclass(frozen=True)
 class ClusterSet:
-    """k_used clusters whose token union equals the distributed index.
+    """k_used disjoint clusters whose token union equals the distributed index.
 
-    token_sets holds each cluster's tokens as a frozenset, built once here
-    so a search probes a cluster per query token instead of scanning it.
+    cluster_of maps each token to its cluster id, built once here, so a
+    search finds a query token's cluster with one lookup instead of probing
+    every selected cluster.
     """
 
     clusters: tuple[Cluster, ...]
     index: CentralIndex
     k_requested: int
-    token_sets: tuple[frozenset[CipherToken], ...] = field(init=False, compare=False, repr=False)
+    cluster_of: dict[CipherToken, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "token_sets", tuple(frozenset(c.tokens) for c in self.clusters))
+        cluster_of = {token: cid for cid, cluster in enumerate(self.clusters) for token in cluster.tokens}
+        if len(cluster_of) != sum(len(cluster.tokens) for cluster in self.clusters):
+            raise ValueError("clusters must be disjoint and list each token once")
+        object.__setattr__(self, "cluster_of", cluster_of)
 
     @property
     def k_used(self) -> int:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable
 from .clustering import ClusterSet
 from .crypto import TokenCodec, encrypt_query
 from .index import data_lines, index_digest, write_lines
-from .search import Abstract, SearchResult, prune, search
+from .search import Abstracts, SearchResult, prune, search
 
 if TYPE_CHECKING:
     import numpy as np
@@ -264,7 +264,10 @@ def load_judgments(path: str | Path) -> dict[tuple[str, str], int]:
         if len(parts) != 3:
             raise EvaluationError(f"{path}:{lineno}: expected queryId<TAB>docId<TAB>grade")
         query_id, doc_id, grade_s = parts
-        grade = int(grade_s)
+        try:
+            grade = int(grade_s)
+        except ValueError:
+            raise EvaluationError(f"{path}:{lineno}: grade {grade_s!r} is not an integer")
         if grade not in GRADES:
             raise EvaluationError(f"{path}:{lineno}: grade must be one of {GRADES}")
         key = (query_id, doc_id)
@@ -297,16 +300,24 @@ def write_results_file(results: dict[str, SearchResult], path: str | Path) -> No
 
 
 def read_results_file(path: str | Path) -> dict[str, list[str]]:
-    """Ranked doc ids per query, in rank order."""
-    ranked: dict[str, list[tuple[int, str]]] = {}
+    """Ranked doc ids per query, in rank order; a rank must be an integer, once per query."""
+    ranked: dict[str, dict[int, str]] = {}
     for lineno, line in data_lines(path):
         if line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 4:
             raise EvaluationError(f"{path}:{lineno}: expected queryId, rank, docId, score")
-        ranked.setdefault(parts[0], []).append((int(parts[1]), parts[2]))
-    return {q: [doc for _, doc in sorted(rows)] for q, rows in ranked.items()}
+        query_id, rank_s, doc_id, _ = parts
+        try:
+            rank = int(rank_s)
+        except ValueError:
+            raise EvaluationError(f"{path}:{lineno}: rank {rank_s!r} is not an integer")
+        rows = ranked.setdefault(query_id, {})
+        if rank in rows:
+            raise EvaluationError(f"{path}:{lineno}: query {query_id!r} has rank {rank} twice")
+        rows[rank] = doc_id
+    return {q: [rows[rank] for rank in sorted(rows)] for q, rows in ranked.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +326,7 @@ def read_results_file(path: str | Path) -> dict[str, list[str]]:
 def run_benchmark(
     queries: list[tuple[str, str]],
     clusters: ClusterSet,
-    abstracts: list[Abstract],
+    abstracts: Abstracts,
     codec: TokenCodec,
     prune_width: int,
     cutoff: int,

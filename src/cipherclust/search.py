@@ -6,22 +6,24 @@ are worth searching; documents in the surviving clusters are then ranked by
 summed term frequency. Clusters and abstracts are immutable at query time,
 so concurrent queries over shared snapshots are safe.
 
-Query cost follows the query, not the clusters. The lookup structures are
-built once, when an Abstract or ClusterSet is constructed (so at load time
-for read_abstracts and read_clusters): each abstract holds a token ->
-frequency dict and its minimum token, each cluster a frozenset of its
-tokens. prune then costs O(clusters x query tokens), and search costs one
-membership probe per query token in each selected cluster plus the postings
-it adds: O(selected x query tokens + postings), plus an integer sort of the
-scores to find the cutoff-th best and a keyed sort of the documents that
-reach it.
+Query cost follows the query, not the clusters. Cluster token sets are
+disjoint and each abstract lists tokens of its own cluster, so a token is in
+at most one cluster and at most one abstract. The lookup maps are built
+once, when an Abstracts or ClusterSet is constructed (so at load time for
+read_abstracts and read_clusters): token -> abstract frequency and token ->
+cluster id for the abstracts, token -> cluster id for the clusters. prune
+then looks each query token up once, O(query tokens), plus a sort of the
+clusters it hits; search looks each query token up once and adds the
+postings of those in a selected cluster, O(query tokens + postings added),
+plus an integer sort of the scores to find the cutoff-th best and a keyed
+sort of the documents that reach it.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .clustering import ClusterSet
 from .crypto import CipherToken, token_from_b64, token_to_b64
@@ -34,25 +36,71 @@ class Abstract:
 
     cluster_id: int
     entries: tuple[tuple[CipherToken, int], ...]  # (token, corpus frequency), highest first
-    frequencies: dict[CipherToken, int] = field(init=False, compare=False, repr=False)
-    # prune's tie-break: cluster token sets are disjoint, so it is unique per abstract
-    min_token: CipherToken | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        frequencies = dict(self.entries)
-        if len(frequencies) != len(self.entries):
+        if len({token for token, _ in self.entries}) != len(self.entries):
             raise ValueError(f"abstract of cluster {self.cluster_id} lists a token twice")
-        object.__setattr__(self, "frequencies", frequencies)
-        object.__setattr__(self, "min_token", min(frequencies, default=None))
+
+    @property
+    def frequencies(self) -> dict[CipherToken, int]:
+        """Token -> frequency, built on each access; prune reads Abstracts.frequency instead."""
+        return dict(self.entries)
+
+
+@dataclass(frozen=True)
+class Abstracts:
+    """The abstracts of a cluster set, in order, with prune's lookup maps.
+
+    No token may be in two abstracts, as no token is in two clusters. So
+    frequency and cluster map each abstract token to its frequency and to
+    its abstract's cluster id, and min_token maps each cluster id with a
+    non-empty abstract to the abstract's smallest token: prune's tie-break,
+    unique per abstract. All three are built once, here.
+    """
+
+    abstracts: tuple[Abstract, ...]
+    frequency: dict[CipherToken, int] = field(init=False, compare=False, repr=False)
+    cluster: dict[CipherToken, int] = field(init=False, compare=False, repr=False)
+    min_token: dict[int, CipherToken] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        frequency: dict[CipherToken, int] = {}
+        cluster: dict[CipherToken, int] = {}
+        min_token: dict[int, CipherToken] = {}
+        for abstract in self.abstracts:
+            cid = abstract.cluster_id
+            for token, freq in abstract.entries:
+                if token in cluster:
+                    raise ValueError(
+                        f"token {token_to_b64(token)} is in the abstracts of clusters {cluster[token]} and {cid}"
+                    )
+                frequency[token] = freq
+                cluster[token] = cid
+            if abstract.entries:
+                min_token[cid] = min(token for token, _ in abstract.entries)
+        object.__setattr__(self, "frequency", frequency)
+        object.__setattr__(self, "cluster", cluster)
+        object.__setattr__(self, "min_token", min_token)
+
+    def __len__(self) -> int:
+        return len(self.abstracts)
+
+    def __iter__(self) -> Iterator[Abstract]:
+        return iter(self.abstracts)
+
+    def __getitem__(self, position: int) -> Abstract:
+        return self.abstracts[position]
 
 
 @dataclass(frozen=True)
 class SearchResult:
     ranked: tuple[tuple[str, int], ...]  # (docId, score), best first
     clusters_searched: tuple[int, ...]
+    # postings added to the scores: the work done, which the ranking does not show
+    postings_touched: int = field(default=0, compare=False)
 
 
-def build_abstracts(clusters: ClusterSet, a: int) -> list[Abstract]:
+def build_abstracts(clusters: ClusterSet, a: int) -> Abstracts:
     """One abstract per cluster: the a highest-total-frequency tokens.
 
     Ties at the cutoff keep the lexicographically smaller ciphertext.
@@ -66,24 +114,31 @@ def build_abstracts(clusters: ClusterSet, a: int) -> list[Abstract]:
             key=lambda kv: (-kv[1], kv[0]),
         )
         abstracts.append(Abstract(cluster_id=cid, entries=tuple(scored[:a])))
-    return abstracts
+    return Abstracts(tuple(abstracts))
 
 
-def prune(query_tokens: Iterable[CipherToken], abstracts: list[Abstract], c: int) -> list[int]:
+def prune(query_tokens: Iterable[CipherToken], abstracts: Abstracts | Sequence[Abstract], c: int) -> list[int]:
     """Top-c clusters whose abstracts overlap the query, by summed frequency.
 
-    Clusters scoring zero are dropped; if every cluster scores zero the whole
-    set is returned so the search can fall back to the full index.
+    Ties go to the abstract with the smaller minimum token. Clusters scoring
+    zero are dropped; if every cluster scores zero the cluster ids of all
+    abstracts are returned, in abstract order, so the search can fall back
+    to the full index. A plain sequence of Abstract is indexed on entry, in
+    O(abstract entries); an Abstracts is not.
     """
     if c < 1:
         raise ValueError("prune width must be >= 1")
-    query = set(query_tokens)
-    scored = []
-    for abstract in abstracts:
-        frequencies = abstract.frequencies
-        score = sum(frequencies[token] for token in query if token in frequencies)
-        if score > 0:
-            scored.append((-score, abstract.min_token, abstract.cluster_id))
+    if not isinstance(abstracts, Abstracts):
+        abstracts = Abstracts(tuple(abstracts))
+    frequency, cluster = abstracts.frequency, abstracts.cluster
+    scores: dict[int, int] = {}
+    for token in set(query_tokens):
+        freq = frequency.get(token)
+        if freq is not None:
+            cid = cluster[token]
+            scores[cid] = scores.get(cid, 0) + freq
+    min_token = abstracts.min_token
+    scored = [(-score, min_token[cid], cid) for cid, score in scores.items() if score > 0]
     if not scored:
         return [abstract.cluster_id for abstract in abstracts]
     scored.sort()
@@ -104,47 +159,50 @@ def search(
     selected = tuple(selected)
     if not selected:
         raise ValueError("at least one cluster must be selected")
-    token_sets = clusters.token_sets
-    seen: set[int] = set()
+    k = clusters.k_used
+    chosen: set[int] = set()
     for cid in selected:
-        if not 0 <= cid < len(token_sets):
-            raise ValueError(f"cluster id {cid} is out of range 0..{len(token_sets) - 1}")
-        if cid in seen:
+        if not 0 <= cid < k:
+            raise ValueError(f"cluster id {cid} is out of range 0..{k - 1}")
+        if cid in chosen:
             raise ValueError(f"cluster id {cid} is selected twice")
-        seen.add(cid)
-    query = set(query_tokens)
+        chosen.add(cid)
+    cluster_of = clusters.cluster_of
     entries = clusters.index.entries
     scores: dict[str, int] = {}
-    for cid in selected:
-        members = token_sets[cid]
-        for token in query:
-            if token not in members:
-                continue
-            for doc, freq in entries[token]:
-                scores[doc] = scores.get(doc, 0) + freq
+    touched = 0
+    for token in set(query_tokens):
+        if cluster_of.get(token) not in chosen:
+            continue
+        postings = entries[token]
+        touched += len(postings)
+        for doc, freq in postings:
+            scores[doc] = scores.get(doc, 0) + freq
     items = scores.items()
     if len(scores) > cutoff:
         floor = sorted(scores.values(), reverse=True)[cutoff - 1]
         items = [kv for kv in items if kv[1] >= floor]
     ranked = sorted(items, key=lambda kv: (-kv[1], kv[0]))[:cutoff]
-    return SearchResult(ranked=tuple(ranked), clusters_searched=selected)
+    return SearchResult(ranked=tuple(ranked), clusters_searched=selected, postings_touched=touched)
 
 
-def check_pairing(abstracts: list[Abstract], clusters: ClusterSet, path: str | Path) -> None:
+def check_pairing(abstracts: Abstracts, clusters: ClusterSet, path: str | Path) -> None:
     """Reject abstracts that were not built from these clusters.
 
     There must be one abstract per cluster, and each entry must name a token
     of its own cluster with that token's total frequency in the clusters'
     index. The error names the abstracts file and the cluster id. Costs one
-    pass over the postings of the abstracts' tokens.
+    lookup per entry plus one pass over the postings of the abstracts'
+    tokens.
     """
     n, k = len(abstracts), clusters.k_used
     if n != k:
         unpaired = f"the abstract of cluster {k} has no cluster" if n > k else f"cluster {n} has no abstract"
         raise IndexDataError(f"{path}: {n} abstracts for {k} clusters; {unpaired}")
-    for abstract, members in zip(abstracts, clusters.token_sets):
+    cluster_of = clusters.cluster_of
+    for abstract in abstracts:
         for token, freq in abstract.entries:
-            if token not in members:
+            if cluster_of.get(token) != abstract.cluster_id:
                 raise IndexDataError(
                     f"{path}: abstract of cluster {abstract.cluster_id} names token "
                     f"{token_to_b64(token)}, which is not in that cluster"
@@ -160,7 +218,7 @@ def check_pairing(abstracts: list[Abstract], clusters: ClusterSet, path: str | P
 # ---------------------------------------------------------------------------
 # abstracts file (JSON lines) and results TSV
 
-def write_abstracts(abstracts: list[Abstract], path: str | Path) -> None:
+def write_abstracts(abstracts: Abstracts, path: str | Path) -> None:
     lines = []
     for abstract in abstracts:
         obj = {
@@ -171,14 +229,15 @@ def write_abstracts(abstracts: list[Abstract], path: str | Path) -> None:
     write_lines(path, lines)
 
 
-def read_abstracts(path: str | Path) -> list[Abstract]:
+def read_abstracts(path: str | Path) -> Abstracts:
     """Parse an abstracts file written by write_abstracts.
 
     Rejected with path:lineno: a malformed line or entry, a frequency that is
-    not an integer >= 1, a token listed twice and cluster ids that do not run
-    0, 1, 2, ... in order.
+    not an integer >= 1, a token listed twice (in one abstract or in two)
+    and cluster ids that do not run 0, 1, 2, ... in order.
     """
     abstracts = []
+    owner: dict[CipherToken, int] = {}
     for lineno, line in data_lines(path):
         where = f"{path}:{lineno}"
         try:
@@ -194,11 +253,16 @@ def read_abstracts(path: str | Path) -> list[Abstract]:
                 raise IndexDataError(
                     f"{where}: token {token_to_b64(token)} has frequency {freq!r}; need an integer >= 1"
                 )
+            if token in owner:
+                raise IndexDataError(
+                    f"{where}: token {token_to_b64(token)} is also in the abstract of cluster {owner[token]}"
+                )
         try:
             abstracts.append(Abstract(cluster_id=cid, entries=entries))
         except ValueError as exc:
             raise IndexDataError(f"{where}: {exc}")
-    return abstracts
+        owner.update((token, cid) for token, _ in entries)
+    return Abstracts(tuple(abstracts))
 
 
 def format_results(result: SearchResult) -> str:

@@ -1,12 +1,23 @@
-"""The benchmark drives the program through its library API: every name it imports must exist.
+"""The benchmark drives the program through its library API: every name it imports must exist,
+and its serve calls must keep their shapes and results.
 
 perfbench/child.py is only read here, never imported or run, so a clean-up
-that deletes or renames a name the benchmark uses fails in tier-1 instead of
-in the next benchmark run.
+that deletes or renames a name the benchmark uses, or changes what one of its
+calls returns, fails in tier-1 instead of in the next benchmark run.
 """
 import ast
+import base64
 import importlib
+import json
 from pathlib import Path
+
+from cipherclust.cli import main
+from cipherclust.clustering import read_clusters
+from cipherclust.crypto import KeyedTokenCodec, encrypt_query, load_key
+from cipherclust.evaluation import load_queries
+from cipherclust.search import prune, read_abstracts, search
+
+from oracles import scan_prune, scan_search
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
@@ -31,3 +42,38 @@ def test_perfbench_child_imports_resolve():
         if name is not None and not hasattr(loaded, name):
             missing.append(f"{module}.{name}")
     assert missing == []
+
+
+def test_serve_sequence_matches_scan_reference(tmp_path, mini_corpus_dir, queries_path):
+    """child.py's serve loop, call for call, on a written mini-corpus build.
+
+    The references read the artifacts with json and base64 alone, so they
+    share no parsing with the program.
+    """
+    key = tmp_path / "bench.key"
+    key.write_bytes(bytes(range(32)))
+    out = tmp_path / "build"
+    assert main(["pipeline", "--corpus", str(mini_corpus_dir), "--key", str(key), "--out", str(out)]) == 0
+    objs = {name: [json.loads(line) for line in (out / name).read_text().splitlines()]
+            for name in ("clusters.jsonl", "abstracts.jsonl")}
+    ref_abstracts = [(o["cluster"], [(base64.b64decode(t), f) for t, f in o["entries"]])
+                     for o in objs["abstracts.jsonl"]]
+    cluster_tokens = [[base64.b64decode(e["t"]) for e in o["tokens"]] for o in objs["clusters.jsonl"]]
+    postings = {base64.b64decode(e["t"]): [tuple(p) for p in e["postings"]]
+                for o in objs["clusters.jsonl"] for e in o["tokens"]}
+    c, top = 3, 10  # perfbench/run.py's PRUNE_WIDTH and CUTOFF
+    # beyond the bundled queries: tokens in all six clusters, so c = 3 leaves some out, and no known token
+    extra = ["router server dinner dough goal gravy", "nothing here matches"]
+    texts = [text for _, text in load_queries(queries_path)] + extra
+
+    codec = KeyedTokenCodec(load_key(key))
+    clusters = read_clusters(out / "clusters.jsonl")
+    abstracts = read_abstracts(out / "abstracts.jsonl")
+    everything = list(range(len(clusters.clusters)))
+    for text in texts:
+        tokens = encrypt_query(codec, text)
+        selected = prune(tokens, abstracts, c)
+        assert list(selected) == scan_prune(tokens, ref_abstracts, c), text
+        for chosen in (selected, everything):
+            ranked = [list(r) for r in search(tokens, clusters, chosen, top).ranked]
+            assert ranked == [list(r) for r in scan_search(tokens, cluster_tokens, postings, chosen, top)], text

@@ -287,8 +287,8 @@ class TestStageCommands:
         assert message.endswith(f"frequency {original[0] + 1}; the clusters give {original[0]}")
 
     def test_search_rejects_a_token_of_another_cluster(self, tmp_path, pipeline_dir, capsys):
-        def edit(lines):
-            lines[1]["entries"].append(lines[0]["entries"][0])
+        def edit(lines):  # move cluster 0's top token to cluster 1's abstract
+            lines[1]["entries"].append(lines[0]["entries"].pop(0))
 
         message = self._tampered_search(tmp_path, pipeline_dir, capsys, edit)
         assert message.endswith("which is not in that cluster")

@@ -275,6 +275,24 @@ class TestFilesAndBenchmark:
         with pytest.raises(EvaluationError):
             load_judgments(path)
 
+    def test_non_integer_grade_rejected(self, tmp_path):
+        path = tmp_path / "j.tsv"
+        path.write_text("q1\td1\t2\nq1\td2\tx\n")
+        with pytest.raises(EvaluationError, match=re.escape(f"{path}:2: grade 'x' is not an integer")):
+            load_judgments(path)
+
+    def test_non_integer_rank_rejected(self, tmp_path):
+        path = tmp_path / "results.tsv"
+        path.write_text("q1\t1\td2\t9\nq1\t2.0\td1\t3\n")
+        with pytest.raises(EvaluationError, match=re.escape(f"{path}:2: rank '2.0' is not an integer")):
+            read_results_file(path)
+
+    def test_repeated_rank_rejected(self, tmp_path):
+        path = tmp_path / "results.tsv"
+        path.write_text("q1\t1\td2\t9\nq2\t1\td2\t9\nq1\t1\td1\t3\n")
+        with pytest.raises(EvaluationError, match=re.escape(f"{path}:3: query 'q1' has rank 1 twice")):
+            read_results_file(path)
+
     def test_results_file_round_trip(self, tmp_path):
         results = {
             "q1": SearchResult(ranked=(("d2", 9), ("d1", 3)), clusters_searched=(0,)),

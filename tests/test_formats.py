@@ -47,9 +47,13 @@ def cluster_sets(draw):
 
 @st.composite
 def abstract_lists(draw):
+    """Up to five abstracts; no token is in two of them, as no token is in two clusters."""
     n = draw(st.integers(0, 5))
+    token_list = draw(st.lists(tokens, max_size=6 * n, unique=True))
+    owners = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=len(token_list), max_size=len(token_list)))
+    freqs = draw(st.lists(st.integers(1, 10**6), min_size=len(token_list), max_size=len(token_list)))
     return [
-        Abstract(cluster_id=cid, entries=tuple(draw(st.dictionaries(tokens, st.integers(1, 10**6), max_size=6)).items()))
+        Abstract(cluster_id=cid, entries=tuple((t, f) for t, f, o in zip(token_list, freqs, owners) if o == cid))
         for cid in range(n)
     ]
 
@@ -74,7 +78,7 @@ class TestRoundTrip:
     def test_abstracts(self, tmp_path_factory, abstracts):
         path = tmp_path_factory.getbasetemp() / "abstracts.jsonl"
         write_abstracts(abstracts, path)
-        assert read_abstracts(path) == abstracts
+        assert list(read_abstracts(path)) == abstracts
 
 
 class TestPostingsLeaveTheCollector:

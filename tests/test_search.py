@@ -42,7 +42,7 @@ class TestBuildAbstracts:
         cs = small_cluster_set()
         abstracts = build_abstracts(cs, a=10)
         assert len(abstracts[0].entries) == 2
-        assert abstracts[0].frequencies.get(b"net", 0) == 8
+        assert abstracts.frequency[b"net"] == 8 and abstracts.cluster[b"net"] == 0
 
     def test_cardinality_cut(self):
         cs = small_cluster_set()
@@ -78,11 +78,20 @@ class TestPrune:
 
     def test_top_c_by_score(self):
         abstracts = [
+            Abstract(cluster_id=0, entries=((b"q0", 5),)),
+            Abstract(cluster_id=1, entries=((b"q1", 3),)),
+            Abstract(cluster_id=2, entries=((b"q2", 1),)),
+        ]
+        assert prune([b"q0", b"q1", b"q2"], abstracts, c=2) == [0, 1]
+
+    def test_token_in_two_abstracts_rejected(self):
+        # no token is in two clusters, so none can be in two abstracts
+        abstracts = [
             Abstract(cluster_id=0, entries=((b"q", 5),)),
             Abstract(cluster_id=1, entries=((b"q", 3),)),
-            Abstract(cluster_id=2, entries=((b"q", 1),)),
         ]
-        assert prune([b"q"], abstracts, c=2) == [0, 1]
+        with pytest.raises(ValueError, match="token cQ== is in the abstracts of clusters 0 and 1"):
+            prune([b"q"], abstracts, c=2)
 
     def test_c_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -112,6 +121,18 @@ class TestSearch:
         )
         result = search([b"a", b"b", b"c"], cs, [0], cutoff=10)
         assert result.ranked == (("d1", 7), ("d2", 5))
+
+    def test_token_in_two_clusters_rejected(self):
+        # search finds a token's cluster through ClusterSet.cluster_of, which needs one cluster per token
+        cs = small_cluster_set()
+        overlapping = (cs.clusters[0], Cluster(center=b"cake", tokens=(b"cake", b"net")))
+        with pytest.raises(ValueError, match="clusters must be disjoint"):
+            ClusterSet(clusters=overlapping, index=cs.index, k_requested=2)
+
+    def test_postings_touched_counts_postings_of_selected_clusters(self):
+        cs = small_cluster_set()  # net: d1, d2 in cluster 0; cake: d2, d3 in cluster 1
+        assert search([b"net", b"cake", b"missing"], cs, [0], cutoff=1).postings_touched == 2
+        assert search([b"net", b"cake", b"net"], cs, [0, 1], cutoff=10).postings_touched == 4
 
     def test_cutoff(self):
         idx = ingest([(f"d{i}", [(b"T", i + 1)]) for i in range(20)])
@@ -207,6 +228,15 @@ class TestAbstractsFile:
         )
         text = format_results(search([b"T"], cs, [0], cutoff=10))
         assert text == "1\td2\t5\n2\td1\t3\n"
+
+    def test_token_in_an_earlier_abstract_rejected(self, tmp_path):
+        path = tmp_path / "abstracts.jsonl"
+        write_abstracts(build_abstracts(small_cluster_set(), a=10), path)
+        lines = path.read_text().splitlines()
+        lines[1] = '{"cluster":1,"entries":[["Y2FrZQ==",8],["bmV0",8]]}'  # "cake", then "net" of cluster 0
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IndexDataError, match=re.escape(f"{path}:2: token bmV0 is also in the abstract of cluster 0")):
+            read_abstracts(path)
 
     def test_token_listed_twice_rejected(self, tmp_path):
         path = tmp_path / "abstracts.jsonl"
