@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +30,13 @@ GRADES = (0, 1, 2)
 
 class EvaluationError(ValueError):
     pass
+
+
+def _parse_written_int(text: str, what: str, where: str) -> int:
+    """An integer as the evaluation writers write it: ASCII digits, no sign, space, underscore or leading zero."""
+    if not re.fullmatch("0|[1-9][0-9]*", text):
+        raise EvaluationError(f"{where}: {what} {text!r} is not an integer in plain digits without a leading zero")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -264,10 +272,7 @@ def load_judgments(path: str | Path) -> dict[tuple[str, str], int]:
         if len(parts) != 3:
             raise EvaluationError(f"{path}:{lineno}: expected queryId<TAB>docId<TAB>grade")
         query_id, doc_id, grade_s = parts
-        try:
-            grade = int(grade_s)
-        except ValueError:
-            raise EvaluationError(f"{path}:{lineno}: grade {grade_s!r} is not an integer")
+        grade = _parse_written_int(grade_s, "grade", f"{path}:{lineno}")
         if grade not in GRADES:
             raise EvaluationError(f"{path}:{lineno}: grade must be one of {GRADES}")
         key = (query_id, doc_id)
@@ -300,8 +305,12 @@ def write_results_file(results: dict[str, SearchResult], path: str | Path) -> No
 
 
 def read_results_file(path: str | Path) -> dict[str, list[str]]:
-    """Ranked doc ids per query, in rank order; a rank must be an integer, once per query."""
-    ranked: dict[str, dict[int, str]] = {}
+    """Ranked doc ids per query, in rank order.
+
+    As write_results_file writes them, each query's ranks must run 1, 2, 3, ...
+    in file order; rank 0, a repeated rank and a gap are rejected with path:lineno.
+    """
+    ranked: dict[str, list[str]] = {}
     for lineno, line in data_lines(path):
         if line.startswith("#"):
             continue
@@ -309,15 +318,13 @@ def read_results_file(path: str | Path) -> dict[str, list[str]]:
         if len(parts) != 4:
             raise EvaluationError(f"{path}:{lineno}: expected queryId, rank, docId, score")
         query_id, rank_s, doc_id, _ = parts
-        try:
-            rank = int(rank_s)
-        except ValueError:
-            raise EvaluationError(f"{path}:{lineno}: rank {rank_s!r} is not an integer")
-        rows = ranked.setdefault(query_id, {})
-        if rank in rows:
-            raise EvaluationError(f"{path}:{lineno}: query {query_id!r} has rank {rank} twice")
-        rows[rank] = doc_id
-    return {q: [rows[rank] for rank in sorted(rows)] for q, rows in ranked.items()}
+        rank = _parse_written_int(rank_s, "rank", f"{path}:{lineno}")
+        docs = ranked.setdefault(query_id, [])
+        if rank != len(docs) + 1:
+            problem = "twice" if 1 <= rank <= len(docs) else f"where rank {len(docs) + 1} is due"
+            raise EvaluationError(f"{path}:{lineno}: query {query_id!r} has rank {rank} {problem}")
+        docs.append(doc_id)
+    return ranked
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,17 @@ once, when an Abstracts or ClusterSet is constructed (so at load time for
 read_abstracts and read_clusters): token -> abstract frequency and token ->
 cluster id for the abstracts, token -> cluster id for the clusters. prune
 then looks each query token up once, O(query tokens), plus a sort of the
-clusters it hits; search looks each query token up once and adds the
-postings of those in a selected cluster, O(query tokens + postings added),
-plus an integer sort of the scores to find the cutoff-th best and a keyed
-sort of the documents that reach it.
+clusters it hits; search looks each query token up once and takes the
+posting lists of those in a selected cluster, O(query tokens + postings
+added). The longest list seeds the scores in one dict() call; only the
+other lists' postings are added one by one. The cutoff-th best score is
+found by an integer sort of the scores, or by a heap of cutoff entries
+above HEAP_FLOOR_ABOVE scores, and only the documents that reach it get the
+keyed sort.
 """
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +32,10 @@ from typing import Iterable, Iterator, Sequence
 from .clustering import ClusterSet
 from .crypto import CipherToken, token_from_b64, token_to_b64
 from .index import IndexDataError, data_lines, write_lines
+
+# Above this many scores, search finds the cutoff-th best with a heap rather than a full sort.
+# Measured on CPython 3.11: sorted is faster up to about 400 values, nlargest(10) from about 500.
+HEAP_FLOOR_ABOVE = 400
 
 
 @dataclass(frozen=True)
@@ -41,10 +49,13 @@ class Abstract:
         if len({token for token, _ in self.entries}) != len(self.entries):
             raise ValueError(f"abstract of cluster {self.cluster_id} lists a token twice")
 
-    @property
-    def frequencies(self) -> dict[CipherToken, int]:
-        """Token -> frequency, built on each access; prune reads Abstracts.frequency instead."""
-        return dict(self.entries)
+
+class SharedTokenError(ValueError):
+    """A token in the abstracts of two clusters, first and second by cluster id."""
+
+    def __init__(self, token: CipherToken, first: int, second: int):
+        super().__init__(f"token {token_to_b64(token)} is in the abstracts of clusters {first} and {second}")
+        self.token, self.first, self.second = token, first, second
 
 
 @dataclass(frozen=True)
@@ -71,9 +82,7 @@ class Abstracts:
             cid = abstract.cluster_id
             for token, freq in abstract.entries:
                 if token in cluster:
-                    raise ValueError(
-                        f"token {token_to_b64(token)} is in the abstracts of clusters {cluster[token]} and {cid}"
-                    )
+                    raise SharedTokenError(token, cluster[token], cid)
                 frequency[token] = freq
                 cluster[token] = cid
             if abstract.entries:
@@ -169,18 +178,20 @@ def search(
         chosen.add(cid)
     cluster_of = clusters.cluster_of
     entries = clusters.index.entries
-    scores: dict[str, int] = {}
-    touched = 0
-    for token in set(query_tokens):
-        if cluster_of.get(token) not in chosen:
-            continue
-        postings = entries[token]
-        touched += len(postings)
+    lists = [entries[t] for t in set(query_tokens) if cluster_of.get(t) in chosen]
+    lists.sort(key=len)
+    touched = sum(map(len, lists))
+    # a document is in a token's postings at most once, so the longest list seeds the scores exactly
+    scores: dict[str, int] = dict(lists.pop()) if lists else {}
+    for postings in lists:
         for doc, freq in postings:
             scores[doc] = scores.get(doc, 0) + freq
     items = scores.items()
     if len(scores) > cutoff:
-        floor = sorted(scores.values(), reverse=True)[cutoff - 1]
+        if len(scores) > HEAP_FLOOR_ABOVE:
+            floor = heapq.nlargest(cutoff, scores.values())[-1]
+        else:
+            floor = sorted(scores.values(), reverse=True)[cutoff - 1]
         items = [kv for kv in items if kv[1] >= floor]
     ranked = sorted(items, key=lambda kv: (-kv[1], kv[0]))[:cutoff]
     return SearchResult(ranked=tuple(ranked), clusters_searched=selected, postings_touched=touched)
@@ -237,7 +248,7 @@ def read_abstracts(path: str | Path) -> Abstracts:
     and cluster ids that do not run 0, 1, 2, ... in order.
     """
     abstracts = []
-    owner: dict[CipherToken, int] = {}
+    linenos = []
     for lineno, line in data_lines(path):
         where = f"{path}:{lineno}"
         try:
@@ -253,16 +264,16 @@ def read_abstracts(path: str | Path) -> Abstracts:
                 raise IndexDataError(
                     f"{where}: token {token_to_b64(token)} has frequency {freq!r}; need an integer >= 1"
                 )
-            if token in owner:
-                raise IndexDataError(
-                    f"{where}: token {token_to_b64(token)} is also in the abstract of cluster {owner[token]}"
-                )
         try:
             abstracts.append(Abstract(cluster_id=cid, entries=entries))
         except ValueError as exc:
             raise IndexDataError(f"{where}: {exc}")
-        owner.update((token, cid) for token, _ in entries)
-    return Abstracts(tuple(abstracts))
+        linenos.append(lineno)
+    try:
+        return Abstracts(tuple(abstracts))
+    except SharedTokenError as exc:  # cluster ids are positions here, so exc.second indexes linenos
+        token = token_to_b64(exc.token)
+        raise IndexDataError(f"{path}:{linenos[exc.second]}: token {token} is also in the abstract of cluster {exc.first}")
 
 
 def format_results(result: SearchResult) -> str:

@@ -293,6 +293,41 @@ class TestFilesAndBenchmark:
         with pytest.raises(EvaluationError, match=re.escape(f"{path}:3: query 'q1' has rank 1 twice")):
             read_results_file(path)
 
+    # int() accepts each of these; write_results_file and the judgments file write none of them
+    NON_CANONICAL = ["+1", "-1", " 1", "1 ", "1_0", "01", "00", "１"]
+
+    @pytest.mark.parametrize("grade", NON_CANONICAL)
+    def test_non_canonical_grade_rejected(self, tmp_path, grade):
+        path = tmp_path / "j.tsv"
+        path.write_text(f"q1\td1\t2\nq1\td2\t{grade}\n")
+        with pytest.raises(EvaluationError, match=re.escape(f"{path}:2: grade {grade!r} is not an integer")):
+            load_judgments(path)
+
+    @pytest.mark.parametrize("rank", NON_CANONICAL)
+    def test_non_canonical_rank_rejected(self, tmp_path, rank):
+        path = tmp_path / "results.tsv"
+        path.write_text(f"q1\t{rank}\td2\t9\n")
+        with pytest.raises(EvaluationError, match=re.escape(f"{path}:1: rank {rank!r} is not an integer")):
+            read_results_file(path)
+
+    def test_rank_zero_rejected(self, tmp_path):
+        path = tmp_path / "results.tsv"
+        path.write_text("q1\t0\td2\t9\n")
+        with pytest.raises(EvaluationError, match=re.escape(f"{path}:1: query 'q1' has rank 0 where rank 1 is due")):
+            read_results_file(path)
+
+    def test_rank_gap_rejected(self, tmp_path):
+        path = tmp_path / "results.tsv"
+        path.write_text("q1\t1\td2\t9\nq2\t1\td2\t9\nq1\t3\td1\t3\n")
+        with pytest.raises(EvaluationError, match=re.escape(f"{path}:3: query 'q1' has rank 3 where rank 2 is due")):
+            read_results_file(path)
+
+    def test_ranks_out_of_order_rejected(self, tmp_path):
+        path = tmp_path / "results.tsv"
+        path.write_text("q1\t2\td1\t3\nq1\t1\td2\t9\n")
+        with pytest.raises(EvaluationError, match=re.escape(f"{path}:1: query 'q1' has rank 2 where rank 1 is due")):
+            read_results_file(path)
+
     def test_results_file_round_trip(self, tmp_path):
         results = {
             "q1": SearchResult(ranked=(("d2", 9), ("d1", 3)), clusters_searched=(0,)),

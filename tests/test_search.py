@@ -1,3 +1,4 @@
+import random
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from cipherclust.clustering import Cluster, ClusterSet, distribute
 from cipherclust.index import IndexDataError, ingest
 from cipherclust.search import (
+    HEAP_FLOOR_ABOVE,
     Abstract,
     SearchResult,
     build_abstracts,
@@ -179,6 +181,40 @@ class TestSearch:
         want = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:cutoff]
         assert search([b"T"], cs, [0], cutoff).ranked == tuple(want)
 
+    @settings(deadline=None, max_examples=50)
+    @given(
+        n_docs=st.integers(HEAP_FLOOR_ABOVE + 1, 1000),
+        n_tokens=st.integers(1, 4),
+        cutoff=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_large_score_sets_match_scan_reference(self, n_docs, n_tokens, cutoff, seed, data):
+        # One token per cluster. One list holds more than HEAP_FLOOR_ABOVE documents, so searching
+        # every cluster takes the heap floor; the other lists overlap it, so the seeded scores get
+        # postings added. Frequencies 1..3 tie many documents at the cutoff. The postings come from
+        # a seeded generator, so hypothesis shrinks a few integers, not a thousand draws.
+        rng = random.Random(seed)
+        docs = [f"d{j:04d}" for j in range(n_docs)]
+        sizes = [rng.randint(HEAP_FLOOR_ABOVE + 1, n_docs)] + [rng.randint(1, n_docs) for _ in range(n_tokens - 1)]
+        rng.shuffle(sizes)
+        tokens = [f"T{i}".encode() for i in range(n_tokens)]
+        by_doc: dict[str, list[tuple[bytes, int]]] = {}
+        for token, size in zip(tokens, sizes):
+            for doc in rng.sample(docs, size):
+                by_doc.setdefault(doc, []).append((token, rng.randint(1, 3)))
+        idx = ingest(sorted(by_doc.items()))
+        cs = ClusterSet(
+            clusters=tuple(Cluster(center=t, tokens=(t,)) for t in tokens), index=idx, k_requested=n_tokens
+        )
+        postings = {t: list(ps) for t, ps in idx.entries.items()}
+        query = tokens + [b"missing"]
+        some = data.draw(st.permutations(range(n_tokens)))[: data.draw(st.integers(1, n_tokens))]
+        for chosen in (list(range(n_tokens)), some):
+            got = search(query, cs, chosen, cutoff)
+            assert got.ranked == tuple(scan_search(query, [[t] for t in tokens], postings, chosen, cutoff))
+            assert got.postings_touched == sum(len(postings[tokens[cid]]) for cid in chosen)
+
 
 class TestPrunedVersusFull:
     def test_full_width_prune_equals_whole_index_search(self):
@@ -314,7 +350,7 @@ class TestAgainstScanReference:
 
         for abstract in abstracts:
             for token in every_token + [unknown]:
-                assert abstract.frequencies.get(token, 0) == scan_frequency(list(abstract.entries), token)
+                assert dict(abstract.entries).get(token, 0) == scan_frequency(list(abstract.entries), token)
 
         # drawn, repeated-token, all-zero fallback, empty and all-token queries
         queries = [query, query + query[:2], [unknown], [], every_token]
