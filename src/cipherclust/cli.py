@@ -6,7 +6,9 @@ only through the documented file formats, so any stage can be re-run or
 replaced on its own.
 
 Only the numeric commands (estimate-k, cluster, evaluate coherence,
-pipeline) load numpy and scipy; the others never do.
+pipeline) load numpy; the others never do. scipy is loaded only by
+estimate-k --dump-matrices, the one command that forms the whole
+A -> N -> R -> S -> C chain.
 """
 from __future__ import annotations
 
@@ -82,19 +84,6 @@ def _file_sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _input_digest(path: Path) -> str:
-    h = hashlib.sha256()
-    if path.is_dir():
-        for doc in sorted(p for p in path.iterdir() if p.is_file() and p.suffix == ".txt"):
-            h.update(doc.name.encode("utf-8"))
-            h.update(b"\0")
-            h.update(doc.read_bytes())
-            h.update(b"\0")
-    else:
-        h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def _write_json(path: Path, obj) -> None:
     write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
@@ -107,10 +96,11 @@ def _emit(obj, out: str | None) -> None:
         print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _build_index(args, config: PipelineConfig):
+def _build_index(args, config: PipelineConfig, digest=None):
+    """The index of --corpus or --keywords; a given digest is fed the corpus files as they are read."""
     codec = _resolve_codec(args, config)
     if args.corpus:
-        return build_index_from_corpus(args.corpus, codec, config.keywords_per_doc, _stopwords(args))
+        return build_index_from_corpus(args.corpus, codec, config.keywords_per_doc, _stopwords(args), digest)
     records = read_keyword_file(args.keywords)
     return build_index_from_keywords(records, codec)
 
@@ -123,14 +113,18 @@ def cmd_build_index(args) -> int:
 
 
 def cmd_estimate_k(args) -> int:
-    from .matrices import dump_matrices, estimate_k, matrix_pipeline
+    from .matrices import (
+        dump_matrices,
+        estimate_k_from_diagonal,
+        frequency_matrix,
+        matrix_pipeline,
+        separation_diagonal,
+    )
 
-    index = read_index(args.index)
-    trimmed = trim(index)
-    mats = matrix_pipeline(trimmed)
-    est = estimate_k(mats["C"])
+    trimmed = trim(read_index(args.index))
+    est = estimate_k_from_diagonal(separation_diagonal(frequency_matrix(trimmed.index, trimmed.kept)))
     if args.dump_matrices:
-        dump_matrices(mats, args.dump_matrices)
+        dump_matrices(matrix_pipeline(trimmed), args.dump_matrices)
     print(f"m={est.m} trace={est.trace:.12g} k={est.k}")
     return 0
 
@@ -229,7 +223,9 @@ def cmd_pipeline(args) -> int:
     if not input_path.exists():
         raise CLIError(f"input path {input_path} does not exist")
 
-    index = _build_index(args, config)
+    corpus_digest = hashlib.sha256()
+    index = _build_index(args, config, corpus_digest)
+    input_sha256 = corpus_digest.hexdigest() if args.corpus else _file_sha256(input_path)
     index_path = out_dir / "index.tsv"
     write_index(index, index_path)
 
@@ -256,7 +252,7 @@ def cmd_pipeline(args) -> int:
 
     manifest = {
         "config": asdict(config),
-        "input": {"path": str(args.corpus or args.keywords), "sha256": _input_digest(input_path)},
+        "input": {"path": str(args.corpus or args.keywords), "sha256": input_sha256},
         "artifacts": {
             p.name: _file_sha256(p) for p in (index_path, k_report_path, clusters_path, abstracts_path)
         },
@@ -280,7 +276,7 @@ def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config
             raise CLIError("abstract exceeds the configured size")
 
 
-# handlers whose code imports numpy or scipy; main imports them before the freeze
+# handlers whose code imports numpy; main imports it before the freeze
 NUMERIC_HANDLERS = frozenset({cmd_estimate_k, cmd_cluster, cmd_evaluate_coherence, cmd_pipeline})
 
 
@@ -388,13 +384,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "search" and not args.no_prune and not args.abstracts:
         parser.error("search needs --abstracts unless --no-prune is given")
     if args.func in NUMERIC_HANDLERS:
-        # matrices imports numpy and scipy.sparse: here, not at module level,
-        # so search never loads them, and before the freeze, so their import
-        # objects are frozen too
+        # matrices imports numpy: here, not at module level, so search never
+        # loads it, and before the freeze, so its import objects are frozen
+        # too. scipy, which only --dump-matrices needs, is left out.
         from . import matrices  # noqa: F401
-    # Everything alive now (the imported modules, numpy's and scipy's among
-    # them for a numeric command) lives as long as the command: keep the
-    # collector from rescanning it.
+    # Everything alive now (the imported modules, numpy's among them for a
+    # numeric command) lives as long as the command: keep the collector from
+    # rescanning it.
     gc.freeze()
     try:
         return args.func(args)

@@ -9,14 +9,17 @@ log co-occurrence score that only needs frequencies, never plaintext. The
 score of one token-center pair is defined in the `distribute` docstring;
 `tests/oracles.py` (`relatedness_scores`) states it as a plain loop.
 
-Center selection is inherently sequential (the coverage set evolves).
-Distribution is batched: it scores the token-center pairs that share a
-document, plus the few disjoint centers that can still win or tie, so its
-cost follows co-occurrence rather than tokens x centers.
+Center selection is inherently sequential (the coverage set evolves) and
+reads only C's diagonal, which `cluster_index` computes from the frequency
+matrix without forming C. Distribution is batched over the same matrix: it
+scores the token-center pairs that share a document, plus the few disjoint
+centers that can still win or tie, so its cost follows co-occurrence rather
+than tokens x centers. Clustering runs on numpy alone; the scipy chain of
+`matrices.matrix_pipeline` is only an input `choose_centers` accepts.
 
-numpy, scipy and the matrices module are imported by the functions that
-compute with them, so reading and writing clusters files (the search path)
-loads neither library.
+numpy and the matrices module are imported by the functions that compute
+with them, so reading and writing clusters files (the search path) loads
+neither.
 """
 from __future__ import annotations
 
@@ -24,15 +27,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .crypto import CipherToken, token_from_b64, token_to_b64
 from .index import CentralIndex, IndexDataError, check_doc_id, data_lines, trim, write_lines
 
 if TYPE_CHECKING:
-    from scipy import sparse
+    import numpy as np
 
-    from .matrices import KEstimate, LabeledMatrix
+    from .matrices import FrequencyMatrix, KEstimate, LabeledMatrix
 
 
 class ClusteringError(ValueError):
@@ -66,7 +69,16 @@ def centrality(omega: float, c_ii: float) -> float:
 
 
 def choose_centers(k: int, c: LabeledMatrix, index: CentralIndex) -> list[CipherToken]:
-    """Single-pass center selection over the C matrix's tokens.
+    """choose_centers_from_diagonal over the tokens and diagonal of the chain's C."""
+    from .matrices import c_diagonal
+
+    return choose_centers_from_diagonal(k, c.row_labels, c_diagonal(c), index)
+
+
+def choose_centers_from_diagonal(
+    k: int, tokens: Sequence[CipherToken], diag: np.ndarray, index: CentralIndex
+) -> list[CipherToken]:
+    """Single-pass center selection over tokens with separation factors diag.
 
     Tokens are visited in descending document-association order (ties by
     ciphertext bytes). A token with uniqueness > 1 is admitted: its documents
@@ -75,11 +87,9 @@ def choose_centers(k: int, c: LabeledMatrix, index: CentralIndex) -> list[Cipher
     centralities outrank all finite ones and tie-break by higher degree,
     then ciphertext bytes.
     """
-    from .matrices import separation_factors
-
     if k < 1:
         raise ClusteringError(f"k must be >= 1, got {k}")
-    sep = separation_factors(c)
+    sep = dict(zip(tokens, diag.tolist()))
     degree = {t: len(index.entries[t]) for t in sep}
     order = sorted(sep, key=lambda t: (-degree[t], t))
 
@@ -142,14 +152,6 @@ class ClusterSet:
 _SCORE_BLOCK = 1 << 13
 
 
-def _pattern(m: sparse.csr_matrix) -> sparse.csr_matrix:
-    """The nonzero pattern of a CSR matrix as a boolean matrix."""
-    import numpy as np
-    from scipy import sparse
-
-    return sparse.csr_matrix((np.ones(m.nnz, dtype=bool), m.indices, m.indptr), shape=m.shape)
-
-
 def distribute(index: CentralIndex, centers: list[CipherToken], k_requested: int | None = None) -> ClusterSet:
     """Assign every non-center token of the index to its most related center.
 
@@ -171,8 +173,8 @@ def distribute(index: CentralIndex, centers: list[CipherToken], k_requested: int
     order keeps the terms' order. A center that shares a document scores at
     least D of its own T_c, since f + f_c >= f. So:
 
-    1. Every co-occurring pair is scored exactly. The pairs are the
-       nonzeros of the boolean product F . F_c^T.
+    1. Every co-occurring pair is scored exactly. `cooccurring_pairs`
+       finds them through a document -> centers list.
     2. The distinct T_c are walked in ascending order, scoring D against
        the smallest-ciphertext center of each, until D falls strictly below
        the token's best score so far. D bounds every disjoint center at that
@@ -189,6 +191,20 @@ def distribute(index: CentralIndex, centers: list[CipherToken], k_requested: int
     scored per token (usually one or two); no tokens x centers array is
     formed.
     """
+    from .matrices import frequency_matrix
+
+    tokens = index.tokens()
+    return _distribute(index, tokens, frequency_matrix(index, tokens), centers, k_requested)
+
+
+def _distribute(
+    index: CentralIndex,
+    tokens: list[CipherToken],
+    freq: FrequencyMatrix,
+    centers: list[CipherToken],
+    k_requested: int | None,
+) -> ClusterSet:
+    """distribute, given the index's tokens in byte order and their frequency matrix."""
     if not centers:
         raise ClusteringError("at least one center is required")
     if len(set(centers)) != len(centers):
@@ -197,34 +213,53 @@ def distribute(index: CentralIndex, centers: list[CipherToken], k_requested: int
         if center not in index.entries:
             raise ClusteringError(f"center {token_to_b64(center)} is not in the index")
 
-    tokens = index.tokens()
     center_list = sorted(centers)
     clusters = tuple(
         Cluster(center=c, tokens=tuple(sorted([c] + [tokens[i] for i in rows])))
-        for c, rows in zip(center_list, _assign(index, tokens, center_list))
+        for c, rows in zip(center_list, _assign(tokens, freq, center_list))
     )
     return ClusterSet(clusters=clusters, index=index, k_requested=k_requested or len(centers))
 
 
-def _assign(index: CentralIndex, tokens: list[CipherToken], center_list: list[CipherToken]) -> list[list[int]]:
+def cooccurring_pairs(freq: FrequencyMatrix, center_freq: FrequencyMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(row of freq, row of center_freq) of every pair of rows sharing a document.
+
+    Each posting of freq is expanded over the centers of its document, read
+    from a document -> centers list; np.unique then drops repeats and sorts
+    the pairs by row of freq, then by center. The work grows with the
+    postings times the centers per document.
+    """
+    import numpy as np
+
+    n_docs, n_centers = freq.n_docs, center_freq.n_rows
+    # document -> centers list: the centers' postings ordered by document, then center
+    by_doc = np.argsort(center_freq.indices, kind="stable")
+    doc_centers = center_freq.row_of()[by_doc]
+    doc_ptr = np.zeros(n_docs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(center_freq.indices, minlength=n_docs), out=doc_ptr[1:])
+
+    starts = doc_ptr[freq.indices]
+    counts = doc_ptr[freq.indices + 1] - starts
+    expanded = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    keys = np.unique(np.repeat(freq.row_of(), counts) * n_centers + doc_centers[expanded])
+    return keys // n_centers, keys % n_centers
+
+
+def _assign(tokens: list[CipherToken], freq: FrequencyMatrix, center_list: list[CipherToken]) -> list[list[int]]:
     """distribute's scoring: per center (byte order), the rows in `tokens` it wins, ascending."""
     import numpy as np
 
-    from .matrices import frequency_matrix
+    n_centers, n_docs = len(center_list), freq.n_docs
 
-    n_centers, n_docs = len(center_list), len(index.docs)
-
-    freq = frequency_matrix(index, tokens)
-    totals = np.asarray(freq.sum(axis=1)).ravel()
+    totals = np.bincount(freq.row_of(), weights=freq.data, minlength=freq.n_rows)
     lengths = np.diff(freq.indptr)
 
     token_pos = {t: i for i, t in enumerate(tokens)}
     center_rows = np.array([token_pos[c] for c in center_list], dtype=np.int64)
-    center_freq = freq[center_rows]
-    center_freq.sort_indices()
+    center_freq = freq.rows(center_rows)
     center_totals = totals[center_rows]
     # ascending center * n_docs + doc keys of the centers' postings, for f_c lookups
-    center_keys = np.repeat(np.arange(n_centers), np.diff(center_freq.indptr)) * n_docs + center_freq.indices
+    center_keys = center_freq.row_of() * n_docs + center_freq.indices
     is_center = np.zeros(len(tokens), dtype=bool)
     is_center[center_rows] = True
 
@@ -255,9 +290,9 @@ def _assign(index: CentralIndex, tokens: list[CipherToken], center_list: list[Ci
         return out
 
     # co-occurring pairs of the non-center tokens, scored exactly
-    shared_pairs = (_pattern(freq) @ _pattern(center_freq).T).tocoo()
-    keep = ~is_center[shared_pairs.row]
-    co_tok, co_cen = shared_pairs.row[keep].astype(np.int64), shared_pairs.col[keep].astype(np.int64)
+    co_tok, co_cen = cooccurring_pairs(freq, center_freq)
+    keep = ~is_center[co_tok]
+    co_tok, co_cen = co_tok[keep], co_cen[keep]
     pair_tok, pair_cen, pair_score = [co_tok], [co_cen], [score(co_tok, co_cen, shared=True)]
     best = np.full(len(tokens), -np.inf)
     np.maximum.at(best, co_tok, pair_score[0])
@@ -291,19 +326,25 @@ def _assign(index: CentralIndex, tokens: list[CipherToken], center_list: list[Ci
 
 
 def cluster_index(index: CentralIndex, k: int | str = "auto") -> tuple[ClusterSet, KEstimate]:
-    """Full clustering pass: trim, build matrices, pick centers, distribute.
+    """Full clustering pass: trim, diag(C), pick centers, distribute.
 
-    k may be a positive integer or "auto" to use the trace estimate. The
-    estimate is returned for a fixed k too; the cluster set's k_requested
-    is the k actually targeted.
+    The frequency matrix is built once, over every token: diag(C) reads the
+    kept tokens' rows and distribute all of them. k may be a positive
+    integer or "auto" to use the trace estimate. The estimate is returned
+    for a fixed k too; the cluster set's k_requested is the k actually
+    targeted.
     """
-    from .matrices import estimate_k, matrix_pipeline
+    from .matrices import estimate_k_from_diagonal, frequency_matrix, separation_diagonal
 
-    c = matrix_pipeline(trim(index))["C"]
-    estimate = estimate_k(c)
+    tokens = index.tokens()
+    freq = frequency_matrix(index, tokens)
+    kept = trim(index).kept
+    kept_set = set(kept)
+    diag = separation_diagonal(freq.rows([i for i, token in enumerate(tokens) if token in kept_set]))
+    estimate = estimate_k_from_diagonal(diag)
     k_target = estimate.k if k == "auto" else int(k)
-    centers = choose_centers(k_target, c, index)
-    return distribute(index, centers, k_requested=k_target), estimate
+    centers = choose_centers_from_diagonal(k_target, kept, diag, index)
+    return _distribute(index, tokens, freq, centers, k_target), estimate
 
 
 # ---------------------------------------------------------------------------

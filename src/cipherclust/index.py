@@ -13,6 +13,7 @@ adds nothing to later collections.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -172,17 +173,29 @@ def build_index_from_corpus(
     codec: TokenCodec,
     n: int,
     stopwords: Iterable[str] = DEFAULT_STOPWORDS,
+    digest: hashlib._Hash | None = None,
 ) -> CentralIndex:
     """Extract keywords from every *.txt file in a directory and ingest them.
 
-    The file name (without extension) becomes the document id.
+    The file name (without extension) becomes the document id. Each file is
+    read once, as bytes, and decoded as UTF-8; line endings are kept, which
+    no `[a-z0-9]+` token can tell apart. If a digest is given, each file's
+    name and bytes are fed to it as read, in file name order, each followed
+    by a NUL byte, so it covers exactly the bytes that were indexed.
     """
     corpus = Path(corpus_dir)
     paths = sorted(p for p in corpus.iterdir() if p.is_file() and p.suffix == ".txt")
     if not paths:
         raise IndexDataError(f"no .txt documents found in {corpus}")
     stop = frozenset(normalize_term(w) for w in stopwords)
-    records = ((path.stem, extract_keywords(path.read_text(encoding="utf-8"), n, stop)) for path in paths)
+
+    def read(path: Path) -> str:
+        raw = path.read_bytes()
+        if digest is not None:
+            digest.update(path.name.encode("utf-8") + b"\0" + raw + b"\0")
+        return raw.decode("utf-8")
+
+    records = ((path.stem, extract_keywords(read(path), n, stop)) for path in paths)
     return build_index_from_keywords(records, codec)
 
 
@@ -231,8 +244,21 @@ def build_index_from_keywords(
 # line files: UTF-8 with LF line endings; readers skip blank lines
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write each line followed by one LF, as UTF-8."""
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
+    """Write each line followed by one LF, as UTF-8, replacing path atomically.
+
+    The lines go to a temporary file beside path, which os.replace then
+    moves over it. A failure before that removes the temporary file and
+    leaves any earlier file at path as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:

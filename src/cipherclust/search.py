@@ -18,8 +18,8 @@ posting lists of those in a selected cluster, O(query tokens + postings
 added). The longest list seeds the scores in one dict() call; only the
 other lists' postings are added one by one. The cutoff-th best score is
 found by an integer sort of the scores, or by a heap of cutoff entries
-above HEAP_FLOOR_ABOVE scores, and only the documents that reach it get the
-keyed sort.
+above HEAP_FLOOR_RATIO x cutoff scores, and only the documents that reach
+it get the keyed sort.
 """
 from __future__ import annotations
 
@@ -33,9 +33,10 @@ from .clustering import ClusterSet
 from .crypto import CipherToken, token_from_b64, token_to_b64
 from .index import IndexDataError, data_lines, write_lines
 
-# Above this many scores, search finds the cutoff-th best with a heap rather than a full sort.
-# Measured on CPython 3.11: sorted is faster up to about 400 values, nlargest(10) from about 500.
-HEAP_FLOOR_ABOVE = 400
+# Above this many scores per result wanted, search finds the cutoff-th best with a heap of cutoff
+# entries rather than a full sort. Measured on CPython 3.11, nlargest(cutoff) overtakes sorted at
+# about 55 scores per result for cutoffs 1-5, 40 for cutoff 10, 30 for 20-50 and 25 for 100-1000.
+HEAP_FLOOR_RATIO = 40
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ def search(
             scores[doc] = scores.get(doc, 0) + freq
     items = scores.items()
     if len(scores) > cutoff:
-        if len(scores) > HEAP_FLOOR_ABOVE:
+        if len(scores) > HEAP_FLOOR_RATIO * cutoff:
             floor = heapq.nlargest(cutoff, scores.values())[-1]
         else:
             floor = sorted(scores.values(), reverse=True)[cutoff - 1]

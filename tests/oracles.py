@@ -227,3 +227,19 @@ def scan_search(
                 for doc, freq in postings[token]:
                     scores[doc] = scores.get(doc, 0) + freq
     return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:cutoff]
+
+
+def pattern(freq):
+    """The nonzero pattern of a FrequencyMatrix as a boolean scipy.sparse CSR matrix."""
+    from scipy import sparse
+
+    return sparse.csr_matrix(
+        (np.ones(len(freq.indices), dtype=bool), freq.indices, freq.indptr), shape=(freq.n_rows, freq.n_docs)
+    )
+
+
+def product_pairs(freq, center_freq) -> tuple[np.ndarray, np.ndarray]:
+    """(row of freq, row of center_freq) of the nonzeros of the boolean product F . F_c^T, by row then column."""
+    product = (pattern(freq) @ pattern(center_freq).T).tocoo()
+    order = np.lexsort((product.col, product.row))
+    return product.row[order].astype(np.int64), product.col[order].astype(np.int64)

@@ -11,12 +11,19 @@ import importlib
 import json
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cipherclust.cli import main
-from cipherclust.clustering import read_clusters
-from cipherclust.crypto import KeyedTokenCodec, encrypt_query, load_key
+from cipherclust.clustering import choose_centers, cluster_index, distribute, read_clusters
+from cipherclust.crypto import IdentityTokenCodec, KeyedTokenCodec, encrypt_query, load_key
 from cipherclust.evaluation import load_queries
+from cipherclust.config import PipelineConfig
+from cipherclust.index import build_index_from_corpus, ingest, trim
+from cipherclust.matrices import estimate_k, matrix_pipeline
 from cipherclust.search import prune, read_abstracts, search
 
+from conftest import records_from_freqs
 from oracles import scan_prune, scan_search
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
@@ -77,3 +84,29 @@ def test_serve_sequence_matches_scan_reference(tmp_path, mini_corpus_dir, querie
         for chosen in (selected, everything):
             ranked = [list(r) for r in search(tokens, clusters, chosen, top).ranked]
             assert ranked == [list(r) for r in scan_search(tokens, cluster_tokens, postings, chosen, top)], text
+
+
+def check_build_adapters(index):
+    """child.py's traced build calls, on the chain's C, give cluster_index's k, centers and clusters."""
+    trimmed = trim(index)
+    mats = matrix_pipeline(trimmed)
+    est = estimate_k(mats["C"])
+    centers = choose_centers(est.k, mats["C"], index)
+    clusters = distribute(index, centers, k_requested=est.k)
+    want_clusters, want_est = cluster_index(index)
+    assert est == want_est
+    assert sorted(centers) == [cluster.center for cluster in want_clusters.clusters]
+    assert clusters == want_clusters
+
+
+def test_build_adapters_match_cluster_index_on_the_mini_corpus(mini_corpus_dir):
+    check_build_adapters(build_index_from_corpus(mini_corpus_dir, IdentityTokenCodec(), PipelineConfig.keywords_per_doc))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_build_adapters_match_cluster_index(data):
+    docs = [f"d{j}" for j in range(data.draw(st.integers(1, 8)))]
+    names = data.draw(st.lists(st.binary(min_size=1, max_size=3), min_size=1, max_size=12, unique=True))
+    freqs = {name: data.draw(st.dictionaries(st.sampled_from(docs), st.integers(1, 50), min_size=1)) for name in names}
+    check_build_adapters(ingest(records_from_freqs(freqs, docs)))

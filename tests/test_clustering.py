@@ -13,6 +13,7 @@ from cipherclust.clustering import (
     centrality,
     choose_centers,
     cluster_index,
+    cooccurring_pairs,
     distribute,
     read_clusters,
     uniqueness,
@@ -20,7 +21,7 @@ from cipherclust.clustering import (
 )
 from cipherclust.crypto import IdentityTokenCodec
 from cipherclust.index import IndexDataError, build_index_from_corpus, ingest, trim
-from cipherclust.matrices import estimate_k, matrix_pipeline
+from cipherclust.matrices import estimate_k, frequency_matrix, matrix_pipeline
 
 from conftest import EXAMPLE_FREQS, keep_all, random_index, records_from_freqs, structured_freqs
 from oracles import (
@@ -29,6 +30,7 @@ from oracles import (
     contribution,
     cooccurrence,
     dense_distribute,
+    product_pairs,
     relatedness_scores,
 )
 
@@ -285,6 +287,31 @@ class TestDistributeAgainstDenseScorer:
         centers = choose_centers(estimate_k(c).k, c, index)
         assert len(centers) > 100
         self.check(index, centers)
+
+
+class TestCooccurringPairs:
+    """The document -> centers expansion must find exactly the nonzeros of the boolean F . F_c^T."""
+
+    @staticmethod
+    def check(index, centers):
+        tokens = index.tokens()
+        freq = frequency_matrix(index, tokens)
+        center_freq = freq.rows([tokens.index(c) for c in sorted(centers)])
+        got = cooccurring_pairs(freq, center_freq)
+        want = product_pairs(freq, center_freq)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=distribute_cases())
+    def test_equal_to_the_sparse_product(self, case):
+        freqs, centers = case
+        self.check(ingest(records_from_freqs(freqs)), centers)
+
+    def test_criterion_10_generator(self):
+        rng = np.random.default_rng(1010)
+        freqs = structured_freqs(rng, n_tokens=10_000, n_docs=2_000, n_topics=100)
+        index = ingest(records_from_freqs(freqs, [f"d{j:04d}" for j in range(2_000)]))
+        self.check(index, index.tokens()[::37])
 
 
 class TestClusterIndexAndFiles:

@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +78,33 @@ class TestPipelineCommand:
         assert k_report["k_used"] <= k_report["k_target"]
         cluster_lines = (pipeline_dir / "clusters.jsonl").read_text().splitlines()
         assert len(cluster_lines) == k_report["k_used"]
+
+    def test_manifest_digests_the_corpus_as_read_once(self, tmp_path, mini_corpus_dir, monkeypatch):
+        reads = []
+        for name in ("read_bytes", "read_text"):
+            real = getattr(Path, name)
+
+            def counting(path, *args, _name=name, _real=real, **kwargs):
+                if path.suffix == ".txt":
+                    reads.append(path.name)
+                return _real(path, *args, **kwargs)
+
+            monkeypatch.setattr(Path, name, counting)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--corpus", str(mini_corpus_dir), "--identity", "--out", str(out)]) == 0
+        monkeypatch.undo()
+        docs = sorted(p for p in mini_corpus_dir.iterdir() if p.suffix == ".txt")
+        assert reads == [p.name for p in docs]
+        want = hashlib.sha256(b"".join(p.name.encode() + b"\0" + p.read_bytes() + b"\0" for p in docs))
+        assert json.loads((out / "manifest.json").read_text())["input"]["sha256"] == want.hexdigest()
+
+    def test_manifest_digests_a_keyword_file(self, tmp_path):
+        path = tmp_path / "kw.tsv"
+        path.write_bytes(b"d1\tnet:3,router:2\r\nd2\tnet:1\n")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--keywords", str(path), "--identity", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["input"]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_reruns_are_byte_identical(self, tmp_path, mini_corpus_dir):
         a, b = tmp_path / "a", tmp_path / "b"

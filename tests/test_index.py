@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from cipherclust.index import (
     read_keyword_file,
     trim,
     write_index,
+    write_lines,
 )
 
 from conftest import EXAMPLE_DOCS, EXAMPLE_FREQS, keep_all, random_freqs, random_index, records_from_freqs
@@ -43,6 +45,24 @@ class TestExtractKeywords:
         (tmp_path / "a.txt").write_text("apple apple banana\n")
         index = build_index_from_corpus(tmp_path, IdentityTokenCodec(), 5, stopwords=["Apple"])
         assert index.tokens() == [b"banana"]
+
+    def test_crlf_document_gives_the_lf_index(self, tmp_path):
+        # the corpus is read as bytes and not newline-translated; no [a-z0-9]+ token sees a CR
+        text = "Apple pie\napple\rbanana\n\ncherry apple\n"
+        for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "doc.txt").write_bytes(text.replace("\n", newline).encode("utf-8"))
+        lf, crlf = (build_index_from_corpus(tmp_path / name, IdentityTokenCodec(), 5) for name in ("lf", "crlf"))
+        assert crlf == lf
+        assert crlf.entries[b"apple"] == (("doc", 3),)
+
+    def test_corpus_digest_covers_the_bytes_read(self, tmp_path):
+        files = {"b.txt": b"beta\r\nbeta", "a.txt": b"alpha", "skip.md": b"not read"}
+        for name, raw in files.items():
+            (tmp_path / name).write_bytes(raw)
+        digest = hashlib.sha256()
+        build_index_from_corpus(tmp_path, IdentityTokenCodec(), 5, digest=digest)
+        assert digest.hexdigest() == hashlib.sha256(b"a.txt\0alpha\0b.txt\0beta\r\nbeta\0").hexdigest()
 
     @given(text=st.text(alphabet="abc d", max_size=60), n=st.integers(1, 5))
     def test_size_and_monotone_frequencies(self, text, n):
@@ -211,6 +231,28 @@ class TestIndexFile:
         path = tmp_path / "index.tsv"
         write_index(idx, path)
         assert read_index(path) == idx
+
+
+class TestWriteLines:
+    def test_failed_write_leaves_the_previous_file(self, tmp_path):
+        path = tmp_path / "index.tsv"
+        write_lines(path, ["old 1", "old 2"])
+
+        def lines():
+            yield "new 1"
+            raise RuntimeError("disk gone")
+
+        with pytest.raises(RuntimeError, match="disk gone"):
+            write_lines(path, lines())
+        assert path.read_bytes() == b"old 1\nold 2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["index.tsv"]
+
+    def test_replaces_and_leaves_no_temporary_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        write_lines(path, ["a"])
+        write_lines(path, ["b", "c\u2028d"])
+        assert path.read_bytes() == "b\nc\u2028d\n".encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
 
 def test_data_lines_split_at_lf_only(tmp_path):

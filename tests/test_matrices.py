@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipherclust.clustering import choose_centers
 from cipherclust.index import TrimmedIndex, ingest, trim
@@ -9,11 +11,22 @@ from cipherclust.matrices import (
     MatrixError,
     dump_matrix,
     estimate_k,
+    estimate_k_from_diagonal,
+    frequency_matrix,
     matrix_pipeline,
+    separation_diagonal,
     separation_factors,
 )
 
-from conftest import EXAMPLE_DOCS, EXAMPLE_FREQS, entry, keep_all, random_index, records_from_freqs
+from conftest import (
+    EXAMPLE_DOCS,
+    EXAMPLE_FREQS,
+    entry,
+    keep_all,
+    random_index,
+    records_from_freqs,
+    structured_freqs,
+)
 from oracles import dense_pipeline, exact_pipeline
 
 # Frozen by the exact rational oracle over the worked example.
@@ -306,3 +319,68 @@ class TestDump:
         first = lines[0].split("\t")
         assert first[0]  # row label
         assert all(":" in field for field in first[1:])
+
+
+@st.composite
+def frequency_indexes(draw):
+    """An index of 1-12 tokens over 1-8 documents, some of which may hold no token.
+
+    Frequencies reach 10**6, so the divisions and sums of the chain round.
+    """
+    docs = [f"d{j}" for j in range(draw(st.integers(1, 8)))]
+    names = draw(st.lists(st.binary(min_size=1, max_size=3), min_size=1, max_size=12, unique=True))
+    top = draw(st.sampled_from([3, 10**6]))
+    freqs = {
+        name: draw(st.dictionaries(st.sampled_from(docs), st.integers(1, top), min_size=1)) for name in names
+    }
+    return ingest(records_from_freqs(freqs, docs))
+
+
+class TestDirectDiagonal:
+    """separation_diagonal must equal the diagonal of the chain's C bit for bit."""
+
+    @staticmethod
+    def check(trimmed):
+        c = matrix_pipeline(trimmed)["C"]
+        direct = separation_diagonal(frequency_matrix(trimmed.index, trimmed.kept))
+        assert np.array_equal(direct, c.mat.diagonal())
+        est = estimate_k_from_diagonal(direct)
+        assert est == estimate_k(c)
+        assert est.trace == math.fsum(c.mat.diagonal().tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(index=frequency_indexes())
+    def test_equals_the_chain_diagonal(self, index):
+        self.check(trim(index))
+        self.check(keep_all(index))
+
+    def test_worked_example(self, example_index):
+        self.check(keep_all(example_index))
+        assert estimate_k_from_diagonal(
+            separation_diagonal(frequency_matrix(example_index, example_index.tokens()))
+        ).trace == pytest.approx(EXACT_TRACE, abs=1e-12)
+
+    def test_criterion_10_generator(self):
+        rng = np.random.default_rng(1010)
+        freqs = structured_freqs(rng, n_tokens=10_000, n_docs=2_000, n_topics=100)
+        self.check(trim(ingest(records_from_freqs(freqs, [f"d{j:04d}" for j in range(2_000)]))))
+
+
+class TestFrequencyMatrix:
+    def test_matches_the_chain_A(self, example_index):
+        f = frequency_matrix(example_index, example_index.tokens())
+        a = matrix_pipeline(keep_all(example_index))["A"].mat
+        assert np.array_equal(f.data, a.data)
+        assert np.array_equal(f.indices, a.indices)
+        assert np.array_equal(f.indptr, a.indptr)
+        assert (f.n_rows, f.n_docs) == a.shape
+
+    @given(index=frequency_indexes(), data=st.data())
+    def test_rows_equal_a_matrix_built_over_those_tokens(self, index, data):
+        tokens = index.tokens()
+        rows = data.draw(st.lists(st.integers(0, len(tokens) - 1), max_size=len(tokens)))
+        got = frequency_matrix(index, tokens).rows(rows)
+        want = frequency_matrix(index, [tokens[i] for i in rows])
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.n_docs == want.n_docs == len(index.docs)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from cipherclust.clustering import Cluster, ClusterSet, distribute
 from cipherclust.index import IndexDataError, ingest
+from cipherclust import search as search_module
 from cipherclust.search import (
-    HEAP_FLOOR_ABOVE,
+    HEAP_FLOOR_RATIO,
     Abstract,
     SearchResult,
     build_abstracts,
@@ -183,20 +184,21 @@ class TestSearch:
 
     @settings(deadline=None, max_examples=50)
     @given(
-        n_docs=st.integers(HEAP_FLOOR_ABOVE + 1, 1000),
+        extra_docs=st.integers(0, 600),
         n_tokens=st.integers(1, 4),
-        cutoff=st.integers(1, 40),
+        cutoff=st.integers(1, 25),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
-    def test_large_score_sets_match_scan_reference(self, n_docs, n_tokens, cutoff, seed, data):
-        # One token per cluster. One list holds more than HEAP_FLOOR_ABOVE documents, so searching
-        # every cluster takes the heap floor; the other lists overlap it, so the seeded scores get
-        # postings added. Frequencies 1..3 tie many documents at the cutoff. The postings come from
-        # a seeded generator, so hypothesis shrinks a few integers, not a thousand draws.
+    def test_large_score_sets_match_scan_reference(self, extra_docs, n_tokens, cutoff, seed, data):
+        # One token per cluster. One list holds more than HEAP_FLOOR_RATIO * cutoff documents, so
+        # searching every cluster takes the heap floor; the other lists overlap it, so the seeded
+        # scores get postings added. Frequencies 1..3 tie many documents at the cutoff. The postings
+        # come from a seeded generator, so hypothesis shrinks a few integers, not a thousand draws.
         rng = random.Random(seed)
+        n_docs = HEAP_FLOOR_RATIO * cutoff + 1 + extra_docs
         docs = [f"d{j:04d}" for j in range(n_docs)]
-        sizes = [rng.randint(HEAP_FLOOR_ABOVE + 1, n_docs)] + [rng.randint(1, n_docs) for _ in range(n_tokens - 1)]
+        sizes = [rng.randint(HEAP_FLOOR_RATIO * cutoff + 1, n_docs)] + [rng.randint(1, n_docs) for _ in range(n_tokens - 1)]
         rng.shuffle(sizes)
         tokens = [f"T{i}".encode() for i in range(n_tokens)]
         by_doc: dict[str, list[tuple[bytes, int]]] = {}
@@ -214,6 +216,26 @@ class TestSearch:
             got = search(query, cs, chosen, cutoff)
             assert got.ranked == tuple(scan_search(query, [[t] for t in tokens], postings, chosen, cutoff))
             assert got.postings_touched == sum(len(postings[tokens[cid]]) for cid in chosen)
+
+    @pytest.mark.parametrize("cutoff", [1, 10, 24, 25, 26, 100, 999, 1000, 1001])
+    def test_heap_floor_only_well_above_the_cutoff(self, monkeypatch, cutoff):
+        # 1,000 scores: the heap floor is taken up to cutoff 24 (40 x 24 = 960 < 1,000) and the
+        # full sort from cutoff 25 on; above 1,000 nothing is cut. Rankings match the scan either way.
+        rng = random.Random(cutoff)
+        docs = [f"d{j:04d}" for j in range(1000)]
+        tokens = [b"A", b"B"]
+        by_doc = {doc: [(b"A", rng.randint(1, 5))] for doc in docs}
+        for doc in rng.sample(docs, 300):
+            by_doc[doc].append((b"B", rng.randint(1, 5)))
+        idx = ingest(sorted(by_doc.items()))
+        cs = ClusterSet(clusters=tuple(Cluster(center=t, tokens=(t,)) for t in tokens), index=idx, k_requested=2)
+        heaps = []
+        nlargest = search_module.heapq.nlargest
+        monkeypatch.setattr(search_module.heapq, "nlargest", lambda n, it: heaps.append(n) or nlargest(n, it))
+        got = search(tokens, cs, [0, 1], cutoff)
+        postings = {t: list(ps) for t, ps in idx.entries.items()}
+        assert got.ranked == tuple(scan_search(tokens, [[t] for t in tokens], postings, [0, 1], cutoff))
+        assert heaps == ([cutoff] if HEAP_FLOOR_RATIO * cutoff < 1000 else [])
 
 
 class TestPrunedVersusFull:
