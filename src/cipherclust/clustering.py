@@ -9,13 +9,15 @@ log co-occurrence score that only needs frequencies, never plaintext. The
 score of one token-center pair is defined in the `distribute` docstring;
 `tests/oracles.py` (`relatedness_scores`) states it as a plain loop.
 
-Center selection is inherently sequential (the coverage set evolves) and
-reads only C's diagonal, which `cluster_index` computes from the frequency
-matrix without forming C. Distribution is batched over the same matrix: it
-scores the token-center pairs that share a document, plus the few disjoint
-centers that can still win or tie, so its cost follows co-occurrence rather
-than tokens x centers. Clustering runs on numpy alone; the scipy chain of
-`matrices.matrix_pipeline` is only an input `choose_centers` accepts.
+Both stages run on the token-document frequency matrix that `cluster_index`
+builds once. Center selection is inherently sequential (the coverage set
+evolves): it walks the kept tokens' rows against a covered-document mask and
+reads only C's diagonal, computed from those rows without forming C.
+Distribution is batched over all rows: it scores the token-center pairs that
+share a document, plus the few disjoint centers that can still win or tie,
+so its cost follows co-occurrence rather than tokens x centers. Clustering
+runs on numpy alone; the scipy chain of `matrices.matrix_pipeline` is only
+an input `choose_centers` accepts.
 
 numpy and the matrices module are imported by the functions that compute
 with them, so reading and writing clusters files (the search path) loads
@@ -42,73 +44,59 @@ class ClusteringError(ValueError):
     pass
 
 
-def uniqueness(token: CipherToken, covered: set[str] | frozenset[str], index: CentralIndex) -> float:
-    """|A_i - U| / |A_i ^ U| for the token's document set A_i.
-
-    +inf when nothing of A_i is covered yet (always eligible), 0 when A_i is
-    fully covered.
-    """
-    if token not in index.entries:
-        raise KeyError(token)
-    docs = index.doc_set(token)
-    outside = len(docs - covered)
-    inside = len(docs & covered)
-    if outside == 0:
-        return 0.0
-    if inside == 0:
-        return math.inf
-    return outside / inside
-
-
-def centrality(omega: float, c_ii: float) -> float:
-    """omega * c_ii * (1 - c_ii), with inf * 0 defined as 0."""
-    spread = c_ii * (1.0 - c_ii)
-    if math.isinf(omega):
-        return math.inf if spread > 0.0 else 0.0
-    return omega * spread
-
-
 def choose_centers(k: int, c: LabeledMatrix, index: CentralIndex) -> list[CipherToken]:
     """choose_centers_from_diagonal over the tokens and diagonal of the chain's C."""
-    from .matrices import c_diagonal
+    from .matrices import c_diagonal, frequency_matrix
 
-    return choose_centers_from_diagonal(k, c.row_labels, c_diagonal(c), index)
+    return choose_centers_from_diagonal(k, c.row_labels, c_diagonal(c), frequency_matrix(index, c.row_labels))
 
 
 def choose_centers_from_diagonal(
-    k: int, tokens: Sequence[CipherToken], diag: np.ndarray, index: CentralIndex
+    k: int, tokens: Sequence[CipherToken], diag: np.ndarray, freq: FrequencyMatrix
 ) -> list[CipherToken]:
     """Single-pass center selection over tokens with separation factors diag.
 
-    Tokens are visited in descending document-association order (ties by
-    ciphertext bytes). A token with uniqueness > 1 is admitted: its documents
-    merge into the coverage set and its centrality is recorded. The at-most-k
-    admitted tokens with the highest centrality are returned; infinite
-    centralities outrank all finite ones and tie-break by higher degree,
-    then ciphertext bytes.
+    Row i of freq holds the postings of tokens[i]. Tokens are visited in
+    descending degree (posting count) order, ties by ciphertext bytes. A
+    token is admitted when more of its documents are outside the coverage
+    set than inside: uniqueness omega = outside / inside exceeds 1. Its
+    documents join the coverage set and its centrality phi = omega * c_ii *
+    (1 - c_ii) is recorded; with nothing inside, omega is infinite and phi
+    is inf, or 0 when c_ii * (1 - c_ii) is 0. The at-most-k admitted tokens
+    with the highest centrality are returned; infinite centralities outrank
+    all finite ones and tie-break by higher degree, then ciphertext bytes.
     """
+    import numpy as np
+
     if k < 1:
         raise ClusteringError(f"k must be >= 1, got {k}")
-    sep = dict(zip(tokens, diag.tolist()))
-    degree = {t: len(index.entries[t]) for t in sep}
-    order = sorted(sep, key=lambda t: (-degree[t], t))
+    sep = diag.tolist()
+    bounds = freq.indptr.tolist()
+    degree = np.diff(freq.indptr).tolist()
+    order = sorted(range(len(tokens)), key=lambda i: (-degree[i], tokens[i]))
 
-    covered: set[str] = set()
-    admitted: list[tuple[CipherToken, float]] = []
-    for token in order:
-        omega = uniqueness(token, covered, index)
-        if omega > 1.0:
-            covered |= index.doc_set(token)
-            admitted.append((token, centrality(omega, sep[token])))
+    covered = np.zeros(freq.n_docs, dtype=bool)
+    admitted: list[tuple[int, float]] = []
+    for i in order:
+        docs = freq.indices[bounds[i]:bounds[i + 1]]
+        inside = int(np.count_nonzero(covered[docs]))
+        outside = degree[i] - inside
+        if outside > inside:
+            covered[docs] = True
+            spread = sep[i] * (1.0 - sep[i])
+            if inside:
+                admitted.append((i, (outside / inside) * spread))
+            else:
+                admitted.append((i, math.inf if spread > 0.0 else 0.0))
 
-    def rank(entry: tuple[CipherToken, float]):
-        token, phi = entry
+    def rank(entry: tuple[int, float]):
+        i, phi = entry
         if math.isinf(phi):
-            return (0, -degree[token], token)
-        return (1, -phi, token)
+            return (0, -degree[i], tokens[i])
+        return (1, -phi, tokens[i])
 
     admitted.sort(key=rank)
-    return [token for token, _ in admitted[:k]]
+    return [tokens[i] for i, _ in admitted[:k]]
 
 
 @dataclass(frozen=True)
@@ -140,12 +128,6 @@ class ClusterSet:
     @property
     def k_used(self) -> int:
         return len(self.clusters)
-
-    def all_tokens(self) -> list[CipherToken]:
-        out: list[CipherToken] = []
-        for cluster in self.clusters:
-            out.extend(cluster.tokens)
-        return out
 
 
 # matrix elements per scoring block: bounds distribute's temporaries, not its results
@@ -340,10 +322,12 @@ def cluster_index(index: CentralIndex, k: int | str = "auto") -> tuple[ClusterSe
     freq = frequency_matrix(index, tokens)
     kept = trim(index).kept
     kept_set = set(kept)
-    diag = separation_diagonal(freq.rows([i for i, token in enumerate(tokens) if token in kept_set]))
+    kept_freq = freq.rows([i for i, token in enumerate(tokens) if token in kept_set])
+    diag = separation_diagonal(kept_freq)
     estimate = estimate_k_from_diagonal(diag)
     k_target = estimate.k if k == "auto" else int(k)
-    centers = choose_centers_from_diagonal(k_target, kept, diag, index)
+    centers = choose_centers_from_diagonal(k_target, kept, diag, kept_freq)
+    del kept_freq  # not held through distribute, where the build's memory peaks
     return _distribute(index, tokens, freq, centers, k_target), estimate
 
 

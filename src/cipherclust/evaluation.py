@@ -49,7 +49,11 @@ class EmbeddingTable:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """Parse the plain-text `word v1 ... vd` format; dimension must be uniform."""
+    """Parse the plain-text `word v1 ... vd` format.
+
+    Rejected with path:lineno: a line with no components, a dimension other
+    than the first line's, and a component that is not a finite number.
+    """
     import numpy as np
 
     vectors: dict[str, np.ndarray] = {}
@@ -57,7 +61,13 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     for lineno, line in data_lines(path):
         parts = line.split()
         word = parts[0].lower()
-        vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        try:
+            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise EvaluationError(f"{path}:{lineno}: vector of {word!r}: {exc}")
+        if not np.isfinite(vec).all():
+            bad = parts[1 + int(np.flatnonzero(~np.isfinite(vec))[0])]
+            raise EvaluationError(f"{path}:{lineno}: vector of {word!r} has a non-finite component {bad!r}")
         if dimension is None:
             dimension = vec.size
             if dimension == 0:

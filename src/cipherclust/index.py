@@ -70,32 +70,20 @@ class CentralIndex:
     def tokens(self) -> list[CipherToken]:
         return sorted(self.entries)
 
-    def doc_set(self, token: CipherToken) -> frozenset[str]:
-        return frozenset(doc for doc, _ in self.entries[token])
-
     def total_frequency(self, token: CipherToken) -> int:
         return sum(freq for _, freq in self.entries[token])
-
-    def triples(self) -> list[tuple[CipherToken, str, int]]:
-        """All (token, doc, frequency) triples in canonical order."""
-        out = []
-        for token in self.tokens():
-            out.extend((token, doc, freq) for doc, freq in self.entries[token])
-        return out
 
 
 @dataclass(frozen=True)
 class TrimmedIndex:
-    """Partition of an index's tokens around the mean document co-occurrence.
+    """The tokens of an index that reach its mean document co-occurrence.
 
-    Only `kept` tokens enter matrix construction and center selection;
-    excluded tokens rejoin at distribution time.
+    Only `kept` tokens enter matrix construction and center selection; the
+    others rejoin at distribution time.
     """
 
     index: CentralIndex
     kept: tuple[CipherToken, ...]
-    excluded: tuple[CipherToken, ...]
-    mean_doc_cooccurrence: float
 
 
 def extract_keywords(
@@ -160,9 +148,7 @@ def trim(index: CentralIndex) -> TrimmedIndex:
     tokens = index.tokens()
     counts = {t: len(index.entries[t]) for t in tokens}
     mean = sum(counts.values()) / len(tokens)
-    kept = tuple(t for t in tokens if counts[t] >= mean)
-    excluded = tuple(t for t in tokens if counts[t] < mean)
-    return TrimmedIndex(index=index, kept=kept, excluded=excluded, mean_doc_cooccurrence=mean)
+    return TrimmedIndex(index=index, kept=tuple(t for t in tokens if counts[t] >= mean))
 
 
 # ---------------------------------------------------------------------------
@@ -200,23 +186,46 @@ def build_index_from_corpus(
 
 
 def read_keyword_file(path: str | Path) -> list[tuple[str, list[tuple[str, int]]]]:
-    """Parse a pre-extracted keyword file: `docId<TAB>term:freq[,term:freq]*`."""
+    """Parse a pre-extracted keyword file: `docId<TAB>term:freq[,term:freq]*`.
+
+    Terms are normalized as documents' words are. Rejected with path:lineno:
+    a line without a tab, a malformed pair, a term holding a colon or
+    normalizing to empty, a term given twice on one line, a frequency that
+    is not ASCII digits or is below 1, a document id that ingest rejects and
+    a document id repeated on a later line.
+    """
     records: list[tuple[str, list[tuple[str, int]]]] = []
+    first_line: dict[str, int] = {}
     for lineno, line in data_lines(path):
+        where = f"{path}:{lineno}"
         try:
             doc_id, rest = line.split("\t", 1)
         except ValueError:
-            raise IndexDataError(f"{path}:{lineno}: expected `docId<TAB>term:freq,...`")
-        pairs = []
+            raise IndexDataError(f"{where}: expected `docId<TAB>term:freq,...`")
+        check_doc_id(doc_id, f"{where}: ")
+        if doc_id in first_line:
+            raise IndexDataError(f"{where}: document id {doc_id!r} is also on line {first_line[doc_id]}")
+        first_line[doc_id] = lineno
+        pairs: dict[str, int] = {}
         if rest.strip():
             for item in rest.split(","):
-                term, sep, freq_s = item.rpartition(":")
-                if not sep or not term:
-                    raise IndexDataError(f"{path}:{lineno}: malformed pair {item!r}")
-                if ":" in term or "," in term:
-                    raise IndexDataError(f"{path}:{lineno}: term {term!r} contains reserved characters")
-                pairs.append((normalize_term(term), int(freq_s)))
-        records.append((doc_id, pairs))
+                raw, sep, freq_s = item.rpartition(":")
+                if not sep or not raw:
+                    raise IndexDataError(f"{where}: malformed pair {item!r}")
+                if ":" in raw:
+                    raise IndexDataError(f"{where}: term {raw!r} contains reserved characters")
+                term = normalize_term(raw)
+                if not term:
+                    raise IndexDataError(f"{where}: term {raw!r} is empty once normalized")
+                if term in pairs:
+                    raise IndexDataError(f"{where}: term {term!r} is given twice")
+                freq = int(freq_s) if freq_s.isascii() and freq_s.isdigit() else 0
+                if freq < 1:
+                    raise IndexDataError(
+                        f"{where}: frequency {freq_s!r} of {term!r} is not an integer >= 1 in ASCII digits"
+                    )
+                pairs[term] = freq
+        records.append((doc_id, list(pairs.items())))
     return records
 
 
@@ -338,15 +347,12 @@ def _posting_fault(items: list[str]) -> str:
 
 
 def index_digest(index: CentralIndex) -> str:
-    """sha256 over the canonical (token, doc, frequency) triples."""
+    """sha256 over the (token, doc, frequency) triples, tokens in byte order."""
     h = hashlib.sha256()
-    for token, doc, freq in index.triples():
-        h.update(token_to_b64(token).encode("ascii"))
-        h.update(b"\0")
-        h.update(doc.encode("utf-8"))
-        h.update(b"\0")
-        h.update(str(freq).encode("ascii"))
-        h.update(b"\n")
+    for token in index.tokens():
+        name = token_to_b64(token)
+        for doc, freq in index.entries[token]:
+            h.update(f"{name}\0{doc}\0{freq}\n".encode("utf-8"))
     return h.hexdigest()
 
 

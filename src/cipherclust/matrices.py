@@ -196,11 +196,6 @@ def c_diagonal(c: LabeledMatrix) -> np.ndarray:
     return c.mat.diagonal()
 
 
-def separation_factors(c: LabeledMatrix) -> dict[CipherToken, float]:
-    """Diagonal of C keyed by token."""
-    return dict(zip(c.row_labels, c_diagonal(c).tolist()))
-
-
 def estimate_k(c: LabeledMatrix) -> KEstimate:
     """estimate_k_from_diagonal of the chain's C."""
     return estimate_k_from_diagonal(c_diagonal(c))

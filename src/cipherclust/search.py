@@ -27,7 +27,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .clustering import ClusterSet
 from .crypto import CipherToken, token_from_b64, token_to_b64
@@ -127,19 +127,16 @@ def build_abstracts(clusters: ClusterSet, a: int) -> Abstracts:
     return Abstracts(tuple(abstracts))
 
 
-def prune(query_tokens: Iterable[CipherToken], abstracts: Abstracts | Sequence[Abstract], c: int) -> list[int]:
+def prune(query_tokens: Iterable[CipherToken], abstracts: Abstracts, c: int) -> list[int]:
     """Top-c clusters whose abstracts overlap the query, by summed frequency.
 
     Ties go to the abstract with the smaller minimum token. Clusters scoring
     zero are dropped; if every cluster scores zero the cluster ids of all
     abstracts are returned, in abstract order, so the search can fall back
-    to the full index. A plain sequence of Abstract is indexed on entry, in
-    O(abstract entries); an Abstracts is not.
+    to the full index.
     """
     if c < 1:
         raise ValueError("prune width must be >= 1")
-    if not isinstance(abstracts, Abstracts):
-        abstracts = Abstracts(tuple(abstracts))
     frequency, cluster = abstracts.frequency, abstracts.cluster
     scores: dict[int, int] = {}
     for token in set(query_tokens):

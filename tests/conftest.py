@@ -42,8 +42,12 @@ def records_from_freqs(freqs: dict[bytes, dict[str, int]], docs=None) -> list:
 
 def keep_all(index) -> TrimmedIndex:
     """A no-op trim: every token kept, so the matrices cover the whole index."""
-    counts = [len(postings) for postings in index.entries.values()]
-    return TrimmedIndex(index, tuple(index.tokens()), (), sum(counts) / len(counts))
+    return TrimmedIndex(index, tuple(index.tokens()))
+
+
+def doc_sets(index) -> dict[bytes, frozenset[str]]:
+    """Each token's set of documents, for oracles.algorithm_centers."""
+    return {token: frozenset(doc for doc, _ in postings) for token, postings in index.entries.items()}
 
 
 def entry(matrix, row_label, col_label) -> float:

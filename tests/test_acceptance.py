@@ -28,6 +28,7 @@ from cipherclust.search import build_abstracts, prune, search
 from conftest import (
     EXAMPLE_DOCS,
     EXAMPLE_FREQS,
+    doc_sets,
     entry,
     keep_all,
     random_index,
@@ -184,10 +185,9 @@ def test_criterion_04_oracle_equivalence():
             assert np.allclose(mats["C"].mat.toarray(), dense_c, atol=1e-9)
 
             diag = {t: float(v) for t, v in zip(mats["C"].row_labels, mats["C"].mat.diagonal())}
-            doc_sets = {t: index.doc_set(t) for t in tokens}
             est = estimate_k(mats["C"])
             for k in {1, est.k, len(tokens)}:
-                assert choose_centers(k, mats["C"], index) == algorithm_centers(k, diag, doc_sets)
+                assert choose_centers(k, mats["C"], index) == algorithm_centers(k, diag, doc_sets(index))
 
             n_centers = int(rng.integers(1, min(5, len(tokens)) + 1))
             centers = [tokens[i] for i in rng.choice(len(tokens), size=n_centers, replace=False)]
@@ -207,7 +207,7 @@ def test_criterion_05_partition_property():
             n_centers = int(rng.integers(1, len(tokens) + 1))
             centers = [tokens[i] for i in rng.choice(len(tokens), size=n_centers, replace=False)]
             clusters = distribute(index, centers)
-            seen = clusters.all_tokens()
+            seen = [token for cluster in clusters.clusters for token in cluster.tokens]
             assert len(seen) == len(set(seen)) == index.token_count
             assert set(seen) == set(tokens)
             non_centers = [t for t in seen if t not in centers]
@@ -331,7 +331,7 @@ def test_criterion_10_desk_scale_throughput():
         assert est is not None and 1 <= est.k <= est.m
         assert clusters.k_used <= est.k
         assert len(abstracts) == clusters.k_used
-        seen = clusters.all_tokens()
+        seen = [token for cluster in clusters.clusters for token in cluster.tokens]
         assert len(seen) == len(set(seen)) == 10_000
         print(f"    k={est.k} k_used={clusters.k_used} elapsed={elapsed:.1f}s")
         assert elapsed < 60.0

@@ -1,5 +1,4 @@
 import json
-import math
 import re
 
 import numpy as np
@@ -10,20 +9,19 @@ from hypothesis import strategies as st
 from cipherclust.clustering import (
     Cluster,
     ClusteringError,
-    centrality,
     choose_centers,
+    choose_centers_from_diagonal,
     cluster_index,
     cooccurring_pairs,
     distribute,
     read_clusters,
-    uniqueness,
     write_clusters,
 )
 from cipherclust.crypto import IdentityTokenCodec
 from cipherclust.index import IndexDataError, build_index_from_corpus, ingest, trim
 from cipherclust.matrices import estimate_k, frequency_matrix, matrix_pipeline
 
-from conftest import EXAMPLE_FREQS, keep_all, random_index, records_from_freqs, structured_freqs
+from conftest import EXAMPLE_FREQS, doc_sets, keep_all, random_index, records_from_freqs, structured_freqs
 from oracles import (
     algorithm_centers,
     assignment_matches,
@@ -41,34 +39,102 @@ def example_C(example_index):
     return matrix_pipeline(keep_all(example_index))["C"]
 
 
+def select(k, freqs, diag):
+    """choose_centers_from_diagonal over every token of freqs, checked against oracles.algorithm_centers.
+
+    freqs maps token -> {doc: frequency}, diag token -> c_ii.
+    """
+    index = ingest(records_from_freqs(freqs))
+    tokens = index.tokens()
+    got = choose_centers_from_diagonal(
+        k, tokens, np.array([diag[t] for t in tokens]), frequency_matrix(index, tokens)
+    )
+    assert got == algorithm_centers(k, diag, doc_sets(index))
+    return got
+
+
+def spread_over(*docs):
+    return {doc: 1 for doc in docs}
+
+
 class TestUniqueness:
-    def test_empty_coverage_is_infinite(self, example_index):
-        assert uniqueness(b"Uh5W", set(), example_index) == math.inf
+    """Admission: a token enters when more of its documents are new than already covered."""
+
+    def test_empty_coverage_is_infinite(self):
+        # disjoint tokens: nothing is covered when each is visited, so every omega is infinite and
+        # the ranking is by degree, then bytes, whatever the separation factors
+        freqs = {b"a": spread_over("d1", "d2", "d3"), b"b": spread_over("d4"), b"c": spread_over("d5")}
+        assert select(3, freqs, {b"a": 0.1, b"b": 0.9, b"c": 0.5}) == [b"a", b"b", b"c"]
 
     def test_ratio(self):
-        idx = ingest([("d1", [(b"t", 1)]), ("d2", [(b"t", 1)]), ("d3", [(b"t", 1)])])
-        assert uniqueness(b"t", {"d3"}, idx) == 2.0
+        # b: one of three documents covered, omega = 2, admitted with a finite score
+        freqs = {b"a": spread_over("d1", "d2", "d3", "d4"), b"b": spread_over("d4", "d5", "d6")}
+        assert select(2, freqs, {b"a": 0.5, b"b": 0.5}) == [b"a", b"b"]
+
+    def test_ratio_of_one_is_not_admitted(self):
+        # b: one document covered, one new, omega = 1
+        freqs = {b"a": spread_over("d1", "d2"), b"b": spread_over("d2", "d3")}
+        assert select(2, freqs, {b"a": 0.5, b"b": 0.5}) == [b"a"]
 
     def test_fully_covered_is_zero(self):
-        idx = ingest([("d1", [(b"t", 1)])])
-        assert uniqueness(b"t", {"d1", "d2"}, idx) == 0.0
+        freqs = {b"a": spread_over("d1", "d2", "d3"), b"b": spread_over("d1", "d2")}
+        assert select(2, freqs, {b"a": 0.5, b"b": 0.5}) == [b"a"]
 
     def test_unknown_token(self, example_index):
+        # C's tokens must be the index's
+        other = ingest([("d1", [(b"zzz", 1)])])
         with pytest.raises(KeyError):
-            uniqueness(b"zzz", set(), example_index)
+            choose_centers(1, matrix_pipeline(keep_all(other))["C"], example_index)
 
 
 class TestCentrality:
+    """Ranking: phi = omega * c_ii * (1 - c_ii), with an infinite omega giving inf, or 0 at no spread."""
+
     def test_plain_product(self):
-        assert centrality(2.0, 0.5) == pytest.approx(0.5)
+        # u covers d3, d4; w: omega 3, spread 0.1875, phi 0.5625; t: omega 2, spread 0.25, phi 0.5.
+        # By spread alone t would lead.
+        freqs = {
+            b"u": spread_over("d3", "d4", "d5", "d6"),
+            b"w": spread_over("d4", "d7", "d8", "d9"),
+            b"t": spread_over("d1", "d2", "d3"),
+        }
+        assert select(3, freqs, {b"u": 0.5, b"w": 0.25, b"t": 0.5}) == [b"u", b"w", b"t"]
 
     @pytest.mark.parametrize("c_ii", [0.0, 1.0])
     def test_boundary_separation_kills_score(self, c_ii):
-        assert centrality(5.0, c_ii) == 0.0
-        assert centrality(math.inf, c_ii) == 0.0
+        # p (infinite omega) and s (omega 2) both score phi = 0 and rank after q's finite phi = 0.5
+        freqs = {
+            b"p": spread_over("d1", "d2", "d3"),
+            b"q": spread_over("d3", "d4", "d5"),
+            b"s": spread_over("d1", "d7", "d8"),
+            b"r": spread_over("d6"),
+        }
+        diag = {b"p": c_ii, b"q": 0.5, b"s": c_ii, b"r": 0.3}
+        assert select(4, freqs, diag) == [b"r", b"q", b"p", b"s"]
+        assert select(2, freqs, diag) == [b"r", b"q"]
 
     def test_infinite_uniqueness(self):
-        assert centrality(math.inf, 0.3) == math.inf
+        # z has a tiny spread but an infinite omega: it outranks y's finite phi despite its degree
+        freqs = {
+            b"x": spread_over("d1", "d2", "d3", "d4"),
+            b"y": spread_over("d4", "d5", "d6"),
+            b"z": spread_over("d7"),
+        }
+        assert select(3, freqs, {b"x": 0.5, b"y": 0.5, b"z": 0.01}) == [b"x", b"z", b"y"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_transliteration(self, data):
+        tokens = data.draw(st.lists(st.binary(min_size=1, max_size=2), min_size=1, max_size=10, unique=True))
+        n_docs = data.draw(st.integers(1, 8))
+        freqs = {
+            t: data.draw(st.dictionaries(st.sampled_from([f"d{j}" for j in range(n_docs)]),
+                                         st.integers(1, 9), min_size=1))
+            for t in tokens
+        }
+        c_ii = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+        diag = {t: data.draw(c_ii) for t in tokens}
+        select(data.draw(st.integers(1, len(tokens) + 1)), freqs, diag)
 
 
 class TestChooseCenters:
@@ -86,8 +152,7 @@ class TestChooseCenters:
     def test_worked_example_matches_transliteration(self, example_index):
         c = example_C(example_index)
         diag = {t: float(v) for t, v in zip(c.row_labels, c.mat.diagonal())}
-        doc_sets = {t: example_index.doc_set(t) for t in example_index.tokens()}
-        want = algorithm_centers(3, diag, doc_sets)
+        want = algorithm_centers(3, diag, doc_sets(example_index))
         got = choose_centers(3, c, example_index)
         assert got == want == [b"Uh5W"]  # the coverage gate admits only one
 
@@ -106,9 +171,8 @@ class TestChooseCenters:
             index, _ = random_index(rng, int(rng.integers(2, 30)), int(rng.integers(2, 15)))
             c = matrix_pipeline(keep_all(index))["C"]
             diag = {t: float(v) for t, v in zip(c.row_labels, c.mat.diagonal())}
-            doc_sets = {t: index.doc_set(t) for t in index.tokens()}
             for k in (1, 3, index.token_count):
-                assert choose_centers(k, c, index) == algorithm_centers(k, diag, doc_sets)
+                assert choose_centers(k, c, index) == algorithm_centers(k, diag, doc_sets(index))
 
 
 class TestRelatednessMetrics:
@@ -202,7 +266,7 @@ class TestDistribute:
             tokens = index.tokens()
             centers = tokens[: int(rng.integers(1, len(tokens) + 1))]
             cs = distribute(index, centers)
-            seen = cs.all_tokens()
+            seen = [token for cluster in cs.clusters for token in cluster.tokens]
             assert len(seen) == len(set(seen)) == index.token_count
             assert set(seen) == set(tokens)
 
@@ -323,7 +387,7 @@ class TestClusterIndexAndFiles:
         assert est.trace == pytest.approx(1.870690690435894, abs=1e-9)
         assert est.k == 2 and est.m == 3
         assert cs.k_used <= est.k
-        assert set(cs.all_tokens()) == set(example_index.tokens())
+        assert set(cs.cluster_of) == set(example_index.tokens())
 
     def test_fixed_k_still_returns_estimate(self, example_index):
         cs, est = cluster_index(example_index, k=2)
@@ -338,7 +402,7 @@ class TestClusterIndexAndFiles:
         assert [(c.center, c.tokens) for c in again.clusters] == [
             (c.center, c.tokens) for c in cs.clusters
         ]
-        assert again.index.triples() == example_index.triples()
+        assert again.index.entries == example_index.entries
 
     def test_serialization_is_deterministic(self, tmp_path, example_index):
         cs, _ = cluster_index(example_index, k="auto")

@@ -57,6 +57,13 @@ class TestLoadEmbeddings:
         with pytest.raises(EvaluationError):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("component", ["abc", "nan", "inf", "-inf", "1e999"])
+    def test_non_finite_component_rejected(self, tmp_path, component):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"a 1.0 0.5\nfoo 1.0 {component}\n")
+        with pytest.raises(EvaluationError, match=re.escape(f"{path}:2: vector of 'foo'")):
+            load_embeddings(path)
+
     def test_bundled_table(self, embeddings_path):
         table = load_embeddings(embeddings_path)
         assert table.dimension == 8
@@ -214,7 +221,7 @@ class TestStaticBaseline:
     def test_k_fixed_1_single_cluster(self, example_index):
         cs, _ = cluster_index(example_index, k=1)
         assert cs.k_used == 1
-        assert set(cs.all_tokens()) == set(example_index.tokens())
+        assert set(cs.cluster_of) == set(example_index.tokens())
 
     def test_enough_admissible_tokens_gives_exactly_k(self):
         records = [(f"d{i:02d}", [(f"t{i:02d}".encode(), 2)]) for i in range(12)]

@@ -20,6 +20,7 @@ from cipherclust.index import (
     write_index,
     write_lines,
 )
+from cipherclust.matrices import frequency_matrix
 
 from conftest import EXAMPLE_DOCS, EXAMPLE_FREQS, keep_all, random_freqs, random_index, records_from_freqs
 
@@ -122,38 +123,39 @@ def test_ingest_round_trips_triples(data):
         )
         freqs[token] = {f"d{j}": data.draw(st.integers(1, 9)) for j in docs}
     idx = ingest(records_from_freqs(freqs))
-    got = {(t, d, f) for t, d, f in idx.triples()}
+    got = {(t, d, f) for t, postings in idx.entries.items() for d, f in postings}
     want = {(t, d, f) for t, by in freqs.items() for d, f in by.items()}
     assert got == want
 
 
 class TestDocCooccurrence:
-    """A token's document co-occurrence is the size of its document set."""
+    """A token's document co-occurrence is its posting count: its row length in the frequency matrix."""
+
+    @staticmethod
+    def degrees(index, tokens):
+        return np.diff(frequency_matrix(index, tokens).indptr).tolist()
 
     def test_worked_example(self, example_index):
-        assert len(example_index.doc_set(b"Uh5W")) == 4
-        assert len(example_index.doc_set(b"oR1r")) == 2
+        assert self.degrees(example_index, [b"Uh5W", b"oR1r"]) == [4, 2]
 
     def test_single_posting(self):
         idx = ingest([("d1", [(b"T", 1)])])
-        assert len(idx.doc_set(b"T")) == 1
+        assert self.degrees(idx, [b"T"]) == [1]
 
     def test_unknown_token(self, example_index):
         with pytest.raises(KeyError):
-            example_index.doc_set(b"nope")
+            frequency_matrix(example_index, [b"nope"])
 
 
 class TestTrim:
     def test_worked_example(self, example_index):
-        trimmed = trim(example_index)
-        assert trimmed.mean_doc_cooccurrence == pytest.approx(3.4)
-        assert set(trimmed.kept) == {b"Uh5W", b"vJHZ", b"tH7c"}
-        assert set(trimmed.excluded) == {b"/Vdn", b"oR1r"}
+        # document counts 4, 3, 2, 4, 4: mean 3.4, so /Vdn and oR1r go
+        assert trim(example_index).kept == (b"Uh5W", b"tH7c", b"vJHZ")
 
     def test_equal_counts_keep_everything(self):
         idx = ingest([("d1", [(b"a", 1), (b"b", 2)]), ("d2", [(b"a", 1), (b"b", 1)])])
         trimmed = trim(idx)
-        assert set(trimmed.kept) == {b"a", b"b"} and not trimmed.excluded
+        assert trimmed.kept == (b"a", b"b")
 
     def test_single_token(self):
         idx = ingest([("d1", [(b"only", 2)])])
@@ -163,13 +165,11 @@ class TestTrim:
         rng = np.random.default_rng(11)
         for _ in range(25):
             idx, _ = random_index(rng, int(rng.integers(1, 30)), int(rng.integers(1, 15)))
-            trimmed = trim(idx)
-            assert sorted(trimmed.kept + trimmed.excluded) == idx.tokens()
-            assert trimmed.kept
-            for token in trimmed.kept:
-                assert len(idx.entries[token]) >= trimmed.mean_doc_cooccurrence
-            for token in trimmed.excluded:
-                assert len(idx.entries[token]) < trimmed.mean_doc_cooccurrence
+            counts = {token: len(postings) for token, postings in idx.entries.items()}
+            mean = sum(counts.values()) / len(counts)
+            kept = trim(idx).kept
+            assert kept
+            assert kept == tuple(token for token in idx.tokens() if counts[token] >= mean)
 
     def test_keep_all(self, example_index):
         assert len(keep_all(example_index).kept) == 5
@@ -180,7 +180,7 @@ class TestIndexFile:
         path = tmp_path / "index.tsv"
         write_index(example_index, path)
         again = read_index(path)
-        assert again.triples() == example_index.triples()
+        assert again.entries == example_index.entries
 
     def test_tokens_sorted_by_ciphertext_bytes(self, tmp_path):
         idx = ingest([("d1", [(b"\x01", 1), (b"zz", 2), (b"+a", 3)])])
@@ -275,6 +275,44 @@ class TestKeywordFile:
         path.write_text("doc1\tnet\n")
         with pytest.raises(IndexDataError):
             read_keyword_file(path)
+
+    @staticmethod
+    def rejects(tmp_path, second_line, message):
+        """The second of two lines is rejected with path:2 and message."""
+        path = tmp_path / "kw.tsv"
+        path.write_text("doc1\tnet:3\n" + second_line + "\n", encoding="utf-8")
+        with pytest.raises(IndexDataError, match=re.escape(f"{path}:2: {message}")):
+            read_keyword_file(path)
+
+    @pytest.mark.parametrize("freq", ["+3", "1_0", "\u0663", "abc", " 3", "3 ", "-1", ""])
+    def test_frequency_not_ascii_digits(self, tmp_path, freq):
+        self.rejects(tmp_path, f"doc2\tfoo:{freq}", f"frequency {freq!r} of 'foo' is not an integer >= 1")
+
+    @pytest.mark.parametrize("freq", ["0", "00"])
+    def test_frequency_below_one(self, tmp_path, freq):
+        self.rejects(tmp_path, f"doc2\tfoo:{freq}", f"frequency {freq!r} of 'foo' is not an integer >= 1")
+
+    def test_term_empty_once_normalized(self, tmp_path):
+        self.rejects(tmp_path, "doc2\tfoo:1,  :2", "term '  ' is empty once normalized")
+
+    def test_term_given_twice(self, tmp_path):
+        # terms are compared as normalized: Foo and foo are one token
+        self.rejects(tmp_path, "doc2\tfoo:1,bar:2,Foo:1", "term 'foo' is given twice")
+
+    @pytest.mark.parametrize("doc_id, message", [
+        ("", "document id must be non-empty"),
+        ("doc,2", "document id 'doc,2' contains reserved characters"),
+    ])
+    def test_doc_id_rejected_by_ingest(self, tmp_path, doc_id, message):
+        self.rejects(tmp_path, f"{doc_id}\tfoo:1", message)
+
+    def test_doc_id_repeated(self, tmp_path):
+        self.rejects(tmp_path, "doc1\tfoo:1", "document id 'doc1' is also on line 1")
+
+    def test_leading_zero_and_normalization_accepted(self, tmp_path):
+        path = tmp_path / "kw.tsv"
+        path.write_text("doc1\t Net :03,cake:1\ndoc2\t\n")
+        assert read_keyword_file(path) == [("doc1", [("net", 3), ("cake", 1)]), ("doc2", [])]
 
 
 class CountingCodec(IdentityTokenCodec):

@@ -14,8 +14,8 @@ from cipherclust.matrices import (
     estimate_k_from_diagonal,
     frequency_matrix,
     matrix_pipeline,
+    c_diagonal,
     separation_diagonal,
-    separation_factors,
 )
 
 from conftest import (
@@ -163,8 +163,7 @@ class TestBuildA:
         assert entry(a, b"t", "d2") == 0.0
 
     def test_empty_kept_rejected(self, example_index):
-        bad = TrimmedIndex(index=example_index, kept=(), excluded=tuple(example_index.tokens()),
-                           mean_doc_cooccurrence=1.0)
+        bad = TrimmedIndex(index=example_index, kept=())
         with pytest.raises(MatrixError):
             matrix_pipeline(bad)
 
@@ -223,10 +222,13 @@ class TestEstimateK:
         assert est.k == 1
 
     def test_separation_factors_match_diagonal(self, example_index):
+        # the chain's C diagonal, row by row, is the diagonal the build computes from F
         mats = matrix_pipeline(keep_all(example_index))
-        sep = separation_factors(mats["C"])
-        for i, token in enumerate(mats["C"].row_labels):
-            assert sep[token] == mats["C"].mat.diagonal()[i]
+        tokens = mats["C"].row_labels
+        want = separation_diagonal(frequency_matrix(example_index, tokens))
+        assert np.array_equal(c_diagonal(mats["C"]), want)
+        for i in range(len(tokens)):
+            assert c_diagonal(mats["C"])[i] == mats["C"].mat[i, i]
 
     @pytest.mark.parametrize("name", ["A", "S"])
     def test_only_C_is_accepted(self, example_index, name):
@@ -235,7 +237,7 @@ class TestEstimateK:
         with pytest.raises(MatrixError):
             estimate_k(wrong)
         with pytest.raises(MatrixError):
-            separation_factors(wrong)
+            c_diagonal(wrong)
         with pytest.raises(MatrixError):
             choose_centers(1, wrong, example_index)
 

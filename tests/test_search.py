@@ -12,7 +12,9 @@ from cipherclust import search as search_module
 from cipherclust.search import (
     HEAP_FLOOR_RATIO,
     Abstract,
+    Abstracts,
     SearchResult,
+    SharedTokenError,
     build_abstracts,
     format_results,
     prune,
@@ -80,25 +82,25 @@ class TestPrune:
         assert prune([b"unknown"], abstracts, c=3) == [0, 1]
 
     def test_top_c_by_score(self):
-        abstracts = [
+        abstracts = Abstracts((
             Abstract(cluster_id=0, entries=((b"q0", 5),)),
             Abstract(cluster_id=1, entries=((b"q1", 3),)),
             Abstract(cluster_id=2, entries=((b"q2", 1),)),
-        ]
+        ))
         assert prune([b"q0", b"q1", b"q2"], abstracts, c=2) == [0, 1]
 
     def test_token_in_two_abstracts_rejected(self):
         # no token is in two clusters, so none can be in two abstracts
-        abstracts = [
+        abstracts = (
             Abstract(cluster_id=0, entries=((b"q", 5),)),
             Abstract(cluster_id=1, entries=((b"q", 3),)),
-        ]
-        with pytest.raises(ValueError, match="token cQ== is in the abstracts of clusters 0 and 1"):
-            prune([b"q"], abstracts, c=2)
+        )
+        with pytest.raises(SharedTokenError, match="token cQ== is in the abstracts of clusters 0 and 1"):
+            Abstracts(abstracts)
 
     def test_c_must_be_positive(self):
         with pytest.raises(ValueError):
-            prune([b"q"], [], c=0)
+            prune([b"q"], Abstracts(()), c=0)
 
 
 class TestSearch:
@@ -351,7 +353,7 @@ def query_fixtures(draw):
     a = draw(st.integers(1, len(tokens) + 1))
     order = draw(st.permutations(range(k)))
     built = build_abstracts(cs, a)
-    abstracts = [built[cid] for cid in order]
+    abstracts = Abstracts(tuple(built[cid] for cid in order))
     unknown = st.binary(min_size=1, max_size=3).filter(lambda t: t not in freqs)
     query = draw(st.lists(st.one_of(st.sampled_from(tokens), unknown), max_size=6))
     return cs, abstracts, query, draw(unknown)
