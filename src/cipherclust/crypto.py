@@ -56,6 +56,23 @@ def normalize_term(word: str) -> str:
     return word.strip().lower()
 
 
+# Every byte outside [a-z0-9] becomes a space.
+SEPARATORS = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789" else 32 for b in range(256))
+
+
+def words(text: str) -> list[str]:
+    """The words of a text: its maximal runs of [a-z0-9] after lower().
+
+    This is the tokenizer rule, equal to re.findall("[a-z0-9]+", text.lower()).
+    Every character outside [a-z0-9] separates words, so a non-ASCII
+    character left by lower() is encoded as "?" and then translated to a
+    space with the rest; a character whose lower case is ASCII, such as
+    U+212A KELVIN SIGN, still gives its letter. All the per-character work
+    runs in C.
+    """
+    return text.lower().encode("ascii", "replace").translate(SEPARATORS).decode("ascii").split()
+
+
 class TokenCodec:
     """Deterministic word -> CipherToken mapping; subclasses plug in schemes."""
 

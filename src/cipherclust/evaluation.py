@@ -51,16 +51,21 @@ class EmbeddingTable:
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Parse the plain-text `word v1 ... vd` format.
 
-    Rejected with path:lineno: a line with no components, a dimension other
-    than the first line's, and a component that is not a finite number.
+    Words are lower-cased. Rejected with path:lineno: a line with no
+    components, a dimension other than the first line's, a component that is
+    not a finite number and a word repeated, once lower-cased, on a later line.
     """
     import numpy as np
 
     vectors: dict[str, np.ndarray] = {}
+    first_line: dict[str, int] = {}
     dimension: int | None = None
     for lineno, line in data_lines(path):
         parts = line.split()
         word = parts[0].lower()
+        if word in first_line:
+            raise EvaluationError(f"{path}:{lineno}: word {word!r} is also on line {first_line[word]}")
+        first_line[word] = lineno
         try:
             vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
         except ValueError as exc:
@@ -293,15 +298,24 @@ def load_judgments(path: str | Path) -> dict[tuple[str, str], int]:
 
 
 def load_queries(path: str | Path) -> list[tuple[str, str]]:
-    """TSV `queryId<TAB>query text`."""
+    """TSV `queryId<TAB>query text`.
+
+    Rejected with path:lineno: a line without exactly one tab and a query id
+    repeated on a later line.
+    """
     queries = []
+    first_line: dict[str, int] = {}
     for lineno, line in data_lines(path):
         if line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise EvaluationError(f"{path}:{lineno}: expected queryId<TAB>query text")
-        queries.append((parts[0], parts[1]))
+        query_id = parts[0]
+        if query_id in first_line:
+            raise EvaluationError(f"{path}:{lineno}: query id {query_id!r} is also on line {first_line[query_id]}")
+        first_line[query_id] = lineno
+        queries.append((query_id, parts[1]))
     return queries
 
 

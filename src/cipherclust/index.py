@@ -2,7 +2,8 @@
 
 The index is the system's source of truth: a map from encrypted token to a
 posting list of (document id, frequency). Frequencies stay plaintext; only
-token identities are ciphertext.
+token identities are ciphertext. A document's terms are its crypto.words,
+which states the tokenizer rule.
 
 A posting is a plain `(doc, frequency)` tuple and a posting list a plain
 tuple of them, sorted by document id. CPython's garbage collector stops
@@ -17,10 +18,12 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import filterfalse
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .crypto import CipherToken, TokenCodec, normalize_term, token_from_b64, token_to_b64
+from .crypto import CipherToken, TokenCodec, normalize_term, token_from_b64, token_to_b64, words
 
 
 class IndexDataError(ValueError):
@@ -37,8 +40,6 @@ _BAD_DOC_CHARS = re.compile(r"[\t\n\r:,]")
 # [0-9], not \d: int() would also accept non-ASCII digits.
 _POSTING = r"[^\t:,]+:[1-9][0-9]*"
 _POSTING_FIELD = re.compile(f"{_POSTING}(?:,{_POSTING})*")
-
-_WORD = re.compile(r"[a-z0-9]+")
 
 DEFAULT_STOPWORDS = frozenset(
     """a about above after again all also an and any are as at be because been
@@ -91,15 +92,22 @@ def extract_keywords(
 ) -> list[tuple[str, int]]:
     """Top-n non-stopword terms of a document by in-document frequency.
 
-    Stopwords must already be normalized (lower case, no surrounding
-    whitespace). Ties break lexicographically; the same n must be used for
-    every document of a corpus.
+    Terms are crypto.words of the text. Stopwords must already be normalized
+    (lower case, no surrounding whitespace). Ties break lexicographically;
+    the same n must be used for every document of a corpus.
+
+    Only terms whose count reaches the n-th largest count are sorted, by
+    term and then stably by count, descending: the (-count, term) order,
+    with both sorts keyed in C.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    counts = Counter(t for t in _WORD.findall(document_text.lower()) if t not in stopwords)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:n]
+    counts = Counter(filterfalse(stopwords.__contains__, words(document_text)))
+    items = counts.items()
+    if len(counts) > n:
+        floor = sorted(counts.values(), reverse=True)[n - 1]
+        items = [kv for kv in items if kv[1] >= floor]
+    return sorted(sorted(items), key=itemgetter(1), reverse=True)[:n]
 
 
 def check_doc_id(doc_id: str, where: str = "") -> None:
@@ -165,7 +173,7 @@ def build_index_from_corpus(
 
     The file name (without extension) becomes the document id. Each file is
     read once, as bytes, and decoded as UTF-8; line endings are kept, which
-    no `[a-z0-9]+` token can tell apart. If a digest is given, each file's
+    no word (crypto.words) can tell apart. If a digest is given, each file's
     name and bytes are fed to it as read, in file name order, each followed
     by a NUL byte, so it covers exactly the bytes that were indexed.
     """

@@ -7,9 +7,18 @@ they verify.
 from __future__ import annotations
 
 import math
+import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+
+
+def sorted_keywords(text: str, n: int, stopwords) -> list[tuple[str, int]]:
+    """Top-n non-stopword `[a-z0-9]+` terms of the lower-cased text by count,
+    ties by term: every term counted, then one sort on (-count, term)."""
+    counts = Counter(t for t in re.findall("[a-z0-9]+", text.lower()) if t not in stopwords)
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
 
 
 def dense_pipeline(a: list[list[float]]):

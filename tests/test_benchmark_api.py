@@ -19,7 +19,7 @@ from cipherclust.clustering import choose_centers, cluster_index, distribute, re
 from cipherclust.crypto import IdentityTokenCodec, KeyedTokenCodec, encrypt_query, load_key
 from cipherclust.evaluation import load_queries
 from cipherclust.config import PipelineConfig
-from cipherclust.index import build_index_from_corpus, ingest, trim
+from cipherclust.index import DEFAULT_STOPWORDS, build_index_from_corpus, extract_keywords, ingest, trim
 from cipherclust.matrices import estimate_k, matrix_pipeline
 from cipherclust.search import prune, read_abstracts, search
 
@@ -84,6 +84,19 @@ def test_serve_sequence_matches_scan_reference(tmp_path, mini_corpus_dir, querie
         for chosen in (selected, everything):
             ranked = [list(r) for r in search(tokens, clusters, chosen, top).ranked]
             assert ranked == [list(r) for r in scan_search(tokens, cluster_tokens, postings, chosen, top)], text
+
+
+def test_traced_extraction_call_shape(mini_corpus_dir):
+    """child.py's index.input span calls extract_keywords(text, n, DEFAULT_STOPWORDS) per document,
+    as build_index_from_corpus does, so index.input_s times the extraction the pipeline runs."""
+    n = PipelineConfig.keywords_per_doc
+    extracted = set()
+    for path in sorted(mini_corpus_dir.glob("*.txt")):
+        out = extract_keywords(path.read_text(encoding="utf-8"), n, DEFAULT_STOPWORDS)
+        assert type(out) is list and 0 < len(out) <= n
+        assert all(type(kv) is tuple and len(kv) == 2 and type(kv[0]) is str and type(kv[1]) is int for kv in out)
+        extracted.update(term.encode() for term, _ in out)
+    assert set(build_index_from_corpus(mini_corpus_dir, IdentityTokenCodec(), n).entries) == extracted
 
 
 def check_build_adapters(index):

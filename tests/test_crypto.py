@@ -1,4 +1,5 @@
 import base64
+import re
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from cipherclust.crypto import (
     normalize_term,
     token_from_b64,
     token_to_b64,
+    words,
 )
 
 KEY_A = SecretKey(bytes(range(32)))
 KEY_B = SecretKey(bytes(range(1, 33)))
 
-words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=24)
+plain_words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=24)
 
 
 class TestKeyedCodec:
@@ -59,7 +61,7 @@ class TestIdentityCodec:
         token = IdentityTokenCodec().encrypt_token("net")
         assert base64.b64decode(token_to_b64(token)).decode() == "net"
 
-    @given(word=words)
+    @given(word=plain_words)
     def test_round_trip(self, word):
         codec = IdentityTokenCodec()
         assert codec.encrypt_token(word).decode("utf-8") == word
@@ -114,3 +116,28 @@ def test_normalize_term_idempotent(word):
 @given(token=st.binary(min_size=1, max_size=40))
 def test_b64_round_trip(token):
     assert token_from_b64(token_to_b64(token)) == token
+
+
+class TestWords:
+    """words(text) is re.findall("[a-z0-9]+", text.lower()) for every str."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("", []),
+        ("\u212a\u212aelvin", ["kkelvin"]),  # KELVIN SIGN lower-cases to ASCII k
+        ("\u0130stanbul", ["i", "stanbul"]),  # lower() gives i + U+0307, a separator
+        ("line\u2028sep", ["line", "sep"]),
+        ("next\u0085line", ["next", "line"]),
+        ("nul\x00byte", ["nul", "byte"]),
+        ("cr\rlf\r\n", ["cr", "lf"]),
+        ("lone\ud800surrogate", ["lone", "surrogate"]),
+        ("Stra\u00dfe \ufb01ne x\u0663y 12ab", ["stra", "e", "ne", "x", "y", "12ab"]),
+    ])
+    def test_cases(self, text, expected):
+        assert words(text) == expected == re.findall("[a-z0-9]+", text.lower())
+
+    @given(text=st.one_of(
+        st.text(),
+        st.text(alphabet=st.one_of(st.characters(), st.sampled_from("aZ9 -\r\x0b\x00\u0085\u2028\u0130\u212a\u00df\ufb01"))),
+    ))
+    def test_equals_regex_on_lowered_text(self, text):
+        assert words(text) == re.findall("[a-z0-9]+", text.lower())

@@ -64,6 +64,12 @@ class TestLoadEmbeddings:
         with pytest.raises(EvaluationError, match=re.escape(f"{path}:2: vector of 'foo'")):
             load_embeddings(path)
 
+    def test_word_repeated_after_lower_case_rejected(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("Alpha 1 0\n\nbeta 1 1\nalpha 0 1\n")
+        with pytest.raises(EvaluationError, match=re.escape(f"{path}:4: word 'alpha' is also on line 1")):
+            load_embeddings(path)
+
     def test_bundled_table(self, embeddings_path):
         table = load_embeddings(embeddings_path)
         assert table.dimension == 8
@@ -275,6 +281,12 @@ class TestFilesAndBenchmark:
         queries = load_queries(queries_path)
         assert len(queries) == 10
         assert all(g in (0, 1, 2) for g in judgments.values())
+
+    def test_repeated_query_id_rejected(self, tmp_path):
+        path = tmp_path / "q.tsv"
+        path.write_text("q1\tnet router\n# note\nq2\tdough\nq1\tgravy\n")
+        with pytest.raises(EvaluationError, match=re.escape(f"{path}:4: query id 'q1' is also on line 1")):
+            load_queries(path)
 
     def test_bad_grade_rejected(self, tmp_path):
         path = tmp_path / "j.tsv"

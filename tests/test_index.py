@@ -1,4 +1,5 @@
 import hashlib
+import random
 import re
 
 import numpy as np
@@ -23,6 +24,7 @@ from cipherclust.index import (
 from cipherclust.matrices import frequency_matrix
 
 from conftest import EXAMPLE_DOCS, EXAMPLE_FREQS, keep_all, random_freqs, random_index, records_from_freqs
+from oracles import sorted_keywords
 
 
 class TestExtractKeywords:
@@ -71,6 +73,52 @@ class TestExtractKeywords:
         assert len(out) <= n
         freqs = [f for _, f in out]
         assert freqs == sorted(freqs, reverse=True)
+
+
+def counted_text(counts: dict[str, int], seed: int) -> str:
+    """Each term written as often as its count, shuffled, in mixed case and separators."""
+    rng = random.Random(seed)
+    occurrences = [term for term, count in counts.items() for _ in range(count)]
+    rng.shuffle(occurrences)
+    return "".join(
+        (t.upper() if rng.random() < 0.3 else t) + rng.choice([" ", "\n", ", ", "-", ". ", "\u2028"])
+        for t in occurrences
+    )
+
+
+class TestExtractKeywordsAgainstSort:
+    """extract_keywords equals the count-everything-then-sort reference, oracles.sorted_keywords."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_ties_at_the_nth_count(self, n):
+        # 6 terms at 4, 20 at 3, 15 at 2, 10 at 1: the n-th count is tied for most n
+        counts = {f"t{i:02d}": 4 if i < 6 else 3 if i < 26 else 2 if i < 41 else 1 for i in range(51)}
+        text = counted_text(counts, n)
+        stop = set(random.Random(-n).sample(sorted(counts), n % 5))
+        got = extract_keywords(text, n, stop)
+        assert got == sorted_keywords(text, n, stop)
+        assert len(got) == n
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_exactly_n_and_fewer_than_n_terms(self, n):
+        for distinct in (n, n - 1):
+            counts = {f"w{i}": 1 + i % 3 for i in range(distinct)}
+            text = counted_text(counts, n)
+            got = extract_keywords(text, n, set())
+            assert got == sorted_keywords(text, n, set())
+            assert len(got) == distinct
+
+    @given(
+        terms=st.lists(st.text(alphabet="abAB0\u212a", min_size=1, max_size=3), max_size=60),
+        separators=st.text(alphabet=" ,.\n\u00e9\u2028", min_size=1, max_size=2),
+        n=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_random_texts_and_stopwords(self, terms, separators, n, data):
+        text = separators.join(terms)
+        vocabulary = sorted({t.lower() for t in terms})
+        stop = data.draw(st.sets(st.sampled_from(vocabulary))) if vocabulary else set()
+        assert extract_keywords(text, n, frozenset(stop)) == sorted_keywords(text, n, stop)
 
 
 class TestIngest:
