@@ -129,10 +129,23 @@ def cmd_estimate_k(args) -> int:
     return 0
 
 
+def _warn_k_shortfall(clusters) -> None:
+    """One JSON line on stderr when fewer clusters were formed than targeted; artifacts are unchanged."""
+    target, used = clusters.k_requested, clusters.k_used
+    if used < target:
+        message = f"{used} of {target} target clusters formed: only {used} centers were admitted"
+        if used == 1:
+            message += "; every token is in one cluster, so pruning cannot narrow a search"
+        warning = {"warning": "KShortfall", "message": message, "k_target": target, "k_used": used,
+                   "single_cluster": used == 1}
+        print(json.dumps(warning), file=sys.stderr)
+
+
 def cmd_cluster(args) -> int:
     index = read_index(args.index)
     k = "auto" if args.k == "auto" else int(args.k)
     clusters, _ = cluster_index(index, k=k)
+    _warn_k_shortfall(clusters)
     write_clusters(clusters, args.out)
     return 0
 
@@ -230,6 +243,7 @@ def cmd_pipeline(args) -> int:
     write_index(index, index_path)
 
     clusters, est = cluster_index(index, k=config.k_mode)
+    _warn_k_shortfall(clusters)
     clusters_path = out_dir / "clusters.jsonl"
     write_clusters(clusters, clusters_path)
 
@@ -263,12 +277,21 @@ def cmd_pipeline(args) -> int:
 
 
 def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config) -> None:
-    """Re-read every artifact and check its format invariants."""
+    """Re-read every artifact and check it against what was built.
+
+    The index file and the clusters file's postings must equal the built
+    index entry for entry (a document with no keywords is in no posting, so
+    the clusters cannot give the index's documents). The clusters must
+    partition its tokens, and the abstracts must pair with the clusters and
+    keep to the configured size.
+    """
     if read_index(index_path).entries != index.entries:
         raise CLIError("index file round-trip mismatch")
     clusters = read_clusters(clusters_path)
     if clusters.cluster_of.keys() != index.entries.keys():
         raise CLIError("clusters file does not partition the index tokens")
+    if clusters.index.entries != index.entries:
+        raise CLIError("clusters file postings differ from the index")
     abstracts = read_abstracts(abstracts_path)
     check_pairing(abstracts, clusters, abstracts_path)
     for abstract in abstracts:

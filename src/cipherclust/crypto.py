@@ -107,13 +107,16 @@ class IdentityTokenCodec(TokenCodec):
 
 
 def encrypt_query(codec: TokenCodec, query: str) -> list[CipherToken]:
-    """Split a query on whitespace, normalize, encrypt; order kept, dupes dropped."""
+    """Encrypt the words of a query; order kept, duplicates dropped.
+
+    The words are those of words(), the rule documents are tokenized by, so
+    "Net-traffic!" finds the documents indexed under net and traffic.
+    Stopwords are kept: an index built with other stopwords may hold them,
+    and a token the index lacks matches nothing anyway.
+    """
     out: list[CipherToken] = []
     seen: set[CipherToken] = set()
-    for term in query.split():
-        term = normalize_term(term)
-        if not term:
-            continue
+    for term in words(query):
         token = codec.encrypt_token(term)
         if token not in seen:
             seen.add(token)

@@ -20,16 +20,34 @@ other lists' postings are added one by one. The cutoff-th best score is
 found by an integer sort of the scores, or by a heap of cutoff entries
 above HEAP_FLOOR_RATIO x cutoff scores, and only the documents that reach
 it get the keyed sort.
+
+A query whose longest selected list has clustering.LONG_LIST_POSTINGS or
+more postings is ranked by Fagin's threshold algorithm over impact views
+(ClusterSet.views, built at load): a dense frequency vector over positions
+in the sorted index.docs, and the list's positions by descending frequency,
+ties by position. The short lists are scored in full; the views are then
+read in batches from FIRST_BATCH, each half as large again as the last,
+until the cutoff-th best score is strictly above the sum of the frequencies
+at the read frontiers, or the views run out. Scoring runs in C over the
+dense vectors, and the ranking is exact, ties at the cutoff by document id.
+postings_touched counts the postings read: the short lists plus the
+impact-order entries read, not the long lists' lengths. Queries that touch
+no long list pay one length test.
 """
 from __future__ import annotations
 
 import heapq
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import compress, repeat
+from operator import add, getitem, lt, neg
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .clustering import ClusterSet
+from . import clustering
+from .clustering import ClusterSet, ImpactView
 from .crypto import CipherToken, token_from_b64, token_to_b64
 from .index import IndexDataError, data_lines, write_lines
 
@@ -37,6 +55,12 @@ from .index import IndexDataError, data_lines, write_lines
 # entries rather than a full sort. Measured on CPython 3.11, nlargest(cutoff) overtakes sorted at
 # about 55 scores per result for cutoffs 1-5, 40 for cutoff 10, 30 for 20-50 and 25 for 100-1000.
 HEAP_FLOOR_RATIO = 40
+
+# Documents read from each impact order in the threshold path's first batch; each later batch is
+# half as large again. Growing by half rather than doubling overshoots the stopping depth less: on
+# a 3,500-document text corpus the costliest queries stop at depths 89-121, which doubling batches
+# read to 224 and these to 152.
+FIRST_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -106,7 +130,8 @@ class Abstracts:
 class SearchResult:
     ranked: tuple[tuple[str, int], ...]  # (docId, score), best first
     clusters_searched: tuple[int, ...]
-    # postings added to the scores: the work done, which the ranking does not show
+    # postings read: the work done, which the ranking does not show (every posting of the selected
+    # lists, except that the threshold path reads the long lists only down to where it stops)
     postings_touched: int = field(default=0, compare=False)
 
 
@@ -159,7 +184,8 @@ def search(
 
     selected must name distinct cluster ids in 0..k_used-1 and cutoff must be
     >= 1. Only documents scoring at least the cutoff-th best score are
-    sorted, so ties at the cutoff rank as in a full sort.
+    sorted, so ties at the cutoff rank as in a full sort. A query touching a
+    list with an impact view takes the threshold path, _threshold_top.
     """
     if cutoff < 1:
         raise ValueError(f"result cutoff must be >= 1, got {cutoff}")
@@ -176,14 +202,25 @@ def search(
         chosen.add(cid)
     cluster_of = clusters.cluster_of
     entries = clusters.index.entries
-    lists = [entries[t] for t in set(query_tokens) if cluster_of.get(t) in chosen]
+    query = set(query_tokens)
+    lists = [entries[t] for t in query if cluster_of.get(t) in chosen]
     lists.sort(key=len)
+    long: list[ImpactView] = []
+    if lists and len(lists[-1]) >= clustering.LONG_LIST_POSTINGS:
+        # the lists with a view are left to _threshold_top; the others are scored here
+        views = clusters.views
+        found = [t for t in query if cluster_of.get(t) in chosen]
+        long = [views[t] for t in found if t in views]
+        lists = sorted((entries[t] for t in found if t not in views), key=len)
     touched = sum(map(len, lists))
     # a document is in a token's postings at most once, so the longest list seeds the scores exactly
     scores: dict[str, int] = dict(lists.pop()) if lists else {}
     for postings in lists:
         for doc, freq in postings:
             scores[doc] = scores.get(doc, 0) + freq
+    if long:
+        ranked, read = _threshold_top(scores, long, clusters.index.docs, cutoff)
+        return SearchResult(ranked=ranked, clusters_searched=selected, postings_touched=touched + read)
     items = scores.items()
     if len(scores) > cutoff:
         if len(scores) > HEAP_FLOOR_RATIO * cutoff:
@@ -193,6 +230,57 @@ def search(
         items = [kv for kv in items if kv[1] >= floor]
     ranked = sorted(items, key=lambda kv: (-kv[1], kv[0]))[:cutoff]
     return SearchResult(ranked=tuple(ranked), clusters_searched=selected, postings_touched=touched)
+
+
+def _threshold_top(
+    exact: dict[str, int], long: list[ImpactView], docs: tuple[str, ...], cutoff: int
+) -> tuple[tuple[tuple[str, int], ...], int]:
+    """Fagin's threshold algorithm: the top cutoff (doc, score) pairs of the short lists' summed
+    scores, exact, plus the long lists' views, and the number of impact-order entries read.
+
+    Every document of a short list is scored first, its long-list frequencies read from the dense
+    vectors at its position in docs (found by bisection). The views' orders are then read in
+    growing batches, and each new document is scored from the dense vectors alone: it is in no
+    short list. A document not yet scored scores at most the sum of the frequencies at the lists'
+    read frontiers, so reading stops once the cutoff-th best score is strictly above that sum, or
+    when every order is read out. Strictly, so no unscored document can tie at the cutoff, where
+    the ranking is by document id.
+    """
+    entries_read = 0
+    dense = [view.dense for view in long]
+    orders = [view.order for view in long]
+
+    def totals(positions: list[int], base=None) -> list[int]:
+        """base plus every dense vector at positions, summed in C."""
+        for vector in dense:
+            at = map(getitem, repeat(vector), positions)
+            base = at if base is None else map(add, base, at)
+        return list(base)
+
+    positions = list(map(partial(bisect_left, docs), exact))
+    scores = totals(positions, exact.values())
+    seen = set(positions)
+    depth, step = 0, FIRST_BATCH
+    while True:
+        bound = sum(vector[order[depth]] for vector, order in zip(dense, orders) if depth < len(order))
+        if not bound or sum(map(lt, repeat(bound), scores)) >= cutoff:
+            break
+        batch: set[int] = set()
+        for order in orders:
+            chunk = order[depth:depth + step]
+            entries_read += len(chunk)
+            batch.update(chunk)
+        batch -= seen
+        seen |= batch
+        new = list(batch)
+        positions += new
+        scores += totals(new)
+        depth += step
+        step += step // 2
+    # every document scoring above the bound is scored, and at least cutoff do unless all are read;
+    # (-score, position) pairs sort as (-score, doc id), as docs is sorted
+    ranked = sorted(compress(zip(map(neg, scores), positions), map(lt, repeat(bound), scores)))[:cutoff]
+    return tuple((docs[p], -negated) for negated, p in ranked), entries_read
 
 
 def check_pairing(abstracts: Abstracts, clusters: ClusterSet, path: str | Path) -> None:

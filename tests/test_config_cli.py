@@ -167,6 +167,47 @@ class TestPipelineCommand:
         assert "error" in capsys.readouterr().err
 
 
+class TestKShortfall:
+    """pipeline and cluster say on stderr when fewer clusters form than targeted."""
+
+    @staticmethod
+    def _warnings(capsys) -> list[dict]:
+        return [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+
+    def test_pipeline_names_target_and_used(self, tmp_path, mini_corpus_dir, capsys):
+        out = tmp_path / "run"
+        assert main(["pipeline", "--corpus", str(mini_corpus_dir), "--identity", "--out", str(out)]) == 0
+        k_report = json.loads((out / "k_report.json").read_text())
+        assert k_report["k_used"] < k_report["k_target"]  # the mini corpus admits 6 of 9 centers
+        [warning] = self._warnings(capsys)
+        assert warning["warning"] == "KShortfall"
+        assert (warning["k_target"], warning["k_used"]) == (k_report["k_target"], k_report["k_used"])
+        assert warning["single_cluster"] is False
+
+    def test_cluster_command_warns_too(self, tmp_path, mini_corpus_dir, capsys):
+        run = tmp_path / "run"
+        assert main(["pipeline", "--corpus", str(mini_corpus_dir), "--identity", "--out", str(run), "--k", "50"]) == 0
+        from_pipeline = self._warnings(capsys)
+        assert main(["cluster", "--index", str(run / "index.tsv"), "--k", "50", "--out", str(tmp_path / "c.jsonl")]) == 0
+        assert self._warnings(capsys) == from_pipeline
+        assert from_pipeline[0]["k_target"] == 50
+
+    def test_a_single_cluster_is_flagged(self, tmp_path, capsys):
+        # "shared" is in every document and is admitted first; no other token then has more
+        # documents outside the coverage set than inside
+        kw = tmp_path / "kw.tsv"
+        kw.write_text("".join(f"doc{i}\tw{i}:1,shared:2\n" for i in range(4)))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--keywords", str(kw), "--identity", "--out", str(out), "--k", "3"]) == 0
+        [warning] = self._warnings(capsys)
+        assert (warning["k_target"], warning["k_used"], warning["single_cluster"]) == (3, 1, True)
+
+    def test_silent_when_every_target_cluster_forms(self, tmp_path, mini_corpus_dir, capsys):
+        out = tmp_path / "run"
+        assert main(["pipeline", "--corpus", str(mini_corpus_dir), "--identity", "--out", str(out), "--k", "2"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestStageCommands:
     def test_build_index_from_keyword_file(self, tmp_path, key_file):
         kw = tmp_path / "kw.tsv"
@@ -337,6 +378,25 @@ class TestStageCommands:
         abstracts.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n")
         with pytest.raises(IndexDataError, match=f"^{re.escape(str(abstracts))}: abstract of cluster 0 gives token"):
             _validate_artifacts(index, index_path, clusters_path, abstracts, config)
+
+    def test_pipeline_validation_checks_the_clusters_postings(self, tmp_path, mini_corpus_dir):
+        # a frequency bumped on a token that no abstract lists: the partition and the pairing hold
+        from cipherclust.cli import CLIError, _validate_artifacts
+        from cipherclust.index import read_index
+
+        run = tmp_path / "run"
+        assert main(["pipeline", "--corpus", str(mini_corpus_dir), "--identity", "--out", str(run),
+                     "--abstract-size", "1"]) == 0
+        index_path, abstracts_path = run / "index.tsv", run / "abstracts.jsonl"
+        index, config = read_index(index_path), PipelineConfig(abstract_size=1).validate()
+        listed = {t for line in abstracts_path.read_text().splitlines() for t, _ in json.loads(line)["entries"]}
+        lines = [json.loads(line) for line in (run / "clusters.jsonl").read_text().splitlines()]
+        entry = next(e for line in lines for e in line["tokens"] if e["t"] not in listed)
+        entry["postings"][0][1] += 1
+        clusters_path = tmp_path / "clusters.jsonl"
+        clusters_path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(CLIError, match="^clusters file postings differ from the index$"):
+            _validate_artifacts(index, index_path, clusters_path, abstracts_path, config)
 
     def test_search_requires_abstracts_unless_no_prune(self, pipeline_dir):
         with pytest.raises(SystemExit):

@@ -18,6 +18,7 @@ from cipherclust.crypto import (
     token_to_b64,
     words,
 )
+from cipherclust.index import extract_keywords
 
 KEY_A = SecretKey(bytes(range(32)))
 KEY_B = SecretKey(bytes(range(1, 33)))
@@ -82,6 +83,29 @@ class TestEncryptQuery:
     def test_empty(self):
         assert encrypt_query(KeyedTokenCodec(KEY_A), "") == []
         assert encrypt_query(KeyedTokenCodec(KEY_A), "   ") == []
+        assert encrypt_query(KeyedTokenCodec(KEY_A), " ,;!? ") == []
+
+    def test_punctuation_splits_as_in_documents(self):
+        codec = IdentityTokenCodec()
+        assert encrypt_query(codec, "Junijudu, jomime!") == [b"junijudu", b"jomime"]
+        assert encrypt_query(codec, "net-traffic (NET)") == [b"net", b"traffic"]
+
+    def test_stopwords_are_kept(self):
+        # an index built with other stopwords may hold "the"
+        assert encrypt_query(IdentityTokenCodec(), "the net") == [b"the", b"net"]
+
+    @given(text=st.one_of(
+        st.text(),
+        st.text(alphabet=st.one_of(st.characters(), st.sampled_from("aZ9 -,.!\r\x00\u2028\u0130\u212a\u00df"))),
+    ))
+    def test_query_tokens_are_the_document_tokens(self, text):
+        # the query tokens are the words of the text, first occurrences in order, and each is a
+        # token of the text indexed as a document
+        codec = KeyedTokenCodec(KEY_A)
+        tokens = encrypt_query(codec, text)
+        assert tokens == [codec.encrypt_token(w) for w in dict.fromkeys(words(text))]
+        document = {codec.encrypt_token(term) for term, _ in extract_keywords(text, 10**6, frozenset())}
+        assert set(tokens) <= document
 
 
 class TestKeyHandling:

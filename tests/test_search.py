@@ -1,13 +1,16 @@
+import gc
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cipherclust.clustering import Cluster, ClusterSet, distribute
-from cipherclust.index import IndexDataError, ingest
+from cipherclust import clustering
+from cipherclust.clustering import Cluster, ClusterSet, distribute, impact_views
+from cipherclust.index import CentralIndex, IndexDataError, ingest
 from cipherclust import search as search_module
 from cipherclust.search import (
     HEAP_FLOOR_RATIO,
@@ -208,9 +211,11 @@ class TestSearch:
             for doc in rng.sample(docs, size):
                 by_doc.setdefault(doc, []).append((token, rng.randint(1, 3)))
         idx = ingest(sorted(by_doc.items()))
-        cs = ClusterSet(
-            clusters=tuple(Cluster(center=t, tokens=(t,)) for t in tokens), index=idx, k_requested=n_tokens
-        )
+        with pytest.MonkeyPatch.context() as mp:  # no impact views: every search takes the exact path
+            mp.setattr(clustering, "LONG_LIST_POSTINGS", n_docs + 1)
+            cs = ClusterSet(
+                clusters=tuple(Cluster(center=t, tokens=(t,)) for t in tokens), index=idx, k_requested=n_tokens
+            )
         postings = {t: list(ps) for t, ps in idx.entries.items()}
         query = tokens + [b"missing"]
         some = data.draw(st.permutations(range(n_tokens)))[: data.draw(st.integers(1, n_tokens))]
@@ -223,6 +228,8 @@ class TestSearch:
     def test_heap_floor_only_well_above_the_cutoff(self, monkeypatch, cutoff):
         # 1,000 scores: the heap floor is taken up to cutoff 24 (40 x 24 = 960 < 1,000) and the
         # full sort from cutoff 25 on; above 1,000 nothing is cut. Rankings match the scan either way.
+        # No list gets an impact view, so the search takes the exact path.
+        monkeypatch.setattr(clustering, "LONG_LIST_POSTINGS", 1001)
         rng = random.Random(cutoff)
         docs = [f"d{j:04d}" for j in range(1000)]
         tokens = [b"A", b"B"]
@@ -238,6 +245,130 @@ class TestSearch:
         postings = {t: list(ps) for t, ps in idx.entries.items()}
         assert got.ranked == tuple(scan_search(tokens, [[t] for t in tokens], postings, [0, 1], cutoff))
         assert heaps == ([cutoff] if HEAP_FLOOR_RATIO * cutoff < 1000 else [])
+
+
+def one_token_clusters(index, tokens):
+    """A ClusterSet with one cluster per token, in the given order."""
+    return ClusterSet(clusters=tuple(Cluster(center=t, tokens=(t,)) for t in tokens), index=index, k_requested=len(tokens))
+
+
+def scan_all(index, tokens, query, chosen, cutoff):
+    """scan_search over one_token_clusters(index, tokens)."""
+    postings = {t: list(ps) for t, ps in index.entries.items()}
+    return tuple(scan_search(query, [[t] for t in tokens], postings, chosen, cutoff))
+
+
+class TestThresholdPath:
+    """search over impact views (Fagin's threshold algorithm) against the scan reference."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        n_docs=st.integers(1, 60),
+        n_long=st.integers(1, 4),
+        n_short=st.integers(0, 3),
+        top_freq=st.integers(1, 3),
+        first_batch=st.sampled_from([1, 2, 5, 32]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_scan_reference(self, n_docs, n_long, n_short, top_freq, first_batch, seed, data):
+        # Lists of long_at or more postings get views. Frequencies 1..top_freq tie most documents, and
+        # cutoffs run past the number of documents scored, so the orders are often read out.
+        rng = random.Random(seed)
+        long_at = data.draw(st.integers(1, n_docs))
+        docs = [f"d{j:03d}" for j in range(n_docs)]
+        sizes = [rng.randint(long_at, n_docs) for _ in range(n_long)]
+        sizes += [rng.randint(1, long_at - 1) for _ in range(n_short) if long_at > 1]
+        tokens = [f"T{i}".encode() for i in range(len(sizes))]
+        by_doc: dict[str, list[tuple[bytes, int]]] = {}
+        for token, size in zip(tokens, sizes):
+            for doc in rng.sample(docs, size):
+                by_doc.setdefault(doc, []).append((token, rng.randint(1, top_freq)))
+        idx = ingest(sorted(by_doc.items()))
+        cutoff = data.draw(st.integers(1, n_docs + 3))
+        query = tokens + [b"missing"]
+        some = data.draw(st.permutations(range(len(tokens))))[: data.draw(st.integers(1, len(tokens)))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering, "LONG_LIST_POSTINGS", long_at)
+            mp.setattr(search_module, "FIRST_BATCH", first_batch)
+            cs = one_token_clusters(idx, tokens)
+            assert set(cs.views) == set(tokens[:n_long])
+            for chosen in (list(range(len(tokens))), some):
+                got = search(query, cs, chosen, cutoff)
+                assert got.ranked == scan_all(idx, tokens, query, chosen, cutoff)
+                assert got.postings_touched <= sum(len(idx.entries[tokens[cid]]) for cid in chosen)
+
+    def test_view_layout(self, monkeypatch):
+        # d1 has no T; the order is by descending frequency, ties by ascending position
+        monkeypatch.setattr(clustering, "LONG_LIST_POSTINGS", 3)
+        idx = ingest([("d0", [(b"T", 2)]), ("d1", [(b"U", 1)]), ("d2", [(b"T", 5)]), ("d3", [(b"T", 2)]),
+                      ("d4", [(b"T", 2)])])
+        views = impact_views(idx)
+        assert list(views) == [b"T"]
+        assert list(views[b"T"].dense) == [2, 0, 5, 2, 2]
+        assert list(views[b"T"].order) == [2, 0, 3, 4]
+
+    def test_reading_stops_once_the_cutoff_is_strictly_above_the_frontier(self, monkeypatch):
+        # d000 scores 9 and every other document 1: the first batch settles cutoff 1, but at
+        # cutoff 2 the second best ties every unread document at 1, so every posting is read.
+        idx = ingest([("d000", [(b"T", 9)])] + [(f"d{j:03d}", [(b"T", 1)]) for j in range(1, 100)])
+        monkeypatch.setattr(clustering, "LONG_LIST_POSTINGS", 50)
+        cs = one_token_clusters(idx, [b"T"])
+        got = search([b"T"], cs, [0], cutoff=1)
+        assert got.ranked == (("d000", 9),) and got.postings_touched == search_module.FIRST_BATCH
+        got = search([b"T"], cs, [0], cutoff=2)
+        assert got.ranked == (("d000", 9), ("d001", 1)) and got.postings_touched == 100
+
+    @pytest.mark.parametrize("big, dense_code", [
+        (2**16 - 1, "H"), (2**16, "I"), (2**32 - 1, "I"), (2**32, "Q"), (2**64 - 1, "Q"), (2**64, None),
+    ])
+    def test_dense_typecode_holds_the_largest_frequency(self, monkeypatch, big, dense_code):
+        # A holds big, B is a second long list; a list whose frequency fits no typecode gets no
+        # view and is scored exactly, beside B's view.
+        monkeypatch.setattr(clustering, "LONG_LIST_POSTINGS", 4)
+        rng = random.Random(big)
+        records = [(f"d{j}", [(b"A", big if j == 3 else rng.randint(1, 3)), (b"B", rng.randint(1, 3))]) for j in range(8)]
+        idx = ingest(records)
+        cs = one_token_clusters(idx, [b"A", b"B"])
+        assert (cs.views[b"A"].dense.typecode if b"A" in cs.views else None) == dense_code
+        assert cs.views[b"B"].dense.typecode == "B"
+        for cutoff in (1, 3, 9):
+            for chosen in ([0], [0, 1], [1]):
+                got = search([b"A", b"B"], cs, chosen, cutoff)
+                assert got.ranked == scan_all(idx, [b"A", b"B"], [b"A", b"B"], chosen, cutoff)
+
+    def test_order_typecode_holds_every_position(self):
+        # 70,000 documents: positions above 65,535 need a 4-byte order
+        n_docs = 70_000
+        docs = tuple(f"d{j:05d}" for j in range(n_docs))
+        entries = {
+            b"A": tuple((doc, 1 + j % 3) for j, doc in enumerate(docs)),
+            b"B": tuple((doc, 1 + j % 5) for j, doc in enumerate(docs) if j % 7 == 0 or j > 65_530),
+        }
+        idx = CentralIndex(entries=entries, docs=docs)
+        cs = one_token_clusters(idx, [b"A", b"B"])
+        assert {v.order.typecode for v in cs.views.values()} == {"I"}
+        for cutoff in (1, 10):
+            got = search([b"A", b"B"], cs, [0, 1], cutoff)
+            assert got.ranked == scan_all(idx, [b"A", b"B"], [b"A", b"B"], [0, 1], cutoff)
+
+    def test_views_hold_a_few_bytes_per_document_per_long_list(self):
+        n_docs, n_long = 5000, 3
+        rng = random.Random(5)
+        records = [(f"d{j:04d}", [(f"T{i}".encode(), rng.randint(1, 40)) for i in range(n_long)]) for j in range(n_docs)]
+        idx = ingest(records)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            views = impact_views(idx)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(views) == n_long
+        # a 1-byte frequency and a 2-byte position per document, plus the objects' headers
+        assert held <= 4 * n_docs * n_long + 4096, held
 
 
 class TestPrunedVersusFull:
