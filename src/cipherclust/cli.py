@@ -20,9 +20,10 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .clustering import cluster_index, read_clusters, write_clusters
+from .clustering import cluster_index, cluster_lines, read_clusters, write_clusters
 from .config import PipelineConfig, load_config
 from .crypto import (
+    CipherToken,
     IdentityTokenCodec,
     KeyedTokenCodec,
     TokenCodec,
@@ -34,9 +35,10 @@ from .index import (
     build_index_from_corpus,
     build_index_from_keywords,
     index_digest,
+    index_lines,
+    keyword_records,
     load_stopwords,
     read_index,
-    read_keyword_file,
     trim,
     write_index,
     write_lines,
@@ -101,8 +103,7 @@ def _build_index(args, config: PipelineConfig, digest=None):
     codec = _resolve_codec(args, config)
     if args.corpus:
         return build_index_from_corpus(args.corpus, codec, config.keywords_per_doc, _stopwords(args), digest)
-    records = read_keyword_file(args.keywords)
-    return build_index_from_keywords(records, codec)
+    return build_index_from_keywords(keyword_records(args.keywords), codec)
 
 
 def cmd_build_index(args) -> int:
@@ -165,7 +166,7 @@ def cmd_search(args) -> int:
         selected = range(clusters.k_used)
     else:
         abstracts = read_abstracts(args.abstracts)
-        check_pairing(abstracts, clusters, args.abstracts)
+        check_pairing(abstracts, clusters.k_used, clusters.cluster_of, clusters.index, args.abstracts)
         selected = prune(tokens, abstracts, args.c)
     result = search(tokens, clusters, selected, args.top)
     sys.stdout.write(format_results(result))
@@ -187,7 +188,7 @@ def cmd_evaluate_search(args) -> int:
     codec = _resolve_codec(args)
     clusters = read_clusters(args.clusters)
     abstracts = read_abstracts(args.abstracts)
-    check_pairing(abstracts, clusters, args.abstracts)
+    check_pairing(abstracts, clusters.k_used, clusters.cluster_of, clusters.index, args.abstracts)
     queries = evaluation.load_queries(args.queries)
     results, timings = evaluation.run_benchmark(queries, clusters, abstracts, codec, args.c, args.top)
     evaluation.write_results_file(results, args.results)
@@ -277,26 +278,49 @@ def cmd_pipeline(args) -> int:
 
 
 def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config) -> None:
-    """Re-read every artifact and check it against what was built.
+    """Re-read every artifact and check it against what was built, line by line.
 
-    The index file and the clusters file's postings must equal the built
-    index entry for entry (a document with no keywords is in no posting, so
-    the clusters cannot give the index's documents). The clusters must
-    partition its tokens, and the abstracts must pair with the clusters and
-    keep to the configured size.
+    Each parsed line is compared with the built index and dropped, so no
+    second copy of the index or the clusters is held. Every index file line
+    must equal the built entry of its token, and the lines must give every
+    token (the reader rejects a token listed twice). Every clusters file
+    token must be an index token with equal postings, and the tokens must
+    partition the index (a document with no keywords is in no posting, so
+    the clusters cannot give the index's documents). The abstracts must
+    pair with the re-read clusters and keep to the configured size. A file's
+    mismatch is raised once the file is read to its end, so a reader's
+    fault on any of its lines comes first.
     """
-    if read_index(index_path).entries != index.entries:
+    entries = index.entries
+    lines = 0
+    matched = True
+    for token, by_doc in index_lines(index_path):
+        lines += 1
+        matched = matched and _postings(by_doc) == entries.get(token)
+    if not matched or lines != len(entries):
         raise CLIError("index file round-trip mismatch")
-    clusters = read_clusters(clusters_path)
-    if clusters.cluster_of.keys() != index.entries.keys():
+    cluster_of: dict[CipherToken, int] = {}
+    k = 0
+    matched = True
+    for _, members in cluster_lines(clusters_path, {}):
+        for token, by_doc in members.items():
+            cluster_of[token] = k
+            matched = matched and _postings(by_doc) == entries.get(token)
+        k += 1
+    if cluster_of.keys() != entries.keys():
         raise CLIError("clusters file does not partition the index tokens")
-    if clusters.index.entries != index.entries:
+    if not matched:
         raise CLIError("clusters file postings differ from the index")
     abstracts = read_abstracts(abstracts_path)
-    check_pairing(abstracts, clusters, abstracts_path)
+    check_pairing(abstracts, k, cluster_of, index, abstracts_path)
     for abstract in abstracts:
         if len(abstract.entries) > config.abstract_size:
             raise CLIError("abstract exceeds the configured size")
+
+
+def _postings(by_doc: dict[str, int]) -> tuple[tuple[str, int], ...]:
+    """A reader's {document id: frequency} map as the index holds it: (doc, freq) pairs by doc."""
+    return tuple(sorted(by_doc.items()))
 
 
 # handlers whose code imports numpy; main imports it before the freeze

@@ -28,10 +28,11 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .crypto import CipherToken, token_from_b64, token_to_b64
 from .index import CentralIndex, IndexDataError, check_doc_id, data_lines, trim, write_lines
@@ -134,14 +135,16 @@ class ImpactView:
     order: array
 
 
-def impact_views(index: CentralIndex) -> dict[CipherToken, ImpactView]:
-    """An ImpactView of every posting list of at least LONG_LIST_POSTINGS postings.
+def impact_views(index: CentralIndex, long_at: int | None = None) -> dict[CipherToken, ImpactView]:
+    """An ImpactView of every posting list of at least long_at postings (default LONG_LIST_POSTINGS).
 
     The typecodes are the smallest that hold the list's largest frequency
     and the largest position; a list whose frequency no typecode holds gets
     no view.
     """
-    long = [(t, ps) for t, ps in index.entries.items() if len(ps) >= LONG_LIST_POSTINGS]
+    if long_at is None:
+        long_at = LONG_LIST_POSTINGS
+    long = [(t, ps) for t, ps in index.entries.items() if len(ps) >= long_at]
     if not long:
         return {}
     n_docs = len(index.docs)
@@ -166,24 +169,31 @@ def impact_views(index: CentralIndex) -> dict[CipherToken, ImpactView]:
 class ClusterSet:
     """k_used disjoint clusters whose token union equals the distributed index.
 
-    cluster_of maps each token to its cluster id, built once here, so a
-    search finds a query token's cluster with one lookup instead of probing
-    every selected cluster. views holds the impact_views of the index, also
-    built once here, for search's threshold path.
+    cluster_of maps each token to its cluster id, so a search finds a query
+    token's cluster with one lookup instead of probing every selected
+    cluster. views holds the impact_views of the index, for search's
+    threshold path, at the LONG_LIST_POSTINGS in force when the set is
+    constructed. Each is built on first use, so a build, which never
+    searches, builds neither; read_clusters builds both as it loads.
     """
 
     clusters: tuple[Cluster, ...]
     index: CentralIndex
     k_requested: int
-    cluster_of: dict[CipherToken, int] = field(init=False, compare=False, repr=False)
-    views: dict[CipherToken, ImpactView] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        cluster_of = {token: cid for cid, cluster in enumerate(self.clusters) for token in cluster.tokens}
-        if len(cluster_of) != sum(len(cluster.tokens) for cluster in self.clusters):
+        listed = sum(len(cluster.tokens) for cluster in self.clusters)
+        if len(frozenset().union(*(cluster.tokens for cluster in self.clusters))) != listed:
             raise ValueError("clusters must be disjoint and list each token once")
-        object.__setattr__(self, "cluster_of", cluster_of)
-        object.__setattr__(self, "views", impact_views(self.index))
+        object.__setattr__(self, "_long_at", LONG_LIST_POSTINGS)
+
+    @cached_property
+    def cluster_of(self) -> dict[CipherToken, int]:
+        return {token: cid for cid, cluster in enumerate(self.clusters) for token in cluster.tokens}
+
+    @cached_property
+    def views(self) -> dict[CipherToken, ImpactView]:
+        return impact_views(self.index, self._long_at)
 
     @property
     def k_used(self) -> int:
@@ -408,45 +418,54 @@ def write_clusters(cluster_set: ClusterSet, path: str | Path) -> None:
     write_lines(path, lines)
 
 
-def read_clusters(path: str | Path) -> ClusterSet:
-    """Rebuild a ClusterSet (and its distributed index) from a clusters file.
+def cluster_lines(
+    path: str | Path, docs: dict[str, str]
+) -> Iterator[tuple[Cluster, dict[CipherToken, dict[str, int]]]]:
+    """Each cluster of a clusters file with a {document id: frequency} map per token, in file order.
 
-    The requested k is not stored in the file; k_requested is set to the
-    cluster count actually present. Rejected with path:lineno: a malformed
-    line or token entry, a token listed twice (in one cluster or in two), a
-    posting list naming a document twice, a frequency that is not an integer
-    >= 1, a document id that is not a string or that ingest rejects (checked
-    when the document is first seen), and a center missing from its own
-    cluster's tokens. Since clusters are disjoint, the last also rejects
-    two clusters sharing a center. Document ids are shared, one string per
-    document.
+    Rejected with path:lineno: a malformed line or token entry, cluster ids
+    that do not run 0, 1, 2, ... in order, a token listed twice (in one
+    cluster or in two), a posting list naming a document twice, a frequency
+    that is not an integer >= 1, a document id that is not a string or that
+    ingest rejects (checked when the document is first seen), and a center
+    missing from its own cluster's tokens. Since clusters are disjoint, the
+    last also rejects two clusters sharing a center.
+
+    docs is filled with every document id read, each mapped to the one
+    string that every map holds for it. Each token entry's parse tree is
+    freed once its map is built, and each cluster is yielded once its line
+    passes, so a consumer that drops it holds one line's postings at a time.
     """
-    clusters: list[Cluster] = []
-    acc: dict[CipherToken, dict[str, int]] = {}
-    docs: dict[str, str] = {}
+    seen: set[CipherToken] = set()
+    k = 0
     for lineno, line in data_lines(path):
         where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
-            center = token_from_b64(obj["center"])
+            center_s = obj["center"]
+            center = token_from_b64(center_s)
             token_objs = list(obj["tokens"])
             cid = int(obj["id"])
         except (ValueError, KeyError, TypeError) as exc:
             raise IndexDataError(f"{where}: malformed cluster line: {exc}")
-        if len(clusters) != cid:
+        # token_objs now holds the only reference to each token entry; a
+        # one-cluster file is a single line holding every posting
+        del obj
+        if k != cid:
             raise IndexDataError(f"{where}: cluster ids must be 0,1,2,... in order")
-        tokens = []
-        for entry in token_objs:
+        members: dict[CipherToken, dict[str, int]] = {}
+        for i in range(len(token_objs)):
+            entry, token_objs[i] = token_objs[i], None
             try:
                 name = entry["t"]
                 token = token_from_b64(name)
                 postings = list(entry["postings"])
             except (ValueError, KeyError, TypeError) as exc:
                 raise IndexDataError(f"{where}: malformed token entry: {exc}")
-            if token in acc:
+            if token in seen:
                 raise IndexDataError(f"{where}: token {name} is listed twice")
-            tokens.append(token)
-            by_doc = acc[token] = {}
+            seen.add(token)
+            by_doc: dict[str, int] = {}
             for posting in postings:
                 try:
                     doc_id, freq = posting
@@ -465,12 +484,32 @@ def read_clusters(path: str | Path) -> ClusterSet:
                     check_doc_id(doc_id, f"{where}: ")
                     shared = docs[doc_id] = doc_id
                 by_doc[shared] = freq
+            members[token] = by_doc
+        tokens = tuple(sorted(members))
         if center not in tokens:
-            raise IndexDataError(f"{where}: center {obj['center']} is not among the cluster's tokens")
-        clusters.append(Cluster(center=center, tokens=tuple(sorted(tokens))))
-        # free the parsed line before the next parse or the index build; a
-        # one-cluster file is a single line holding every posting
-        del obj, token_objs
+            raise IndexDataError(f"{where}: center {center_s} is not among the cluster's tokens")
+        yield Cluster(center=center, tokens=tokens), members
+        k += 1
+
+
+def read_clusters(path: str | Path) -> ClusterSet:
+    """Rebuild a ClusterSet (and its distributed index) from a clusters file.
+
+    cluster_lines states what is rejected. The requested k is not stored in
+    the file; k_requested is set to the cluster count actually present.
+    Document ids are shared, one string per document. The posting lists are
+    built once the whole file is read, in token order, and then the
+    ClusterSet's cluster_of and views: a server pays for them as it loads,
+    not at its first query.
+    """
+    clusters: list[Cluster] = []
+    acc: dict[CipherToken, dict[str, int]] = {}
+    docs: dict[str, str] = {}
+    for cluster, members in cluster_lines(path, docs):
+        clusters.append(cluster)
+        acc.update(members)
     entries = {token: tuple(sorted(by_doc.items())) for token, by_doc in sorted(acc.items())}
     index = CentralIndex(entries=entries, docs=tuple(sorted(docs)))
-    return ClusterSet(clusters=tuple(clusters), index=index, k_requested=len(clusters))
+    cluster_set = ClusterSet(clusters=tuple(clusters), index=index, k_requested=len(clusters))
+    cluster_set.cluster_of, cluster_set.views  # noqa: B018 - built here, at load
+    return cluster_set

@@ -84,16 +84,19 @@ class KeyedTokenCodec(TokenCodec):
     """Keyed PRF over the normalized plaintext, truncated to a fixed-width tag.
 
     Output length never depends on input length, so token sizes leak nothing
-    about the underlying words.
+    about the underlying words. The tag is HMAC-SHA256(key, plaintext); the
+    keyed state is set up once, and each token copies it and feeds it the
+    plaintext's UTF-8 bytes.
     """
 
     def __init__(self, key: SecretKey) -> None:
-        self._key = key
+        self._mac = hmac.new(key.data, digestmod=hashlib.sha256)
 
     def encrypt_token(self, plaintext: str) -> CipherToken:
         if not plaintext:
             raise CryptoError("cannot encrypt an empty token")
-        mac = hmac.new(self._key.data, plaintext.encode("utf-8"), hashlib.sha256)
+        mac = self._mac.copy()
+        mac.update(plaintext.encode("utf-8"))
         return mac.digest()[:TAG_BYTES]
 
 

@@ -13,6 +13,7 @@ adds nothing to later collections.
 """
 from __future__ import annotations
 
+import codecs
 import hashlib
 import os
 import re
@@ -119,11 +120,12 @@ def check_doc_id(doc_id: str, where: str = "") -> None:
         raise IndexDataError(f"{where}document id {doc_id!r} contains reserved characters")
 
 
-def ingest(records: list[tuple[str, list[tuple[CipherToken, int]]]]) -> CentralIndex:
+def ingest(records: Iterable[tuple[str, Iterable[tuple[CipherToken, int]]]]) -> CentralIndex:
     """Build a CentralIndex from per-document (token, frequency) lists.
 
     Rejects duplicate document ids and any (token, doc) pair appearing with
-    two different frequencies.
+    two different frequencies. Records are consumed one at a time, and each
+    token's per-document map is freed as its posting list is built.
     """
     seen_docs: set[str] = set()
     acc: dict[CipherToken, dict[str, int]] = {}
@@ -135,14 +137,15 @@ def ingest(records: list[tuple[str, list[tuple[CipherToken, int]]]]) -> CentralI
         for token, freq in pairs:
             if freq < 1:
                 raise IndexDataError(f"frequency must be >= 1 for token in {doc_id!r}, got {freq}")
-            by_doc = acc.setdefault(bytes(token), {})
-            if doc_id in by_doc and by_doc[doc_id] != freq:
+            by_doc = acc.get(token)
+            if by_doc is None:
+                by_doc = acc[bytes(token)] = {}
+            if by_doc.setdefault(doc_id, freq) != freq:
                 raise IndexDataError(
                     f"conflicting frequencies for (token={token_to_b64(token)}, doc={doc_id!r}): "
                     f"{by_doc[doc_id]} vs {freq}"
                 )
-            by_doc[doc_id] = freq
-    entries = {token: tuple(sorted(by_doc.items())) for token, by_doc in sorted(acc.items())}
+    entries = {token: tuple(sorted(acc.pop(token).items())) for token in sorted(acc)}
     return CentralIndex(entries=entries, docs=tuple(sorted(seen_docs)))
 
 
@@ -193,16 +196,16 @@ def build_index_from_corpus(
     return build_index_from_keywords(records, codec)
 
 
-def read_keyword_file(path: str | Path) -> list[tuple[str, list[tuple[str, int]]]]:
-    """Parse a pre-extracted keyword file: `docId<TAB>term:freq[,term:freq]*`.
+def keyword_records(path: str | Path) -> Iterator[tuple[str, list[tuple[str, int]]]]:
+    """Parse a pre-extracted keyword file, `docId<TAB>term:freq[,term:freq]*`, one record per line.
 
     Terms are normalized as documents' words are. Rejected with path:lineno:
     a line without a tab, a malformed pair, a term holding a colon or
     normalizing to empty, a term given twice on one line, a frequency that
     is not ASCII digits or is below 1, a document id that ingest rejects and
-    a document id repeated on a later line.
+    a document id repeated on a later line. Each record is yielded once its
+    line passes, so a consumer that drops it holds one record at a time.
     """
-    records: list[tuple[str, list[tuple[str, int]]]] = []
     first_line: dict[str, int] = {}
     for lineno, line in data_lines(path):
         where = f"{path}:{lineno}"
@@ -233,8 +236,12 @@ def read_keyword_file(path: str | Path) -> list[tuple[str, list[tuple[str, int]]
                         f"{where}: frequency {freq_s!r} of {term!r} is not an integer >= 1 in ASCII digits"
                     )
                 pairs[term] = freq
-        records.append((doc_id, list(pairs.items())))
-    return records
+        yield doc_id, list(pairs.items())
+
+
+def read_keyword_file(path: str | Path) -> list[tuple[str, list[tuple[str, int]]]]:
+    """Every record of a keyword file (see keyword_records), in file order."""
+    return list(keyword_records(path))
 
 
 def build_index_from_keywords(
@@ -244,17 +251,20 @@ def build_index_from_keywords(
 
     Each distinct term is encrypted once per build. The term -> token map is
     local to the call, so no key-derived value outlives the build. Records
-    are consumed one at a time, so a generator of extracted documents never
-    holds more than one plaintext list.
+    are encrypted and ingested one at a time, so a generator of records
+    (keyword_records, or extracted documents) holds one plaintext list and
+    one encrypted list at a time.
     """
     token_of: dict[str, CipherToken] = {}
-    encrypted = []
-    for doc_id, pairs in records:
-        for term, _ in pairs:
-            if term not in token_of:
-                token_of[term] = codec.encrypt_token(term)
-        encrypted.append((doc_id, [(token_of[term], freq) for term, freq in pairs]))
-    return ingest(encrypted)
+
+    def encrypted() -> Iterator[tuple[str, list[tuple[CipherToken, int]]]]:
+        for doc_id, pairs in records:
+            for term, _ in pairs:
+                if term not in token_of:
+                    token_of[term] = codec.encrypt_token(term)
+            yield doc_id, [(token_of[term], freq) for term, freq in pairs]
+
+    return ingest(encrypted())
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +289,32 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
 
 
 def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, line) for every non-blank line of a UTF-8 file.
+    """(line number, line) for every non-blank line of a UTF-8 file, read one line at a time.
 
     Lines end at LF only (CR LF and CR read as LF). str.splitlines would also
     split at U+2028, U+0085 and other characters a document id may hold.
+    The whole file is checked as UTF-8 before the first line is yielded, so
+    a decoding error comes before any fault a reader finds in a line, and
+    names its position in the file.
     """
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
-        if line.strip():
-            yield lineno, line
+    _check_utf8(path)
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                yield lineno, line.removesuffix("\n")
+
+
+def _check_utf8(path: str | Path) -> None:
+    """Raise the error that reading path whole as UTF-8 raises, if any, holding one chunk at a time."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 13):
+                decoder.decode(chunk)
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        Path(path).read_text(encoding="utf-8")  # the same error, with its position in the whole file
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -300,26 +328,28 @@ def write_index(index: CentralIndex, path: str | Path) -> None:
     ))
 
 
-def read_index(path: str | Path) -> CentralIndex:
-    """Parse an index file written by write_index.
+def index_lines(path: str | Path) -> Iterator[tuple[CipherToken, dict[str, int]]]:
+    """(token, {document id: frequency}) for each line of an index file written by write_index.
 
     Rejected with path:lineno: a malformed line or posting, a document id
     holding a tab or colon, a frequency not written as write_index writes an
     integer >= 1 (ASCII digits, no sign, separator, space or leading zero), a
     token on two lines and a document listed twice for one token. One regex
     match checks the posting field, so the per-posting loop only splits and
-    converts; a line that fails a check is diagnosed by _posting_fault.
+    converts; a line that fails a check is diagnosed by _posting_fault. Each
+    line is yielded once it passes, so a consumer that drops it holds one
+    line's postings at a time.
     """
-    acc: dict[CipherToken, dict[str, int]] = {}
-    docs: set[str] = set()
+    seen: set[CipherToken] = set()
     for lineno, line in data_lines(path):
         try:
             token_s, rest = line.split("\t", 1)
             token = token_from_b64(token_s)
         except ValueError:
             raise IndexDataError(f"{path}:{lineno}: malformed index line")
-        if token in acc:
+        if token in seen:
             raise IndexDataError(f"{path}:{lineno}: token {token_s} is listed twice")
+        seen.add(token)
         items = rest.split(",")
         if not _POSTING_FIELD.fullmatch(rest):
             raise IndexDataError(f"{path}:{lineno}: {_posting_fault(items)}")
@@ -329,10 +359,14 @@ def read_index(path: str | Path) -> CentralIndex:
             by_doc[doc_id] = int(freq_s)
         if len(by_doc) != len(items):
             raise IndexDataError(f"{path}:{lineno}: {_posting_fault(items)}")
-        acc[token] = by_doc
-        docs.update(by_doc)
+        yield token, by_doc
+
+
+def read_index(path: str | Path) -> CentralIndex:
+    """Parse an index file written by write_index; index_lines states what it rejects."""
+    acc = dict(index_lines(path))
     entries = {token: tuple(sorted(by_doc.items())) for token, by_doc in sorted(acc.items())}
-    return CentralIndex(entries=entries, docs=tuple(sorted(docs)))
+    return CentralIndex(entries=entries, docs=tuple(sorted(set().union(*acc.values()))))
 
 
 def _posting_fault(items: list[str]) -> str:

@@ -9,9 +9,9 @@ so concurrent queries over shared snapshots are safe.
 Query cost follows the query, not the clusters. Cluster token sets are
 disjoint and each abstract lists tokens of its own cluster, so a token is in
 at most one cluster and at most one abstract. The lookup maps are built
-once, when an Abstracts or ClusterSet is constructed (so at load time for
-read_abstracts and read_clusters): token -> abstract frequency and token ->
-cluster id for the abstracts, token -> cluster id for the clusters. prune
+once, at load time: token -> abstract frequency and token -> cluster id for
+the abstracts when an Abstracts is constructed, and token -> cluster id for
+the clusters (ClusterSet.cluster_of, built on first use) by read_clusters. prune
 then looks each query token up once, O(query tokens), plus a sort of the
 clusters it hits; search looks each query token up once and takes the
 posting lists of those in a selected cluster, O(query tokens + postings
@@ -44,12 +44,12 @@ from functools import partial
 from itertools import compress, repeat
 from operator import add, getitem, lt, neg
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from . import clustering
 from .clustering import ClusterSet, ImpactView
 from .crypto import CipherToken, token_from_b64, token_to_b64
-from .index import IndexDataError, data_lines, write_lines
+from .index import CentralIndex, IndexDataError, data_lines, write_lines
 
 # Above this many scores per result wanted, search finds the cutoff-th best with a heap of cutoff
 # entries rather than a full sort. Measured on CPython 3.11, nlargest(cutoff) overtakes sorted at
@@ -283,20 +283,22 @@ def _threshold_top(
     return tuple((docs[p], -negated) for negated, p in ranked), entries_read
 
 
-def check_pairing(abstracts: Abstracts, clusters: ClusterSet, path: str | Path) -> None:
+def check_pairing(
+    abstracts: Abstracts, k: int, cluster_of: Mapping[CipherToken, int], index: CentralIndex, path: str | Path
+) -> None:
     """Reject abstracts that were not built from these clusters.
 
-    There must be one abstract per cluster, and each entry must name a token
-    of its own cluster with that token's total frequency in the clusters'
-    index. The error names the abstracts file and the cluster id. Costs one
-    lookup per entry plus one pass over the postings of the abstracts'
-    tokens.
+    The clusters are given as their count k, the cluster id of each token
+    and the index they partition. There must be one abstract per cluster,
+    and each entry must name a token of its own cluster with that token's
+    total frequency in the index. The error names the abstracts file and the
+    cluster id. Costs one lookup per entry plus one pass over the postings
+    of the abstracts' tokens.
     """
-    n, k = len(abstracts), clusters.k_used
+    n = len(abstracts)
     if n != k:
         unpaired = f"the abstract of cluster {k} has no cluster" if n > k else f"cluster {n} has no abstract"
         raise IndexDataError(f"{path}: {n} abstracts for {k} clusters; {unpaired}")
-    cluster_of = clusters.cluster_of
     for abstract in abstracts:
         for token, freq in abstract.entries:
             if cluster_of.get(token) != abstract.cluster_id:
@@ -304,7 +306,7 @@ def check_pairing(abstracts: Abstracts, clusters: ClusterSet, path: str | Path) 
                     f"{path}: abstract of cluster {abstract.cluster_id} names token "
                     f"{token_to_b64(token)}, which is not in that cluster"
                 )
-            total = clusters.index.total_frequency(token)
+            total = index.total_frequency(token)
             if freq != total:
                 raise IndexDataError(
                     f"{path}: abstract of cluster {abstract.cluster_id} gives token "

@@ -1,5 +1,10 @@
+import base64
+import gc
 import json
+import random
 import re
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,10 +13,12 @@ from hypothesis import strategies as st
 
 from cipherclust.clustering import (
     Cluster,
+    ClusterSet,
     ClusteringError,
     choose_centers,
     choose_centers_from_diagonal,
     cluster_index,
+    cluster_lines,
     cooccurring_pairs,
     distribute,
     read_clusters,
@@ -404,6 +411,16 @@ class TestClusterIndexAndFiles:
         ]
         assert again.index.entries == example_index.entries
 
+    def test_read_clusters_builds_the_search_maps_as_it_loads(self, tmp_path, example_index):
+        # a built set makes them on first use, which a build never makes; a loaded one has them
+        cs, _ = cluster_index(example_index, k="auto")
+        assert not {"cluster_of", "views"} & vars(cs).keys()
+        path = tmp_path / "clusters.jsonl"
+        write_clusters(cs, path)
+        again = read_clusters(path)
+        assert {"cluster_of", "views"} <= vars(again).keys()
+        assert again.cluster_of == cs.cluster_of and again.views == cs.views == {}
+
     def test_serialization_is_deterministic(self, tmp_path, example_index):
         cs, _ = cluster_index(example_index, k="auto")
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -497,3 +514,47 @@ class TestReadClustersRejectsMalformedEntries:
         where = re.escape(f"{mini_clusters_file}:2:")
         with pytest.raises(IndexDataError, match=where + ".*not among the cluster's tokens"):
             read_clusters(mini_clusters_file)
+
+
+def test_cluster_lines_yields_each_cluster_as_its_line_passes(mini_clusters_file):
+    first = json.loads(mini_clusters_file.read_text().splitlines()[0])
+    _edit_line(mini_clusters_file, 2, lambda obj: obj.__setitem__("id", 5))
+    docs: dict[str, str] = {}
+    lines = cluster_lines(mini_clusters_file, docs)
+    cluster, members = next(lines)
+    assert [(token.decode(), by_doc) for token, by_doc in members.items()] == [
+        (base64.b64decode(entry["t"]).decode(), dict(map(tuple, entry["postings"])))
+        for entry in first["tokens"]
+    ]
+    assert cluster.tokens == tuple(sorted(members))
+    # one string per document, shared by every map
+    assert all(docs[doc] is doc for by_doc in members.values() for doc in by_doc)
+    with pytest.raises(IndexDataError, match=re.escape(f"{mini_clusters_file}:2: cluster ids must be")):
+        next(lines)
+
+
+def test_cluster_lines_frees_each_token_entry_once_its_map_is_built(tmp_path):
+    # One cluster, so one line holds all 30,000 postings. The read peaks near that line's JSON parse
+    # tree: each token entry's part of the tree is freed as its map is built (holding the whole
+    # tree to the end of the line reads about 40% above it, freeing it about 20%).
+    rng = random.Random(5)
+    vocabulary = [f"tok{i:05d}".encode() for i in range(1000)]
+    index = ingest([(f"doc{j:05d}", [(t, rng.randint(1, 9)) for t in rng.sample(vocabulary, 10)])
+                    for j in range(3000)])
+    tokens = index.tokens()
+    path = tmp_path / "clusters.jsonl"
+    write_clusters(ClusterSet(clusters=(Cluster(center=tokens[0], tokens=tuple(tokens)),), index=index,
+                              k_requested=1), path)
+    line = path.read_text()
+
+    def traced_peak(fn) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(lambda: deque(cluster_lines(path, {}), maxlen=0)) < 1.3 * traced_peak(lambda: json.loads(line))

@@ -1,7 +1,9 @@
 import gc
 import hashlib
 import json
+import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -408,6 +410,174 @@ class TestStageCommands:
                 ["build-index", "--corpus", str(mini_corpus_dir), "--key", str(key_file),
                  "--identity", "--out", str(tmp_path / "i.tsv")]
             )
+
+
+class TestValidateArtifacts:
+    """cli._validate_artifacts compares each re-read line with the built index and drops it."""
+
+    @staticmethod
+    def _built(pipeline_dir):
+        from cipherclust.index import read_index
+
+        return read_index(pipeline_dir / "index.tsv"), PipelineConfig().validate()
+
+    @staticmethod
+    def _rewrite(src, dst, edit):
+        """Write src's lines to dst after edit(list of lines)."""
+        lines = src.read_text().splitlines()
+        edit(lines)
+        dst.write_text("".join(line + "\n" for line in lines))
+        return dst
+
+    @staticmethod
+    def _bump_first_frequency(line: str) -> str:
+        """An index line with the frequency of its first posting raised by one."""
+        token, rest = line.split("\t")
+        first, *others = rest.split(",")
+        doc, freq = first.rsplit(":", 1)
+        return f"{token}\t" + ",".join([f"{doc}:{int(freq) + 1}", *others])
+
+    @staticmethod
+    def _clusters(path) -> list[dict]:
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    @staticmethod
+    def _write_clusters(path, objs) -> None:
+        path.write_text("".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in objs))
+
+    def test_index_file_with_a_bumped_frequency(self, tmp_path, pipeline_dir):
+        from cipherclust.cli import CLIError, _validate_artifacts
+
+        index, config = self._built(pipeline_dir)
+
+        def bump(lines):
+            lines[0] = self._bump_first_frequency(lines[0])
+
+        index_path = self._rewrite(pipeline_dir / "index.tsv", tmp_path / "index.tsv", bump)
+        with pytest.raises(CLIError, match="^index file round-trip mismatch$"):
+            _validate_artifacts(index, index_path, pipeline_dir / "clusters.jsonl",
+                                pipeline_dir / "abstracts.jsonl", config)
+
+    def test_index_file_missing_a_token(self, tmp_path, pipeline_dir):
+        # every line it holds equals the built entry, but one token has no line
+        from cipherclust.cli import CLIError, _validate_artifacts
+
+        index, config = self._built(pipeline_dir)
+        index_path = self._rewrite(pipeline_dir / "index.tsv", tmp_path / "index.tsv", lambda lines: lines.pop())
+        with pytest.raises(CLIError, match="^index file round-trip mismatch$"):
+            _validate_artifacts(index, index_path, pipeline_dir / "clusters.jsonl",
+                                pipeline_dir / "abstracts.jsonl", config)
+
+    def test_clusters_file_missing_a_token(self, tmp_path, pipeline_dir):
+        from cipherclust.cli import CLIError, _validate_artifacts
+
+        index, config = self._built(pipeline_dir)
+        objs = self._clusters(pipeline_dir / "clusters.jsonl")
+        tokens = objs[0]["tokens"]
+        tokens.remove(next(entry for entry in tokens if entry["t"] != objs[0]["center"]))
+        clusters_path = tmp_path / "clusters.jsonl"
+        self._write_clusters(clusters_path, objs)
+        with pytest.raises(CLIError, match="^clusters file does not partition the index tokens$"):
+            _validate_artifacts(index, pipeline_dir / "index.tsv", clusters_path,
+                                pipeline_dir / "abstracts.jsonl", config)
+
+    def test_clusters_file_with_a_token_the_index_lacks(self, tmp_path, pipeline_dir):
+        from cipherclust.cli import CLIError, _validate_artifacts
+
+        index, config = self._built(pipeline_dir)
+        objs = self._clusters(pipeline_dir / "clusters.jsonl")
+        objs[-1]["tokens"].append({"t": "bm90LWluZGV4ZWQ=", "postings": [["doc01", 1]]})
+        clusters_path = tmp_path / "clusters.jsonl"
+        self._write_clusters(clusters_path, objs)
+        with pytest.raises(CLIError, match="^clusters file does not partition the index tokens$"):
+            _validate_artifacts(index, pipeline_dir / "index.tsv", clusters_path,
+                                pipeline_dir / "abstracts.jsonl", config)
+
+    def test_a_later_index_line_fault_comes_before_a_mismatch(self, tmp_path, pipeline_dir):
+        from cipherclust.cli import _validate_artifacts
+        from cipherclust.index import IndexDataError
+
+        index, config = self._built(pipeline_dir)
+
+        def bump_then_break(lines):
+            lines[0] = self._bump_first_frequency(lines[0])
+            lines[-1] = lines[-1] + ",doc01:0"
+
+        index_path = self._rewrite(pipeline_dir / "index.tsv", tmp_path / "index.tsv", bump_then_break)
+        n = len(index.entries)
+        with pytest.raises(IndexDataError, match=f"^{re.escape(str(index_path))}:{n}: bad frequency in 'doc01:0'"):
+            _validate_artifacts(index, index_path, pipeline_dir / "clusters.jsonl",
+                                pipeline_dir / "abstracts.jsonl", config)
+
+    @pytest.mark.parametrize("mismatch", ["postings", "partition"])
+    def test_a_later_clusters_line_fault_comes_before_a_mismatch(self, tmp_path, pipeline_dir, mismatch):
+        from cipherclust.cli import _validate_artifacts
+        from cipherclust.index import IndexDataError
+
+        index, config = self._built(pipeline_dir)
+        objs = self._clusters(pipeline_dir / "clusters.jsonl")
+        if mismatch == "postings":
+            objs[0]["tokens"][0]["postings"][0][1] += 1
+        else:
+            objs[0]["tokens"] = [entry for entry in objs[0]["tokens"] if entry["t"] == objs[0]["center"]]
+        objs[-1]["id"] += 1
+        clusters_path = tmp_path / "clusters.jsonl"
+        self._write_clusters(clusters_path, objs)
+        where = re.escape(f"{clusters_path}:{len(objs)}: ")
+        with pytest.raises(IndexDataError, match=f"^{where}cluster ids must be 0,1,2,... in order$"):
+            _validate_artifacts(index, pipeline_dir / "index.tsv", clusters_path,
+                                pipeline_dir / "abstracts.jsonl", config)
+
+    def test_holds_far_less_than_a_second_index(self, tmp_path):
+        # 2,000 documents of 6 tokens each (12,000 postings) in 20 clusters: validation holds one
+        # line's parse at a time, not a second index, nor a second set of clusters
+        from cipherclust.cli import _validate_artifacts
+        from cipherclust.clustering import Cluster, ClusterSet, write_clusters
+        from cipherclust.index import ingest, read_index, write_index
+        from cipherclust.search import build_abstracts, write_abstracts
+
+        rng = random.Random(5)
+        vocabulary = [f"tok{i:04d}".encode() for i in range(300)]
+        index = ingest((f"doc{j:05d}", [(t, rng.randint(1, 9)) for t in rng.sample(vocabulary, 6)])
+                       for j in range(2000))
+        tokens = index.tokens()
+        clusters = ClusterSet(clusters=tuple(Cluster(center=tokens[i], tokens=tuple(tokens[i::20]))
+                                             for i in range(20)), index=index, k_requested=20)
+        paths = [tmp_path / name for name in ("index.tsv", "clusters.jsonl", "abstracts.jsonl")]
+        write_index(index, paths[0])
+        write_clusters(clusters, paths[1])
+        write_abstracts(build_abstracts(clusters, 100), paths[2])
+        config = PipelineConfig().validate()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            again = read_index(paths[0])
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+            del again
+            gc.collect()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _validate_artifacts(index, *paths, config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < held / 2
+
+    def test_a_build_makes_no_search_structures(self, tmp_path, mini_corpus_dir, monkeypatch):
+        from cipherclust import clustering
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a build searches nothing")
+
+        monkeypatch.setattr(clustering, "impact_views", refuse)
+        monkeypatch.setattr(clustering.ClusterSet, "cluster_of", property(refuse))
+        assert main(["pipeline", "--corpus", str(mini_corpus_dir), "--identity", "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.undo()
+        assert main(["pipeline", "--corpus", str(mini_corpus_dir), "--identity", "--out", str(tmp_path / "b")]) == 0
+        for name in ("index.tsv", "clusters.jsonl", "abstracts.jsonl", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestCollectorState:

@@ -1,4 +1,6 @@
 import base64
+import hashlib
+import hmac
 import re
 
 import numpy as np
@@ -50,6 +52,19 @@ class TestKeyedCodec:
         first = [codec.encrypt_token(w) for w in vocab]
         second = [codec.encrypt_token(w) for w in vocab]
         assert first == second
+
+    @given(key=st.binary(min_size=32, max_size=32), terms=st.lists(st.text(min_size=1, max_size=30), max_size=5))
+    def test_tags_are_truncated_hmac_sha256(self, key, terms):
+        # one codec serves every term from its keyed state: no term's tag depends on an earlier one
+        codec = KeyedTokenCodec(SecretKey(key))
+        for term in terms + terms:
+            assert codec.encrypt_token(term) == hmac.new(key, term.encode("utf-8"), hashlib.sha256).digest()[:16]
+
+    def test_repr_hides_the_key(self):
+        key = bytes(range(100, 132))
+        codec = KeyedTokenCodec(SecretKey(key))
+        text = repr(codec) + repr(vars(codec))
+        assert key.hex() not in text and repr(key) not in text and "SecretKey" not in repr(codec)
 
     def test_no_collisions_at_desk_scale(self):
         codec = KeyedTokenCodec(KEY_A)

@@ -1,20 +1,25 @@
+import gc
 import hashlib
 import random
 import re
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cipherclust.crypto import IdentityTokenCodec
+from cipherclust.crypto import IdentityTokenCodec, KeyedTokenCodec, SecretKey
 from cipherclust.index import (
     IndexDataError,
     build_index_from_corpus,
     build_index_from_keywords,
     data_lines,
     extract_keywords,
+    index_lines,
     ingest,
+    keyword_records,
     read_index,
     read_keyword_file,
     trim,
@@ -158,6 +163,15 @@ class TestIngest:
         with pytest.raises(IndexDataError):
             ingest([("d:1", [(b"T", 1)])])
 
+    @pytest.mark.parametrize("records, message", [
+        ([("d1", [(b"T", 3), (b"U", 1), (b"T", 4)])], "conflicting frequencies for (token=VA==, doc='d1'): 3 vs 4"),
+        ([("d1", [(b"T", 1)]), ("d2", [(b"T", 0)])], "frequency must be >= 1 for token in 'd2', got 0"),
+        ([("d1", [(b"T", 1)]), ("d1", [])], "duplicate document id 'd1'"),
+    ])
+    def test_messages(self, records, message):
+        with pytest.raises(IndexDataError, match=f"^{re.escape(message)}$"):
+            ingest(iter(records))
+
 
 @given(data=st.data())
 def test_ingest_round_trips_triples(data):
@@ -274,6 +288,14 @@ class TestIndexFile:
         with pytest.raises(IndexDataError, match=re.escape(f"{path}:{lineno}: {fault}")):
             read_index(path)
 
+    def test_lines_are_yielded_as_they_pass(self, tmp_path):
+        path = tmp_path / "index.tsv"
+        path.write_text("VA==\td2:4,d1:3\nVQ==\td1:1\nVA==\td2:4\n")
+        lines = index_lines(path)
+        assert [next(lines), next(lines)] == [(b"T", {"d2": 4, "d1": 3}), (b"U", {"d1": 1})]
+        with pytest.raises(IndexDataError, match=f"^{re.escape(str(path))}:3: token VA== is listed twice$"):
+            next(lines)
+
     def test_document_ids_with_unicode_line_separators(self, tmp_path):
         idx = ingest([("a\u2028b", [(b"T", 2)]), ("c\x85d\x0be", [(b"T", 1), (b"U", 4)])])
         path = tmp_path / "index.tsv"
@@ -307,6 +329,47 @@ def test_data_lines_split_at_lf_only(tmp_path):
     path = tmp_path / "lines.txt"
     path.write_bytes("a\u2028b\n \nc\x85d\x0c\r\ne\n".encode("utf-8"))
     assert list(data_lines(path)) == [(1, "a\u2028b"), (3, "c\x85d\x0c"), (4, "e")]
+
+
+def _traced_peak(fn) -> int:
+    """Bytes allocated at the peak of fn(), above what was allocated when it was called."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@settings(max_examples=200, deadline=None)
+@given(pad=st.integers(8180, 8200), text=st.text(alphabet="ab \r\n\t\u2028\x85\u00e9\u4e2d", max_size=40))
+def test_data_lines_equal_a_whole_file_split(tmp_path_factory, pad, text):
+    # the padding puts the generated text, CR LF pairs included, across the reader's first 8 KiB chunk
+    path = tmp_path_factory.mktemp("lines") / "lines.txt"
+    path.write_bytes(("x" * pad + text).encode("utf-8"))
+    whole = [(n, line) for n, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1) if line.strip()]
+    assert list(data_lines(path)) == whole
+
+
+def test_data_lines_reads_one_line_at_a_time(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_text("".join(f"{j:06d}\t" + "x" * 90 + "\n" for j in range(10_000)), encoding="utf-8")
+    assert _traced_peak(lambda: deque(data_lines(path), maxlen=0)) < path.stat().st_size / 16
+
+
+@pytest.mark.parametrize("tail", [b"", b"\xe2\x82"])
+def test_data_lines_decoding_error_comes_first(tmp_path, tail):
+    # line 1 is malformed, but the file is not UTF-8 (a stray byte at the end of a later 8 KiB
+    # chunk, or a sequence cut off by the end of the file): the error a whole-file read raises wins
+    path = tmp_path / "kw.tsv"
+    path.write_bytes(b"doc1\tnet\n" + b"doc2\tcake:1\n" * 2000 + (b"\xff" if not tail else tail))
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_text(encoding="utf-8")
+    with pytest.raises(UnicodeDecodeError) as got:
+        read_keyword_file(path)
+    assert str(got.value) == str(whole.value)
 
 
 class TestKeywordFile:
@@ -357,6 +420,14 @@ class TestKeywordFile:
     def test_doc_id_repeated(self, tmp_path):
         self.rejects(tmp_path, "doc1\tfoo:1", "document id 'doc1' is also on line 1")
 
+    def test_records_are_yielded_as_their_lines_pass(self, tmp_path):
+        path = tmp_path / "kw.tsv"
+        path.write_text("doc1\tnet:3\ndoc2\tnet\n")
+        records = keyword_records(path)
+        assert next(records) == ("doc1", [("net", 3)])
+        with pytest.raises(IndexDataError, match=f"^{re.escape(str(path))}:2: malformed pair 'net'$"):
+            next(records)
+
     def test_leading_zero_and_normalization_accepted(self, tmp_path):
         path = tmp_path / "kw.tsv"
         path.write_text("doc1\t Net :03,cake:1\ndoc2\t\n")
@@ -382,6 +453,40 @@ class TestEncryptOncePerBuild:
         # the term -> token map does not outlive a build
         build_index_from_keywords(records, codec)
         assert sorted(codec.calls) == ["cake", "cake", "net", "net"]
+
+    def test_records_are_encrypted_as_they_arrive(self):
+        codec = CountingCodec()
+
+        def records():
+            yield "d1", [("net", 3)]
+            assert codec.calls == ["net"]
+            yield "d2", [("cake", 1), ("net", 2)]
+
+        assert build_index_from_keywords(records(), codec) == ingest([("d1", [(b"net", 3)]),
+                                                                      ("d2", [(b"cake", 1), (b"net", 2)])])
+
+    def test_a_keyword_file_build_holds_little_beyond_the_index(self, tmp_path):
+        # each record is read, encrypted and ingested before the next, and each token's
+        # per-document map is freed as its posting list is built: the peak stays near the index
+        rng = random.Random(3)
+        words = [f"w{i}" for i in range(2000)]
+        path = tmp_path / "kw.tsv"
+        path.write_text("".join(
+            f"d{j:05d}\t" + ",".join(f"{w}:{rng.randint(1, 9)}" for w in rng.sample(words, 20)) + "\n"
+            for j in range(3000)
+        ))
+        codec = KeyedTokenCodec(SecretKey(bytes(32)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            index = build_index_from_keywords(keyword_records(path), codec)
+            gc.collect()
+            held, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, index.entries.values())) == 60_000
+        assert peak < 1.5 * held
 
     def test_corpus(self, mini_corpus_dir):
         codec = CountingCodec()

@@ -298,6 +298,21 @@ class TestThresholdPath:
                 assert got.ranked == scan_all(idx, tokens, query, chosen, cutoff)
                 assert got.postings_touched <= sum(len(idx.entries[tokens[cid]]) for cid in chosen)
 
+    def test_a_pruned_search_can_read_more_postings_than_a_full_one(self, monkeypatch):
+        # A is in all 300 documents at frequency 1, S in 10 of them at 5; one cluster each. Alone, A's
+        # documents all tie at the cutoff, so its order is read out. With S, S's 10 documents score
+        # 6, above A's frontier of 1, before any of A's order is read.
+        docs = [f"d{j:03d}" for j in range(300)]
+        idx = ingest([(doc, [(b"A", 1)] + ([(b"S", 5)] if j % 30 == 0 else [])) for j, doc in enumerate(docs)])
+        monkeypatch.setattr(clustering, "LONG_LIST_POSTINGS", 100)
+        cs = one_token_clusters(idx, [b"A", b"S"])
+        assert set(cs.views) == {b"A"}
+        query = [b"A", b"S"]
+        alone, both = search(query, cs, [0], cutoff=10), search(query, cs, [0, 1], cutoff=10)
+        assert alone.ranked == scan_all(idx, [b"A", b"S"], query, [0], 10)
+        assert both.ranked == scan_all(idx, [b"A", b"S"], query, [0, 1], 10)
+        assert (alone.postings_touched, both.postings_touched) == (300, 10)
+
     def test_view_layout(self, monkeypatch):
         # d1 has no T; the order is by descending frequency, ties by ascending position
         monkeypatch.setattr(clustering, "LONG_LIST_POSTINGS", 3)
