@@ -282,21 +282,21 @@ def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config
 
     Each parsed line is compared with the built index and dropped, so no
     second copy of the index or the clusters is held. Every index file line
-    must equal the built entry of its token, and the lines must give every
-    token (the reader rejects a token listed twice). Every clusters file
-    token must be an index token with equal postings, and the tokens must
-    partition the index (a document with no keywords is in no posting, so
-    the clusters cannot give the index's documents). The abstracts must
-    pair with the re-read clusters and keep to the configured size. A file's
-    mismatch is raised once the file is read to its end, so a reader's
-    fault on any of its lines comes first.
+    must equal the built entry of its token (as maps: in any posting order),
+    and the lines must give every token (the reader rejects a token listed
+    twice). Every clusters file token must be an index token with equal
+    postings, and the tokens must partition the index (a document with no
+    keywords is in no posting, so the clusters cannot give the index's
+    documents). The abstracts must pair with the re-read clusters and keep
+    to the configured size. A file's mismatch is raised once the file is
+    read to its end, so a reader's fault on any of its lines comes first.
     """
     entries = index.entries
     lines = 0
     matched = True
     for token, by_doc in index_lines(index_path):
         lines += 1
-        matched = matched and _postings(by_doc) == entries.get(token)
+        matched = matched and by_doc == entries.get(token)
     if not matched or lines != len(entries):
         raise CLIError("index file round-trip mismatch")
     cluster_of: dict[CipherToken, int] = {}
@@ -305,7 +305,7 @@ def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config
     for _, members in cluster_lines(clusters_path, {}):
         for token, by_doc in members.items():
             cluster_of[token] = k
-            matched = matched and _postings(by_doc) == entries.get(token)
+            matched = matched and by_doc == entries.get(token)
         k += 1
     if cluster_of.keys() != entries.keys():
         raise CLIError("clusters file does not partition the index tokens")
@@ -316,11 +316,6 @@ def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config
     for abstract in abstracts:
         if len(abstract.entries) > config.abstract_size:
             raise CLIError("abstract exceeds the configured size")
-
-
-def _postings(by_doc: dict[str, int]) -> tuple[tuple[str, int], ...]:
-    """A reader's {document id: frequency} map as the index holds it: (doc, freq) pairs by doc."""
-    return tuple(sorted(by_doc.items()))
 
 
 # handlers whose code imports numpy; main imports it before the freeze

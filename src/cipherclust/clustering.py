@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .crypto import CipherToken, token_from_b64, token_to_b64
-from .index import CentralIndex, IndexDataError, check_doc_id, data_lines, trim, write_lines
+from .index import CentralIndex, IndexDataError, check_doc_id, data_lines, in_doc_order, trim, write_lines
 
 if TYPE_CHECKING:
     import numpy as np
@@ -153,7 +153,7 @@ def impact_views(index: CentralIndex, long_at: int | None = None) -> dict[Cipher
     views = {}
     for token, postings in long:
         # postings are in document order, and the sort is stable: ties stay in that order
-        by_impact = sorted(postings, key=itemgetter(1), reverse=True)
+        by_impact = sorted(postings.items(), key=itemgetter(1), reverse=True)
         code = _typecode(by_impact[0][1])
         if code is None:
             continue
@@ -407,12 +407,14 @@ def cluster_index(index: CentralIndex, k: int | str = "auto") -> tuple[ClusterSe
 def write_clusters(cluster_set: ClusterSet, path: str | Path) -> None:
     """One JSON object per cluster, ordered by id; tokens carry postings.
 
-    Postings are written as they are held: json encodes a tuple as an array.
+    Postings are written in held order, each `(doc, freq)` item as an array.
     """
     entries = cluster_set.index.entries
     lines = []
     for cid, cluster in enumerate(cluster_set.clusters):
-        tokens_payload = [{"t": token_to_b64(token), "postings": entries[token]} for token in cluster.tokens]
+        tokens_payload = [
+            {"t": token_to_b64(token), "postings": [*entries[token].items()]} for token in cluster.tokens
+        ]
         obj = {"id": cid, "center": token_to_b64(cluster.center), "tokens": tokens_payload}
         lines.append(json.dumps(obj, separators=(",", ":")))
     write_lines(path, lines)
@@ -497,10 +499,10 @@ def read_clusters(path: str | Path) -> ClusterSet:
 
     cluster_lines states what is rejected. The requested k is not stored in
     the file; k_requested is set to the cluster count actually present.
-    Document ids are shared, one string per document. The posting lists are
-    built once the whole file is read, in token order, and then the
-    ClusterSet's cluster_of and views: a server pays for them as it loads,
-    not at its first query.
+    Document ids are shared, one string per document, and each token keeps
+    cluster_lines' map (sorted only if out of document order). Then the
+    ClusterSet's cluster_of and views are built: a server pays for them as
+    it loads, not at its first query.
     """
     clusters: list[Cluster] = []
     acc: dict[CipherToken, dict[str, int]] = {}
@@ -508,7 +510,7 @@ def read_clusters(path: str | Path) -> ClusterSet:
     for cluster, members in cluster_lines(path, docs):
         clusters.append(cluster)
         acc.update(members)
-    entries = {token: tuple(sorted(by_doc.items())) for token, by_doc in sorted(acc.items())}
+    entries = {token: in_doc_order(acc[token]) for token in sorted(acc)}
     index = CentralIndex(entries=entries, docs=tuple(sorted(docs)))
     cluster_set = ClusterSet(clusters=tuple(clusters), index=index, k_requested=len(clusters))
     cluster_set.cluster_of, cluster_set.views  # noqa: B018 - built here, at load

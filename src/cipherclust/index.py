@@ -5,11 +5,11 @@ posting list of (document id, frequency). Frequencies stay plaintext; only
 token identities are ciphertext. A document's terms are its crypto.words,
 which states the tokenizer rule.
 
-A posting is a plain `(doc, frequency)` tuple and a posting list a plain
-tuple of them, sorted by document id. CPython's garbage collector stops
-tracking an exact tuple of strs and ints after the first collection it
-survives (a tuple subclass stays tracked for life), so an index of any size
-adds nothing to later collections.
+A posting list is a plain `{doc: frequency}` dict held in ascending
+document-id order, from ingest and the readers through to search. CPython's
+garbage collector never tracks a dict whose keys and values are all strs
+and ints, so an index of any size adds nothing to any collection; for three
+or more postings the dict is also smaller than a tuple of pairs.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import filterfalse
-from operator import itemgetter
+from itertools import filterfalse, islice
+from operator import attrgetter, itemgetter, lt
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -29,9 +29,6 @@ from .crypto import CipherToken, TokenCodec, normalize_term, token_from_b64, tok
 
 class IndexDataError(ValueError):
     """Malformed or inconsistent index input."""
-
-
-Posting = tuple[str, int]  # (document id, frequency)
 
 
 # Characters that would break the TSV / posting-list syntax.
@@ -56,13 +53,14 @@ DEFAULT_STOPWORDS = frozenset(
 
 @dataclass(frozen=True)
 class CentralIndex:
-    """Immutable token -> postings map plus the document universe.
+    """Token -> postings map plus the document universe; not to be mutated.
 
     entries are keyed by ciphertext bytes; iteration helpers always walk
-    tokens in byte order so every downstream artifact is reproducible.
+    tokens in byte order so every downstream artifact is reproducible. Each
+    token's postings are a {document id: frequency} dict in ascending id order.
     """
 
-    entries: dict[CipherToken, tuple[Posting, ...]]
+    entries: dict[CipherToken, dict[str, int]]
     docs: tuple[str, ...]
 
     @property
@@ -73,7 +71,7 @@ class CentralIndex:
         return sorted(self.entries)
 
     def total_frequency(self, token: CipherToken) -> int:
-        return sum(freq for _, freq in self.entries[token])
+        return sum(self.entries[token].values())
 
 
 @dataclass(frozen=True)
@@ -111,6 +109,13 @@ def extract_keywords(
     return sorted(sorted(items), key=itemgetter(1), reverse=True)[:n]
 
 
+def in_doc_order(by_doc: dict[str, int]) -> dict[str, int]:
+    """by_doc if its documents run in ascending id order, else a copy that does."""
+    if all(map(lt, by_doc, islice(by_doc, 1, None))):
+        return by_doc
+    return dict(sorted(by_doc.items()))
+
+
 def check_doc_id(doc_id: str, where: str = "") -> None:
     """Reject a document id that index.tsv cannot hold (empty, or holding a
     tab, line break, colon or comma); `where` prefixes the message."""
@@ -125,7 +130,7 @@ def ingest(records: Iterable[tuple[str, Iterable[tuple[CipherToken, int]]]]) -> 
 
     Rejects duplicate document ids and any (token, doc) pair appearing with
     two different frequencies. Records are consumed one at a time, and each
-    token's per-document map is freed as its posting list is built.
+    token's per-document map becomes its posting list (see in_doc_order).
     """
     seen_docs: set[str] = set()
     acc: dict[CipherToken, dict[str, int]] = {}
@@ -145,7 +150,7 @@ def ingest(records: Iterable[tuple[str, Iterable[tuple[CipherToken, int]]]]) -> 
                     f"conflicting frequencies for (token={token_to_b64(token)}, doc={doc_id!r}): "
                     f"{by_doc[doc_id]} vs {freq}"
                 )
-    entries = {token: tuple(sorted(acc.pop(token).items())) for token in sorted(acc)}
+    entries = {token: in_doc_order(acc[token]) for token in sorted(acc)}
     return CentralIndex(entries=entries, docs=tuple(sorted(seen_docs)))
 
 
@@ -181,7 +186,7 @@ def build_index_from_corpus(
     by a NUL byte, so it covers exactly the bytes that were indexed.
     """
     corpus = Path(corpus_dir)
-    paths = sorted(p for p in corpus.iterdir() if p.is_file() and p.suffix == ".txt")
+    paths = sorted((p for p in corpus.iterdir() if p.is_file() and p.suffix == ".txt"), key=attrgetter("name"))
     if not paths:
         raise IndexDataError(f"no .txt documents found in {corpus}")
     stop = frozenset(normalize_term(w) for w in stopwords)
@@ -323,7 +328,7 @@ def _check_utf8(path: str | Path) -> None:
 def write_index(index: CentralIndex, path: str | Path) -> None:
     """One line per token: `<b64 token>\\t<docId>:<freq>[,<docId>:<freq>]*`."""
     write_lines(path, (
-        f"{token_to_b64(token)}\t" + ",".join(f"{doc}:{freq}" for doc, freq in index.entries[token])
+        f"{token_to_b64(token)}\t" + ",".join(f"{doc}:{freq}" for doc, freq in index.entries[token].items())
         for token in index.tokens()
     ))
 
@@ -365,7 +370,7 @@ def index_lines(path: str | Path) -> Iterator[tuple[CipherToken, dict[str, int]]
 def read_index(path: str | Path) -> CentralIndex:
     """Parse an index file written by write_index; index_lines states what it rejects."""
     acc = dict(index_lines(path))
-    entries = {token: tuple(sorted(by_doc.items())) for token, by_doc in sorted(acc.items())}
+    entries = {token: in_doc_order(acc[token]) for token in sorted(acc)}
     return CentralIndex(entries=entries, docs=tuple(sorted(set().union(*acc.values()))))
 
 
@@ -393,7 +398,7 @@ def index_digest(index: CentralIndex) -> str:
     h = hashlib.sha256()
     for token in index.tokens():
         name = token_to_b64(token)
-        for doc, freq in index.entries[token]:
+        for doc, freq in index.entries[token].items():
             h.update(f"{name}\0{doc}\0{freq}\n".encode("utf-8"))
     return h.hexdigest()
 

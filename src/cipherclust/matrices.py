@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -77,10 +76,8 @@ def frequency_matrix(index: CentralIndex, tokens: Sequence[CipherToken]) -> Freq
     np.cumsum(np.fromiter(map(len, lists), dtype=np.int64, count=len(lists)), out=indptr[1:])
     nnz = int(indptr[-1])
     doc_pos = {d: j for j, d in enumerate(index.docs)}
-    indices = np.fromiter(
-        map(doc_pos.__getitem__, map(itemgetter(0), chain.from_iterable(lists))), dtype=np.int64, count=nnz
-    )
-    data = np.fromiter(map(itemgetter(1), chain.from_iterable(lists)), dtype=np.float64, count=nnz)
+    indices = np.fromiter(map(doc_pos.__getitem__, chain.from_iterable(lists)), dtype=np.int64, count=nnz)
+    data = np.fromiter(chain.from_iterable(map(dict.values, lists)), dtype=np.float64, count=nnz)
     return FrequencyMatrix(data, indices, indptr, len(index.docs))
 
 

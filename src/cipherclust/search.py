@@ -216,7 +216,7 @@ def search(
     # a document is in a token's postings at most once, so the longest list seeds the scores exactly
     scores: dict[str, int] = dict(lists.pop()) if lists else {}
     for postings in lists:
-        for doc, freq in postings:
+        for doc, freq in postings.items():
             scores[doc] = scores.get(doc, 0) + freq
     if long:
         ranked, read = _threshold_top(scores, long, clusters.index.docs, cutoff)

@@ -47,7 +47,12 @@ def keep_all(index) -> TrimmedIndex:
 
 def doc_sets(index) -> dict[bytes, frozenset[str]]:
     """Each token's set of documents, for oracles.algorithm_centers."""
-    return {token: frozenset(doc for doc, _ in postings) for token, postings in index.entries.items()}
+    return {token: frozenset(postings) for token, postings in index.entries.items()}
+
+
+def posting_tuples(index) -> dict[bytes, tuple[tuple[str, int], ...]]:
+    """Each token's (doc, frequency) pairs in held order: == on these compares posting order too."""
+    return {token: tuple(postings.items()) for token, postings in index.entries.items()}
 
 
 def entry(matrix, row_label, col_label) -> float:

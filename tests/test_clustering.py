@@ -28,7 +28,9 @@ from cipherclust.crypto import IdentityTokenCodec
 from cipherclust.index import IndexDataError, build_index_from_corpus, ingest, trim
 from cipherclust.matrices import estimate_k, frequency_matrix, matrix_pipeline
 
-from conftest import EXAMPLE_FREQS, doc_sets, keep_all, random_index, records_from_freqs, structured_freqs
+from conftest import (
+    EXAMPLE_FREQS, doc_sets, keep_all, posting_tuples, random_index, records_from_freqs, structured_freqs,
+)
 from oracles import (
     algorithm_centers,
     assignment_matches,
@@ -330,7 +332,8 @@ class TestDistributeAgainstDenseScorer:
 
     @staticmethod
     def check(index, centers):
-        want = tuple(Cluster(center=c, tokens=t) for c, t in dense_distribute(index.entries, index.docs, centers))
+        dense = dense_distribute(posting_tuples(index), index.docs, centers)
+        want = tuple(Cluster(center=c, tokens=t) for c, t in dense)
         assert distribute(index, centers).clusters == want
 
     @settings(max_examples=300, deadline=None)
@@ -409,7 +412,7 @@ class TestClusterIndexAndFiles:
         assert [(c.center, c.tokens) for c in again.clusters] == [
             (c.center, c.tokens) for c in cs.clusters
         ]
-        assert again.index.entries == example_index.entries
+        assert posting_tuples(again.index) == posting_tuples(example_index)
 
     def test_read_clusters_builds_the_search_maps_as_it_loads(self, tmp_path, example_index):
         # a built set makes them on first use, which a build never makes; a loaded one has them

@@ -216,7 +216,7 @@ class TestSearch:
             cs = ClusterSet(
                 clusters=tuple(Cluster(center=t, tokens=(t,)) for t in tokens), index=idx, k_requested=n_tokens
             )
-        postings = {t: list(ps) for t, ps in idx.entries.items()}
+        postings = {t: list(ps.items()) for t, ps in idx.entries.items()}
         query = tokens + [b"missing"]
         some = data.draw(st.permutations(range(n_tokens)))[: data.draw(st.integers(1, n_tokens))]
         for chosen in (list(range(n_tokens)), some):
@@ -242,7 +242,7 @@ class TestSearch:
         nlargest = search_module.heapq.nlargest
         monkeypatch.setattr(search_module.heapq, "nlargest", lambda n, it: heaps.append(n) or nlargest(n, it))
         got = search(tokens, cs, [0, 1], cutoff)
-        postings = {t: list(ps) for t, ps in idx.entries.items()}
+        postings = {t: list(ps.items()) for t, ps in idx.entries.items()}
         assert got.ranked == tuple(scan_search(tokens, [[t] for t in tokens], postings, [0, 1], cutoff))
         assert heaps == ([cutoff] if HEAP_FLOOR_RATIO * cutoff < 1000 else [])
 
@@ -254,7 +254,7 @@ def one_token_clusters(index, tokens):
 
 def scan_all(index, tokens, query, chosen, cutoff):
     """scan_search over one_token_clusters(index, tokens)."""
-    postings = {t: list(ps) for t, ps in index.entries.items()}
+    postings = {t: list(ps.items()) for t, ps in index.entries.items()}
     return tuple(scan_search(query, [[t] for t in tokens], postings, chosen, cutoff))
 
 
@@ -357,8 +357,8 @@ class TestThresholdPath:
         n_docs = 70_000
         docs = tuple(f"d{j:05d}" for j in range(n_docs))
         entries = {
-            b"A": tuple((doc, 1 + j % 3) for j, doc in enumerate(docs)),
-            b"B": tuple((doc, 1 + j % 5) for j, doc in enumerate(docs) if j % 7 == 0 or j > 65_530),
+            b"A": {doc: 1 + j % 3 for j, doc in enumerate(docs)},
+            b"B": {doc: 1 + j % 5 for j, doc in enumerate(docs) if j % 7 == 0 or j > 65_530},
         }
         idx = CentralIndex(entries=entries, docs=docs)
         cs = one_token_clusters(idx, [b"A", b"B"])
@@ -515,7 +515,7 @@ class TestAgainstScanReference:
         k = cs.k_used
         ref_abstracts = [(a.cluster_id, list(a.entries)) for a in abstracts]
         cluster_tokens = [list(c.tokens) for c in cs.clusters]
-        postings = {t: [(doc, freq) for doc, freq in ps] for t, ps in cs.index.entries.items()}
+        postings = {t: list(ps.items()) for t, ps in cs.index.entries.items()}
         every_token = list(cs.index.entries)
 
         for abstract in abstracts:
