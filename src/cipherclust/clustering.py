@@ -27,10 +27,8 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -108,61 +106,27 @@ class Cluster:
     tokens: tuple[CipherToken, ...]  # byte-sorted, includes the center
 
 
-# Posting lists at least this long get an ImpactView, so search can stop reading them early. On a
+# Posting lists at least this long get an impact view, so search can stop reading them early. On a
 # 3,500-document text corpus the 10 lists of 1,000+ postings hold the head words of the costliest
-# queries; their views take 89 KB, 1.5% of the loaded clusters. At 250 (19 views) the scoring tail
-# was no lower, and the views took 45 KB and 2 ms more to build.
+# queries; their views take 191 KB (8 bytes per posting), 4.7% of the loaded clusters, and 4 ms to
+# build on a 2-vCPU machine. At 250 (19 views) the scoring tail was no lower, and the views took
+# 37 KB and 0.5 ms more.
 LONG_LIST_POSTINGS = 1000
 
 
-def _typecode(largest: int) -> str | None:
-    """The smallest unsigned array typecode that holds 0..largest, or None if none does."""
-    for code in "BHIQ":
-        if largest < 1 << 8 * array(code).itemsize:
-            return code
-    return None
+def impact_views(index: CentralIndex) -> dict[CipherToken, tuple[str, ...]]:
+    """The impact view of every posting list of at least LONG_LIST_POSTINGS postings.
 
-
-@dataclass(frozen=True)
-class ImpactView:
-    """A long posting list over positions in the sorted index.docs.
-
-    dense[p] is the frequency of document p (0 if absent); order lists the
-    list's documents by descending frequency, ties by ascending position.
+    A view is the list's document ids by descending frequency, ties by
+    ascending id; each id is the posting dict's own key string, so a view
+    holds one reference per posting.
     """
-
-    dense: array
-    order: array
-
-
-def impact_views(index: CentralIndex, long_at: int | None = None) -> dict[CipherToken, ImpactView]:
-    """An ImpactView of every posting list of at least long_at postings (default LONG_LIST_POSTINGS).
-
-    The typecodes are the smallest that hold the list's largest frequency
-    and the largest position; a list whose frequency no typecode holds gets
-    no view.
-    """
-    if long_at is None:
-        long_at = LONG_LIST_POSTINGS
-    long = [(t, ps) for t, ps in index.entries.items() if len(ps) >= long_at]
-    if not long:
-        return {}
-    n_docs = len(index.docs)
-    position = {doc: p for p, doc in enumerate(index.docs)}
-    order_code = _typecode(n_docs - 1)
-    views = {}
-    for token, postings in long:
-        # postings are in document order, and the sort is stable: ties stay in that order
-        by_impact = sorted(postings.items(), key=itemgetter(1), reverse=True)
-        code = _typecode(by_impact[0][1])
-        if code is None:
-            continue
-        order = array(order_code, map(position.__getitem__, map(itemgetter(0), by_impact)))
-        dense = array(code, bytes(array(code).itemsize * n_docs))
-        for p, (_, freq) in zip(order, by_impact):
-            dense[p] = freq
-        views[token] = ImpactView(dense, order)
-    return views
+    # postings are in document order, and the sort is stable: ties stay in that order
+    return {
+        token: tuple(sorted(postings, key=postings.__getitem__, reverse=True))
+        for token, postings in index.entries.items()
+        if len(postings) >= LONG_LIST_POSTINGS
+    }
 
 
 @dataclass(frozen=True)
@@ -172,9 +136,9 @@ class ClusterSet:
     cluster_of maps each token to its cluster id, so a search finds a query
     token's cluster with one lookup instead of probing every selected
     cluster. views holds the impact_views of the index, for search's
-    threshold path, at the LONG_LIST_POSTINGS in force when the set is
-    constructed. Each is built on first use, so a build, which never
-    searches, builds neither; read_clusters builds both as it loads.
+    threshold path, at the LONG_LIST_POSTINGS in force when it is first
+    read. Each is built on first use, so a build, which never searches,
+    builds neither; read_clusters builds both as it loads.
     """
 
     clusters: tuple[Cluster, ...]
@@ -185,15 +149,14 @@ class ClusterSet:
         listed = sum(len(cluster.tokens) for cluster in self.clusters)
         if len(frozenset().union(*(cluster.tokens for cluster in self.clusters))) != listed:
             raise ValueError("clusters must be disjoint and list each token once")
-        object.__setattr__(self, "_long_at", LONG_LIST_POSTINGS)
 
     @cached_property
     def cluster_of(self) -> dict[CipherToken, int]:
         return {token: cid for cid, cluster in enumerate(self.clusters) for token in cluster.tokens}
 
     @cached_property
-    def views(self) -> dict[CipherToken, ImpactView]:
-        return impact_views(self.index, self._long_at)
+    def views(self) -> dict[CipherToken, tuple[str, ...]]:
+        return impact_views(self.index)
 
     @property
     def k_used(self) -> int:
@@ -426,11 +389,11 @@ def cluster_lines(
     """Each cluster of a clusters file with a {document id: frequency} map per token, in file order.
 
     Rejected with path:lineno: a malformed line or token entry, cluster ids
-    that do not run 0, 1, 2, ... in order, a token listed twice (in one
-    cluster or in two), a posting list naming a document twice, a frequency
-    that is not an integer >= 1, a document id that is not a string or that
-    ingest rejects (checked when the document is first seen), and a center
-    missing from its own cluster's tokens. Since clusters are disjoint, the
+    that are not the integers 0, 1, 2, ... in order, a token listed twice
+    (in one cluster or in two), a posting list naming a document twice, a
+    frequency that is not an integer >= 1, a document id that is not a
+    string or that ingest rejects (checked when the document is first seen),
+    and a center missing from its own cluster's tokens. Since clusters are disjoint, the
     last also rejects two clusters sharing a center.
 
     docs is filled with every document id read, each mapped to the one
@@ -447,13 +410,13 @@ def cluster_lines(
             center_s = obj["center"]
             center = token_from_b64(center_s)
             token_objs = list(obj["tokens"])
-            cid = int(obj["id"])
+            cid = obj["id"]
         except (ValueError, KeyError, TypeError) as exc:
             raise IndexDataError(f"{where}: malformed cluster line: {exc}")
         # token_objs now holds the only reference to each token entry; a
         # one-cluster file is a single line holding every posting
         del obj
-        if k != cid:
+        if type(cid) is not int or cid != k:
             raise IndexDataError(f"{where}: cluster ids must be 0,1,2,... in order")
         members: dict[CipherToken, dict[str, int]] = {}
         for i in range(len(token_objs)):

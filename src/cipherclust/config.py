@@ -43,37 +43,41 @@ class PipelineConfig:
         return self
 
 
-def _coerce(name: str, raw: str):
+def _coerce(name: str, raw: str, where: str):
+    """The value of config key name from its text raw; where (path:lineno) prefixes every error."""
     raw = raw.strip()
-    if name in _INT_FIELDS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"config value {name} must be an integer, got {raw!r}")
-    if name == "k_mode":
-        if raw == "auto":
-            return "auto"
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"k_mode must be 'auto' or an integer, got {raw!r}")
-    if name == "codec":
+    if name == "codec" or name == "k_mode" and raw == "auto":
         return raw
-    raise ConfigError(f"unknown config key {name!r}")
+    if name != "k_mode" and name not in _INT_FIELDS:
+        raise ConfigError(f"{where}: unknown config key {name!r}")
+    # int() would also take "1_0", "+5" and non-ASCII digits
+    if not (raw.isascii() and raw.isdigit()):
+        wanted = "'auto' or an integer" if name == "k_mode" else "an integer"
+        raise ConfigError(f"{where}: {name} must be {wanted}, got {raw!r}")
+    return int(raw)
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """Line-oriented `key = value`; blank lines and #-comments are skipped."""
+    """Line-oriented `key = value`; blank lines and #-comments are skipped.
+
+    Rejected with path:lineno: a line without `=`, an unknown key, a key set
+    twice, and an integer value that is not a run of ASCII digits.
+    """
     values: dict = {}
+    set_at: dict[str, int] = {}
     for lineno, line in data_lines(path):
         stripped = line.strip()
         if stripped.startswith("#"):
             continue
+        where = f"{path}:{lineno}"
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected `key = value`")
+            raise ConfigError(f"{where}: expected `key = value`")
         name, raw = stripped.split("=", 1)
         name = name.strip()
-        values[name] = _coerce(name, raw)
+        if name in set_at:
+            raise ConfigError(f"{where}: {name} is already set on line {set_at[name]}")
+        set_at[name] = lineno
+        values[name] = _coerce(name, raw, where)
     return values
 
 

@@ -23,13 +23,13 @@ it get the keyed sort.
 
 A query whose longest selected list has clustering.LONG_LIST_POSTINGS or
 more postings is ranked by Fagin's threshold algorithm over impact views
-(ClusterSet.views, built at load): a dense frequency vector over positions
-in the sorted index.docs, and the list's positions by descending frequency,
-ties by position. The short lists are scored in full; the views are then
-read in batches from FIRST_BATCH, each half as large again as the last,
-until the cutoff-th best score is strictly above the sum of the frequencies
-at the read frontiers, or the views run out. Scoring runs in C over the
-dense vectors, and the ranking is exact, ties at the cutoff by document id.
+(ClusterSet.views, built at load): a tuple of each long list's document ids
+by descending frequency, ties by id. The short lists are scored in full;
+the views are then read in batches from FIRST_BATCH, each half as large
+again as the last, until the cutoff-th best score is strictly above the sum
+of the frequencies at the read frontiers, or the views run out. Every
+document is scored in C over the long lists' posting dicts, and the ranking
+is exact, ties at the cutoff by document id.
 postings_touched counts the postings read: the short lists plus the
 impact-order entries read, not the long lists' lengths. Queries that touch
 no long list pay one length test.
@@ -38,16 +38,14 @@ from __future__ import annotations
 
 import heapq
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import compress, repeat
-from operator import add, getitem, lt, neg
+from operator import add, lt
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from . import clustering
-from .clustering import ClusterSet, ImpactView
+from .clustering import ClusterSet
 from .crypto import CipherToken, token_from_b64, token_to_b64
 from .index import CentralIndex, IndexDataError, data_lines, write_lines
 
@@ -205,12 +203,12 @@ def search(
     query = set(query_tokens)
     lists = [entries[t] for t in query if cluster_of.get(t) in chosen]
     lists.sort(key=len)
-    long: list[ImpactView] = []
+    long: list[CipherToken] = []
     if lists and len(lists[-1]) >= clustering.LONG_LIST_POSTINGS:
         # the lists with a view are left to _threshold_top; the others are scored here
         views = clusters.views
         found = [t for t in query if cluster_of.get(t) in chosen]
-        long = [views[t] for t in found if t in views]
+        long = [t for t in found if t in views]
         lists = sorted((entries[t] for t in found if t not in views), key=len)
     touched = sum(map(len, lists))
     # a document is in a token's postings at most once, so the longest list seeds the scores exactly
@@ -219,7 +217,7 @@ def search(
         for doc, freq in postings.items():
             scores[doc] = scores.get(doc, 0) + freq
     if long:
-        ranked, read = _threshold_top(scores, long, clusters.index.docs, cutoff)
+        ranked, read = _threshold_top(scores, [entries[t] for t in long], [views[t] for t in long], cutoff)
         return SearchResult(ranked=ranked, clusters_searched=selected, postings_touched=touched + read)
     items = scores.items()
     if len(scores) > cutoff:
@@ -233,39 +231,37 @@ def search(
 
 
 def _threshold_top(
-    exact: dict[str, int], long: list[ImpactView], docs: tuple[str, ...], cutoff: int
+    exact: dict[str, int], long: list[dict[str, int]], orders: list[tuple[str, ...]], cutoff: int
 ) -> tuple[tuple[tuple[str, int], ...], int]:
     """Fagin's threshold algorithm: the top cutoff (doc, score) pairs of the short lists' summed
-    scores, exact, plus the long lists' views, and the number of impact-order entries read.
+    scores, exact, plus the long posting lists, and the number of impact-order entries read.
 
-    Every document of a short list is scored first, its long-list frequencies read from the dense
-    vectors at its position in docs (found by bisection). The views' orders are then read in
-    growing batches, and each new document is scored from the dense vectors alone: it is in no
-    short list. A document not yet scored scores at most the sum of the frequencies at the lists'
-    read frontiers, so reading stops once the cutoff-th best score is strictly above that sum, or
-    when every order is read out. Strictly, so no unscored document can tie at the cutoff, where
-    the ranking is by document id.
+    orders holds each long list's impact view. Every document of a short list is scored first,
+    its long-list frequencies read from the posting dicts. The orders are then read in growing
+    batches, and each new document is scored from the long lists alone: it is in no short list.
+    A document not yet scored scores at most the sum of the frequencies at the lists' read
+    frontiers, so reading stops once the cutoff-th best score is strictly above that sum, or when
+    every order is read out. Strictly, so no unscored document can tie at the cutoff, where the
+    ranking is by document id.
     """
     entries_read = 0
-    dense = [view.dense for view in long]
-    orders = [view.order for view in long]
 
-    def totals(positions: list[int], base=None) -> list[int]:
-        """base plus every dense vector at positions, summed in C."""
-        for vector in dense:
-            at = map(getitem, repeat(vector), positions)
+    def totals(docs: list[str], base=None) -> list[int]:
+        """base plus every long list's frequency of each of docs, summed in C."""
+        for postings in long:
+            at = map(postings.get, docs, repeat(0))
             base = at if base is None else map(add, base, at)
         return list(base)
 
-    positions = list(map(partial(bisect_left, docs), exact))
-    scores = totals(positions, exact.values())
-    seen = set(positions)
+    docs = list(exact)
+    scores = totals(docs, exact.values())
+    seen = set(docs)
     depth, step = 0, FIRST_BATCH
     while True:
-        bound = sum(vector[order[depth]] for vector, order in zip(dense, orders) if depth < len(order))
+        bound = sum(postings[order[depth]] for postings, order in zip(long, orders) if depth < len(order))
         if not bound or sum(map(lt, repeat(bound), scores)) >= cutoff:
             break
-        batch: set[int] = set()
+        batch: set[str] = set()
         for order in orders:
             chunk = order[depth:depth + step]
             entries_read += len(chunk)
@@ -273,14 +269,13 @@ def _threshold_top(
         batch -= seen
         seen |= batch
         new = list(batch)
-        positions += new
+        docs += new
         scores += totals(new)
         depth += step
         step += step // 2
-    # every document scoring above the bound is scored, and at least cutoff do unless all are read;
-    # (-score, position) pairs sort as (-score, doc id), as docs is sorted
-    ranked = sorted(compress(zip(map(neg, scores), positions), map(lt, repeat(bound), scores)))[:cutoff]
-    return tuple((docs[p], -negated) for negated, p in ranked), entries_read
+    # every document scoring above the bound is scored, and at least cutoff do unless all are read
+    ranked = sorted(compress(zip(docs, scores), map(lt, repeat(bound), scores)), key=lambda kv: (-kv[1], kv[0]))
+    return tuple(ranked[:cutoff]), entries_read
 
 
 def check_pairing(

@@ -497,6 +497,16 @@ class TestReadClustersRejectsMalformedEntries:
         with pytest.raises(IndexDataError, match=re.escape(f"{mini_clusters_file}:2:")):
             read_clusters(mini_clusters_file)
 
+    @pytest.mark.parametrize(
+        "lineno, cid", [(1, "0"), (1, 0.0), (1, False), (1, None), (2, "1"), (2, 1.0), (2, True)]
+    )
+    def test_cluster_id_not_an_integer(self, mini_clusters_file, lineno, cid):
+        # int() would take each of these, and on line 2 each equals 1
+        _edit_line(mini_clusters_file, lineno, lambda obj: obj.__setitem__("id", cid))
+        where = re.escape(f"{mini_clusters_file}:{lineno}: ")
+        with pytest.raises(IndexDataError, match=f"^{where}cluster ids must be 0,1,2,... in order$"):
+            read_clusters(mini_clusters_file)
+
     def test_frequency_below_one(self, mini_clusters_file):
         _edit_line(mini_clusters_file, 2, lambda obj: obj["tokens"][0]["postings"][0].__setitem__(1, 0))
         where = re.escape(f"{mini_clusters_file}:2:")

@@ -13,6 +13,15 @@ from cipherclust.config import CONFIG_ENV, ConfigError, PipelineConfig, load_con
 from conftest import DATA_DIR
 
 
+# config file lines that parse_config_file rejects: int() takes "1_0", "+5" and "\u0663" (ARABIC-INDIC
+# DIGIT THREE), but an integer field holds ASCII digits only
+BAD_FILE_LINES = [
+    "keywords_per_doc = zero", "unknown_key = 1", "k_mode = -3", "cutoff = 1_0", "abstract_size = +5",
+    "prune_width = \u0663", "keywords_per_doc = 5.0", "k_mode = 1_0", "k_mode = +7", "k_mode = \u0663",
+    "cutoff =", "no equals sign",
+]
+
+
 class TestConfig:
     def test_defaults(self):
         config = PipelineConfig().validate()
@@ -42,14 +51,26 @@ class TestConfig:
         monkeypatch.setenv(CONFIG_ENV, str(path))
         assert load_config().abstract_size == 42
 
-    @pytest.mark.parametrize(
-        "line", ["keywords_per_doc = zero", "unknown_key = 1", "k_mode = -3", "codec = rsa"]
-    )
+    @pytest.mark.parametrize("line", BAD_FILE_LINES + ["codec = rsa", "cutoff = 0", "k_mode = 0"])
     def test_bad_values_rejected(self, tmp_path, line):
         path = tmp_path / "conf"
-        path.write_text(line + "\n")
+        path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    @pytest.mark.parametrize("line", BAD_FILE_LINES)
+    def test_file_errors_name_the_line(self, tmp_path, line):
+        path = tmp_path / "conf"
+        path.write_text(f"# {line}\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3: "):
+            parse_config_file(path)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "conf"
+        path.write_text("abstract_size = 5\n# again\nabstract_size = 7\n")
+        where = re.escape(f"{path}:3: ")
+        with pytest.raises(ConfigError, match=f"^{where}abstract_size is already set on line 1$"):
+            parse_config_file(path)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import gc
 import random
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from cipherclust import clustering
 from cipherclust.clustering import Cluster, ClusterSet, distribute, impact_views
-from cipherclust.index import CentralIndex, IndexDataError, ingest
+from cipherclust.index import IndexDataError, ingest
 from cipherclust import search as search_module
 from cipherclust.search import (
     HEAP_FLOOR_RATIO,
@@ -216,6 +217,7 @@ class TestSearch:
             cs = ClusterSet(
                 clusters=tuple(Cluster(center=t, tokens=(t,)) for t in tokens), index=idx, k_requested=n_tokens
             )
+            assert cs.views == {}  # built here, under the patch
         postings = {t: list(ps.items()) for t, ps in idx.entries.items()}
         query = tokens + [b"missing"]
         some = data.draw(st.permutations(range(n_tokens)))[: data.draw(st.integers(1, n_tokens))]
@@ -314,14 +316,16 @@ class TestThresholdPath:
         assert (alone.postings_touched, both.postings_touched) == (300, 10)
 
     def test_view_layout(self, monkeypatch):
-        # d1 has no T; the order is by descending frequency, ties by ascending position
+        # d1 has no T; the order is by descending frequency, ties by ascending id. The ids are made at
+        # run time, so each view entry is the posting dict's key object only if the view copies none.
         monkeypatch.setattr(clustering, "LONG_LIST_POSTINGS", 3)
-        idx = ingest([("d0", [(b"T", 2)]), ("d1", [(b"U", 1)]), ("d2", [(b"T", 5)]), ("d3", [(b"T", 2)]),
-                      ("d4", [(b"T", 2)])])
+        d0, d1, d2, d3, d4 = (f"d{j}" for j in range(5))
+        idx = ingest([(d0, [(b"T", 2)]), (d1, [(b"U", 1)]), (d2, [(b"T", 5)]), (d3, [(b"T", 2)]), (d4, [(b"T", 2)])])
         views = impact_views(idx)
         assert list(views) == [b"T"]
-        assert list(views[b"T"].dense) == [2, 0, 5, 2, 2]
-        assert list(views[b"T"].order) == [2, 0, 3, 4]
+        assert views[b"T"] == ("d2", "d0", "d3", "d4")
+        keys = list(idx.entries[b"T"])
+        assert all(any(doc is key for key in keys) for doc in views[b"T"])
 
     def test_reading_stops_once_the_cutoff_is_strictly_above_the_frontier(self, monkeypatch):
         # d000 scores 9 and every other document 1: the first batch settles cutoff 1, but at
@@ -334,38 +338,19 @@ class TestThresholdPath:
         got = search([b"T"], cs, [0], cutoff=2)
         assert got.ranked == (("d000", 9), ("d001", 1)) and got.postings_touched == 100
 
-    @pytest.mark.parametrize("big, dense_code", [
-        (2**16 - 1, "H"), (2**16, "I"), (2**32 - 1, "I"), (2**32, "Q"), (2**64 - 1, "Q"), (2**64, None),
-    ])
-    def test_dense_typecode_holds_the_largest_frequency(self, monkeypatch, big, dense_code):
-        # A holds big, B is a second long list; a list whose frequency fits no typecode gets no
-        # view and is scored exactly, beside B's view.
+    @pytest.mark.parametrize("big", [2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**64 - 1, 2**64])
+    def test_dense_typecode_holds_the_largest_frequency(self, monkeypatch, big):
+        # A holds big, B is a second long list; both get views, whatever the frequencies' width
         monkeypatch.setattr(clustering, "LONG_LIST_POSTINGS", 4)
         rng = random.Random(big)
         records = [(f"d{j}", [(b"A", big if j == 3 else rng.randint(1, 3)), (b"B", rng.randint(1, 3))]) for j in range(8)]
         idx = ingest(records)
         cs = one_token_clusters(idx, [b"A", b"B"])
-        assert (cs.views[b"A"].dense.typecode if b"A" in cs.views else None) == dense_code
-        assert cs.views[b"B"].dense.typecode == "B"
+        assert set(cs.views) == {b"A", b"B"}
         for cutoff in (1, 3, 9):
             for chosen in ([0], [0, 1], [1]):
                 got = search([b"A", b"B"], cs, chosen, cutoff)
                 assert got.ranked == scan_all(idx, [b"A", b"B"], [b"A", b"B"], chosen, cutoff)
-
-    def test_order_typecode_holds_every_position(self):
-        # 70,000 documents: positions above 65,535 need a 4-byte order
-        n_docs = 70_000
-        docs = tuple(f"d{j:05d}" for j in range(n_docs))
-        entries = {
-            b"A": {doc: 1 + j % 3 for j, doc in enumerate(docs)},
-            b"B": {doc: 1 + j % 5 for j, doc in enumerate(docs) if j % 7 == 0 or j > 65_530},
-        }
-        idx = CentralIndex(entries=entries, docs=docs)
-        cs = one_token_clusters(idx, [b"A", b"B"])
-        assert {v.order.typecode for v in cs.views.values()} == {"I"}
-        for cutoff in (1, 10):
-            got = search([b"A", b"B"], cs, [0, 1], cutoff)
-            assert got.ranked == scan_all(idx, [b"A", b"B"], [b"A", b"B"], [0, 1], cutoff)
 
     def test_views_hold_a_few_bytes_per_document_per_long_list(self):
         n_docs, n_long = 5000, 3
@@ -382,8 +367,8 @@ class TestThresholdPath:
         finally:
             tracemalloc.stop()
         assert len(views) == n_long
-        # a 1-byte frequency and a 2-byte position per document, plus the objects' headers
-        assert held <= 4 * n_docs * n_long + 4096, held
+        # one reference per posting and one tuple header per view, plus 1 KB for the dict of views
+        assert held <= 8 * n_docs * n_long + n_long * sys.getsizeof(()) + 1024, held
 
 
 class TestPrunedVersusFull:
