@@ -6,14 +6,13 @@ only through the documented file formats, so any stage can be re-run or
 replaced on its own.
 
 Only the numeric commands (estimate-k, cluster, evaluate coherence,
-pipeline) load numpy; the others never do. scipy is loaded only by
-estimate-k --dump-matrices, the one command that forms the whole
-A -> N -> R -> S -> C chain.
+pipeline) load numpy, through the functions they call; the others never
+do. scipy is loaded only by estimate-k --dump-matrices, the one command
+that forms the whole A -> N -> R -> S -> C chain.
 """
 from __future__ import annotations
 
 import argparse
-import gc
 import hashlib
 import json
 import sys
@@ -285,11 +284,10 @@ def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config
     must equal the built entry of its token (as maps: in any posting order),
     and the lines must give every token (the reader rejects a token listed
     twice). Every clusters file token must be an index token with equal
-    postings, and the tokens must partition the index (a document with no
-    keywords is in no posting, so the clusters cannot give the index's
-    documents). The abstracts must pair with the re-read clusters and keep
-    to the configured size. A file's mismatch is raised once the file is
-    read to its end, so a reader's fault on any of its lines comes first.
+    postings, and the tokens must partition the index. The abstracts must
+    pair with the re-read clusters and keep to the configured size. A
+    file's mismatch is raised once the file is read to its end, so a
+    reader's fault on any of its lines comes first.
     """
     entries = index.entries
     lines = 0
@@ -302,7 +300,7 @@ def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config
     cluster_of: dict[CipherToken, int] = {}
     k = 0
     matched = True
-    for _, members in cluster_lines(clusters_path, {}):
+    for _, members in cluster_lines(clusters_path):
         for token, by_doc in members.items():
             cluster_of[token] = k
             matched = matched and by_doc == entries.get(token)
@@ -316,10 +314,6 @@ def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config
     for abstract in abstracts:
         if len(abstract.entries) > config.abstract_size:
             raise CLIError("abstract exceeds the configured size")
-
-
-# handlers whose code imports numpy; main imports it before the freeze
-NUMERIC_HANDLERS = frozenset({cmd_estimate_k, cmd_cluster, cmd_evaluate_coherence, cmd_pipeline})
 
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
@@ -425,15 +419,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "search" and not args.no_prune and not args.abstracts:
         parser.error("search needs --abstracts unless --no-prune is given")
-    if args.func in NUMERIC_HANDLERS:
-        # matrices imports numpy: here, not at module level, so search never
-        # loads it, and before the freeze, so its import objects are frozen
-        # too. scipy, which only --dump-matrices needs, is left out.
-        from . import matrices  # noqa: F401
-    # Everything alive now (the imported modules, numpy's among them for a
-    # numeric command) lives as long as the command: keep the collector from
-    # rescanning it.
-    gc.freeze()
     try:
         return args.func(args)
     except (ValueError, LookupError, OSError) as exc:
@@ -441,8 +426,6 @@ def main(argv: list[str] | None = None) -> int:
         # evaluation) is a ValueError subclass
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
-    finally:
-        gc.unfreeze()
 
 
 if __name__ == "__main__":

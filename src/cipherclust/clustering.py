@@ -383,9 +383,7 @@ def write_clusters(cluster_set: ClusterSet, path: str | Path) -> None:
     write_lines(path, lines)
 
 
-def cluster_lines(
-    path: str | Path, docs: dict[str, str]
-) -> Iterator[tuple[Cluster, dict[CipherToken, dict[str, int]]]]:
+def cluster_lines(path: str | Path) -> Iterator[tuple[Cluster, dict[CipherToken, dict[str, int]]]]:
     """Each cluster of a clusters file with a {document id: frequency} map per token, in file order.
 
     Rejected with path:lineno: a malformed line or token entry, cluster ids
@@ -396,12 +394,13 @@ def cluster_lines(
     and a center missing from its own cluster's tokens. Since clusters are disjoint, the
     last also rejects two clusters sharing a center.
 
-    docs is filled with every document id read, each mapped to the one
-    string that every map holds for it. Each token entry's parse tree is
-    freed once its map is built, and each cluster is yielded once its line
-    passes, so a consumer that drops it holds one line's postings at a time.
+    Every map holds one string per document id, the first one read, across
+    all lines. Each token entry's parse tree is freed once its map is built,
+    and each cluster is yielded once its line passes, so a consumer that
+    drops it holds one line's postings at a time.
     """
     seen: set[CipherToken] = set()
+    docs: dict[str, str] = {}
     k = 0
     for lineno, line in data_lines(path):
         where = f"{path}:{lineno}"
@@ -462,19 +461,17 @@ def read_clusters(path: str | Path) -> ClusterSet:
 
     cluster_lines states what is rejected. The requested k is not stored in
     the file; k_requested is set to the cluster count actually present.
-    Document ids are shared, one string per document, and each token keeps
-    cluster_lines' map (sorted only if out of document order). Then the
+    Each token keeps cluster_lines' map (sorted only if out of document
+    order), so document ids are shared, one string per document. Then the
     ClusterSet's cluster_of and views are built: a server pays for them as
     it loads, not at its first query.
     """
     clusters: list[Cluster] = []
-    acc: dict[CipherToken, dict[str, int]] = {}
-    docs: dict[str, str] = {}
-    for cluster, members in cluster_lines(path, docs):
+    entries: dict[CipherToken, dict[str, int]] = {}
+    for cluster, members in cluster_lines(path):
         clusters.append(cluster)
-        acc.update(members)
-    entries = {token: in_doc_order(acc[token]) for token in sorted(acc)}
-    index = CentralIndex(entries=entries, docs=tuple(sorted(docs)))
+        entries.update((token, in_doc_order(by_doc)) for token, by_doc in members.items())
+    index = CentralIndex(entries)
     cluster_set = ClusterSet(clusters=tuple(clusters), index=index, k_requested=len(clusters))
     cluster_set.cluster_of, cluster_set.views  # noqa: B018 - built here, at load
     return cluster_set

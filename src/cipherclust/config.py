@@ -14,11 +14,26 @@ from .index import data_lines
 
 CONFIG_ENV = "CLUSTCRYPT_CONFIG"
 
-_INT_FIELDS = ("keywords_per_doc", "abstract_size", "prune_width", "cutoff")
+# what each field takes, as its error message states it
+_WANTED = {
+    **dict.fromkeys(("keywords_per_doc", "abstract_size", "prune_width", "cutoff"), "a positive integer"),
+    "k_mode": "'auto' or a positive integer",
+    "codec": "'keyed' or 'identity'",
+}
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _check(name: str, value, where: str = "") -> None:
+    """Reject a value that field name does not take; where prefixes the message."""
+    if name == "codec":
+        valid = value in ("keyed", "identity")
+    else:
+        valid = name == "k_mode" and value == "auto" or isinstance(value, int) and value >= 1
+    if not valid:
+        raise ConfigError(f"{where}{name} must be {_WANTED[name]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -31,37 +46,29 @@ class PipelineConfig:
     codec: str = "keyed"
 
     def validate(self) -> "PipelineConfig":
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if self.k_mode != "auto":
-            if not isinstance(self.k_mode, int) or self.k_mode < 1:
-                raise ConfigError(f"k_mode must be 'auto' or a positive integer, got {self.k_mode!r}")
-        if self.codec not in ("keyed", "identity"):
-            raise ConfigError(f"codec must be 'keyed' or 'identity', got {self.codec!r}")
+        for name in _WANTED:
+            _check(name, getattr(self, name))
         return self
 
 
 def _coerce(name: str, raw: str, where: str):
     """The value of config key name from its text raw; where (path:lineno) prefixes every error."""
-    raw = raw.strip()
-    if name == "codec" or name == "k_mode" and raw == "auto":
-        return raw
-    if name != "k_mode" and name not in _INT_FIELDS:
+    if name not in _WANTED:
         raise ConfigError(f"{where}: unknown config key {name!r}")
-    # int() would also take "1_0", "+5" and non-ASCII digits
-    if not (raw.isascii() and raw.isdigit()):
-        wanted = "'auto' or an integer" if name == "k_mode" else "an integer"
-        raise ConfigError(f"{where}: {name} must be {wanted}, got {raw!r}")
-    return int(raw)
+    raw = raw.strip()
+    # only a run of ASCII digits is an integer: int() would also take "1_0", "+5" and non-ASCII digits
+    value = int(raw) if name != "codec" and raw.isascii() and raw.isdigit() else raw
+    _check(name, value, f"{where}: ")
+    return value
 
 
 def parse_config_file(path: str | Path) -> dict:
     """Line-oriented `key = value`; blank lines and #-comments are skipped.
 
     Rejected with path:lineno: a line without `=`, an unknown key, a key set
-    twice, and an integer value that is not a run of ASCII digits.
+    twice, an integer value that is not a run of ASCII digits, and a value
+    its field does not take (a codec other than keyed or identity, an
+    integer below 1).
     """
     values: dict = {}
     set_at: dict[str, int] = {}

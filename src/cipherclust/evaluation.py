@@ -26,6 +26,8 @@ if TYPE_CHECKING:
 
 TSAP_CUTOFF = 10
 GRADES = (0, 1, 2)
+# run_benchmark times each search path as the best of this many runs, to damp scheduler noise
+BENCHMARK_REPEATS = 9
 
 
 class EvaluationError(ValueError):
@@ -361,15 +363,11 @@ def run_benchmark(
     codec: TokenCodec,
     prune_width: int,
     cutoff: int,
-    repeats: int = 9,
 ) -> tuple[dict[str, SearchResult], list[SearchTiming]]:
     """Search every benchmark query both pruned and unpruned.
 
-    Each path is timed as the best of `repeats` monotonic-clock runs to damp
-    scheduler noise at desk scale.
+    Each path is timed as the best of BENCHMARK_REPEATS monotonic-clock runs.
     """
-    if repeats < 1:
-        raise EvaluationError("repeats must be >= 1")
     full_ids = range(clusters.k_used)
     results: dict[str, SearchResult] = {}
     timings: list[SearchTiming] = []
@@ -378,8 +376,7 @@ def run_benchmark(
         pruned_best = math.inf
         full_best = math.inf
         prune_best = math.inf
-        result = None
-        for _ in range(repeats):
+        for _ in range(BENCHMARK_REPEATS):
             start = time.perf_counter_ns()
             selected = prune(tokens, abstracts, prune_width)
             prune_best = min(prune_best, time.perf_counter_ns() - start)
@@ -389,7 +386,6 @@ def run_benchmark(
             start = time.perf_counter_ns()
             search(tokens, clusters, full_ids, cutoff)
             full_best = min(full_best, time.perf_counter_ns() - start)
-        assert result is not None
         results[query_id] = result
         timings.append(
             SearchTiming(

@@ -5,6 +5,11 @@ posting list of (document id, frequency). Frequencies stay plaintext; only
 token identities are ciphertext. A document's terms are its crypto.words,
 which states the tokenizer rule.
 
+An index is its posting lists: CentralIndex holds nothing else, and its
+documents are those that hold a posting, derived only where the matrices
+read them. A document with no keyword is in no index, so ingest and the two
+readers build equal indexes from the same postings.
+
 A posting list is a plain `{doc: frequency}` dict held in ascending
 document-id order, from ingest and the readers through to search. CPython's
 garbage collector never tracks a dict whose keys and values are all strs
@@ -19,6 +24,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import filterfalse, islice
 from operator import attrgetter, itemgetter, lt
 from pathlib import Path
@@ -53,15 +59,20 @@ DEFAULT_STOPWORDS = frozenset(
 
 @dataclass(frozen=True)
 class CentralIndex:
-    """Token -> postings map plus the document universe; not to be mutated.
+    """Token -> postings map; not to be mutated.
 
-    entries are keyed by ciphertext bytes; iteration helpers always walk
-    tokens in byte order so every downstream artifact is reproducible. Each
-    token's postings are a {document id: frequency} dict in ascending id order.
+    entries are keyed by ciphertext bytes, in no particular order; tokens()
+    is the one place that orders them, by bytes, so every downstream
+    artifact is reproducible. Each token's postings are a {document id:
+    frequency} dict in ascending id order.
     """
 
     entries: dict[CipherToken, dict[str, int]]
-    docs: tuple[str, ...]
+
+    @cached_property
+    def docs(self) -> tuple[str, ...]:
+        """Every document holding a posting, in id order: the matrices' columns, computed on first use."""
+        return tuple(sorted(set().union(*self.entries.values())))
 
     @property
     def token_count(self) -> int:
@@ -130,7 +141,9 @@ def ingest(records: Iterable[tuple[str, Iterable[tuple[CipherToken, int]]]]) -> 
 
     Rejects duplicate document ids and any (token, doc) pair appearing with
     two different frequencies. Records are consumed one at a time, and each
-    token's per-document map becomes its posting list (see in_doc_order).
+    token's per-document map becomes its posting list (see in_doc_order). A
+    document with no pair is checked, but holds no posting and so is not in
+    the index.
     """
     seen_docs: set[str] = set()
     acc: dict[CipherToken, dict[str, int]] = {}
@@ -150,8 +163,7 @@ def ingest(records: Iterable[tuple[str, Iterable[tuple[CipherToken, int]]]]) -> 
                     f"conflicting frequencies for (token={token_to_b64(token)}, doc={doc_id!r}): "
                     f"{by_doc[doc_id]} vs {freq}"
                 )
-    entries = {token: in_doc_order(acc[token]) for token in sorted(acc)}
-    return CentralIndex(entries=entries, docs=tuple(sorted(seen_docs)))
+    return CentralIndex({token: in_doc_order(by_doc) for token, by_doc in acc.items()})
 
 
 def trim(index: CentralIndex) -> TrimmedIndex:
@@ -369,9 +381,7 @@ def index_lines(path: str | Path) -> Iterator[tuple[CipherToken, dict[str, int]]
 
 def read_index(path: str | Path) -> CentralIndex:
     """Parse an index file written by write_index; index_lines states what it rejects."""
-    acc = dict(index_lines(path))
-    entries = {token: in_doc_order(acc[token]) for token in sorted(acc)}
-    return CentralIndex(entries=entries, docs=tuple(sorted(set().union(*acc.values()))))
+    return CentralIndex({token: in_doc_order(by_doc) for token, by_doc in index_lines(path)})
 
 
 def _posting_fault(items: list[str]) -> str:

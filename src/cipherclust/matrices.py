@@ -155,9 +155,9 @@ class LabeledMatrix:
 def matrix_pipeline(trimmed: TrimmedIndex) -> dict[str, LabeledMatrix]:
     """Run A -> N -> R -> S -> C and return all five matrices by letter.
 
-    A: raw frequencies, rows the kept tokens in byte order, columns every
-    document of the index in id order. N, R and S^T hold `_normalized`'s
-    entries: N is A over its column maxima, R is N row-normalized (each
+    A: raw frequencies, rows the kept tokens in byte order, columns
+    index.docs (every document holding a posting, in id order). N, R and
+    S^T hold `_normalized`'s entries: N is A over its column maxima, R is N row-normalized (each
     token's importance distribution over documents), and S is N
     column-normalized and transposed (each document's distribution over
     tokens; documents with no kept token give zero rows). C = R . S, kept

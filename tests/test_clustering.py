@@ -532,8 +532,7 @@ class TestReadClustersRejectsMalformedEntries:
 def test_cluster_lines_yields_each_cluster_as_its_line_passes(mini_clusters_file):
     first = json.loads(mini_clusters_file.read_text().splitlines()[0])
     _edit_line(mini_clusters_file, 2, lambda obj: obj.__setitem__("id", 5))
-    docs: dict[str, str] = {}
-    lines = cluster_lines(mini_clusters_file, docs)
+    lines = cluster_lines(mini_clusters_file)
     cluster, members = next(lines)
     assert [(token.decode(), by_doc) for token, by_doc in members.items()] == [
         (base64.b64decode(entry["t"]).decode(), dict(map(tuple, entry["postings"])))
@@ -541,7 +540,9 @@ def test_cluster_lines_yields_each_cluster_as_its_line_passes(mini_clusters_file
     ]
     assert cluster.tokens == tuple(sorted(members))
     # one string per document, shared by every map
-    assert all(docs[doc] is doc for by_doc in members.values() for doc in by_doc)
+    shared: dict[str, str] = {}
+    assert all(shared.setdefault(doc, doc) is doc for by_doc in members.values() for doc in by_doc)
+    assert len(shared) < sum(map(len, members.values()))
     with pytest.raises(IndexDataError, match=re.escape(f"{mini_clusters_file}:2: cluster ids must be")):
         next(lines)
 
@@ -570,4 +571,4 @@ def test_cluster_lines_frees_each_token_entry_once_its_map_is_built(tmp_path):
         finally:
             tracemalloc.stop()
 
-    assert traced_peak(lambda: deque(cluster_lines(path, {}), maxlen=0)) < 1.3 * traced_peak(lambda: json.loads(line))
+    assert traced_peak(lambda: deque(cluster_lines(path), maxlen=0)) < 1.3 * traced_peak(lambda: json.loads(line))

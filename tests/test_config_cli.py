@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import re
+import shutil
 import tracemalloc
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from conftest import DATA_DIR
 BAD_FILE_LINES = [
     "keywords_per_doc = zero", "unknown_key = 1", "k_mode = -3", "cutoff = 1_0", "abstract_size = +5",
     "prune_width = \u0663", "keywords_per_doc = 5.0", "k_mode = 1_0", "k_mode = +7", "k_mode = \u0663",
-    "cutoff =", "no equals sign",
+    "cutoff =", "no equals sign", "codec = rsa", "cutoff = 0", "k_mode = 0",
 ]
 
 
@@ -51,7 +52,7 @@ class TestConfig:
         monkeypatch.setenv(CONFIG_ENV, str(path))
         assert load_config().abstract_size == 42
 
-    @pytest.mark.parametrize("line", BAD_FILE_LINES + ["codec = rsa", "cutoff = 0", "k_mode = 0"])
+    @pytest.mark.parametrize("line", BAD_FILE_LINES)
     def test_bad_values_rejected(self, tmp_path, line):
         path = tmp_path / "conf"
         path.write_text(line + "\n", encoding="utf-8")
@@ -64,6 +65,12 @@ class TestConfig:
         path.write_text(f"# {line}\n\n{line}\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3: "):
             parse_config_file(path)
+
+    def test_bad_file_value_rejected_under_a_flag(self, tmp_path):
+        path = tmp_path / "conf"
+        path.write_text("cutoff = 0\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:1: cutoff must be a positive integer"):
+            load_config(str(path), {"cutoff": 5})
 
     def test_repeated_key_rejected(self, tmp_path):
         path = tmp_path / "conf"
@@ -249,6 +256,22 @@ class TestStageCommands:
         out = tmp_path / "run"
         assert main(["pipeline", "--keywords", str(kw), "--identity", "--out", str(out)]) == 0
         assert json.loads((out / "k_report.json").read_text())["k_used"] >= 1
+
+    def test_stopword_only_document_is_in_no_index(self, tmp_path, mini_corpus_dir):
+        from cipherclust.clustering import read_clusters
+        from cipherclust.crypto import IdentityTokenCodec
+        from cipherclust.index import build_index_from_corpus, read_index
+
+        corpus = tmp_path / "corpus"
+        shutil.copytree(mini_corpus_dir, corpus)
+        (corpus / "doc00.txt").write_text("The and of; to, the.\n")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--corpus", str(corpus), "--identity", "--out", str(out)]) == 0
+        assert main(["cluster", "--index", str(out / "index.tsv"), "--out", str(tmp_path / "c.jsonl")]) == 0
+        assert (tmp_path / "c.jsonl").read_bytes() == (out / "clusters.jsonl").read_bytes()
+        built = build_index_from_corpus(corpus, IdentityTokenCodec(), PipelineConfig.keywords_per_doc)
+        assert built.docs == read_index(out / "index.tsv").docs == read_clusters(out / "clusters.jsonl").index.docs
+        assert built.docs == tuple(p.stem for p in sorted(mini_corpus_dir.iterdir()))
 
     def test_custom_stopwords_flag(self, tmp_path, key_file):
         corpus = tmp_path / "corpus"
@@ -599,25 +622,6 @@ class TestValidateArtifacts:
         assert main(["pipeline", "--corpus", str(mini_corpus_dir), "--identity", "--out", str(tmp_path / "b")]) == 0
         for name in ("index.tsv", "clusters.jsonl", "abstracts.jsonl", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-
-class TestCollectorState:
-    """main freezes the heap it starts with for the command, and always thaws it."""
-
-    def test_unfrozen_after_success(self, tmp_path, mini_corpus_dir):
-        assert main(["build-index", "--corpus", str(mini_corpus_dir), "--identity",
-                     "--out", str(tmp_path / "i.tsv")]) == 0
-        assert gc.get_freeze_count() == 0
-
-    def test_unfrozen_after_error(self, tmp_path, capsys):
-        assert main(["pipeline", "--corpus", str(tmp_path / "nope"), "--identity", "--out", str(tmp_path / "x")]) == 1
-        assert gc.get_freeze_count() == 0
-
-    def test_command_runs_frozen(self, tmp_path, monkeypatch):
-        seen = []
-        monkeypatch.setattr("cipherclust.cli.cmd_build_index", lambda args: seen.append(gc.get_freeze_count()) or 0)
-        assert main(["build-index", "--keywords", "x", "--identity", "--out", str(tmp_path / "i.tsv")]) == 0
-        assert seen and seen[0] > 0 and gc.get_freeze_count() == 0
 
 
 class TestEvaluateCommands:

@@ -362,7 +362,7 @@ class TestFilesAndBenchmark:
         abstracts = build_abstracts(clusters, a=100)
         queries = load_queries(queries_path)
         results, timings = run_benchmark(
-            queries, clusters, abstracts, IdentityTokenCodec(), prune_width=3, cutoff=10, repeats=3
+            queries, clusters, abstracts, IdentityTokenCodec(), prune_width=3, cutoff=10
         )
         assert set(results) == {q for q, _ in queries}
         assert len(timings) == len(queries)

@@ -103,7 +103,7 @@ def evaluation_dir(tmp_path_factory):
     results, _ = run_benchmark(
         load_queries(DATA_DIR / "queries.tsv"), read_clusters(out / "auto" / "clusters.jsonl"),
         read_abstracts(out / "auto" / "abstracts.jsonl"), IdentityTokenCodec(),
-        prune_width=3, cutoff=10, repeats=1,
+        prune_width=3, cutoff=10,
     )
     write_results_file(results, out / "results.tsv")
     return out

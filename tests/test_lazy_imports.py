@@ -1,8 +1,8 @@
 """The search path and the file-only evaluate commands load neither numpy nor scipy.
 
-Numeric commands load numpy before the freeze and never load scipy; only
-estimate-k --dump-matrices, which forms the whole A -> N -> R -> S -> C
-chain, loads scipy.
+Numeric commands load numpy and never load scipy; only estimate-k
+--dump-matrices, which forms the whole A -> N -> R -> S -> C chain, loads
+scipy.
 
 Each check runs in a fresh interpreter, because this test process already
 holds numpy and scipy.
@@ -22,21 +22,12 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 REPORT_NUMERIC = "print(json.dumps(sorted(m for m in ('numpy', 'scipy') if m in sys.modules)))"
 
-# runs main(argv) with gc.freeze recording which of numpy, scipy and scipy.sparse are loaded at
-# each call, and records the same again when main returns
-RECORD_FREEZE = """
-import gc, json, sys
-def loaded():
-    return [m for m in ("numpy", "scipy", "scipy.sparse") if m in sys.modules]
-seen = []
-freeze = gc.freeze
-def recording_freeze():
-    seen.append(loaded())
-    freeze()
-gc.freeze = recording_freeze
+# runs main(argv) and records which of numpy, scipy and scipy.sparse are loaded when it returns
+RECORD_LOADED = """
+import json, sys
 from cipherclust.cli import main
 rc = main(sys.argv[1:])
-print(json.dumps({"rc": rc, "seen": seen, "end": loaded()}))
+print(json.dumps({"rc": rc, "end": [m for m in ("numpy", "scipy", "scipy.sparse") if m in sys.modules]}))
 """
 
 
@@ -104,11 +95,11 @@ def test_numeric_commands_load_numpy_before_the_freeze_and_never_scipy(run_dir, 
         "evaluate coherence": ["--clusters", str(run_dir / "clusters.jsonl"),
                                "--embeddings", str(DATA_DIR / "synthetic_embeddings.txt")],
     }[command]
-    assert run_python(RECORD_FREEZE, *command.split(), *args) == {"rc": 0, "seen": [["numpy"]], "end": ["numpy"]}
+    assert run_python(RECORD_LOADED, *command.split(), *args) == {"rc": 0, "end": ["numpy"]}
 
 
 def test_dump_matrices_loads_scipy(run_dir, tmp_path):
     args = ["estimate-k", "--index", str(run_dir / "index.tsv"), "--dump-matrices", str(tmp_path / "m")]
-    got = run_python(RECORD_FREEZE, *args)
-    assert got == {"rc": 0, "seen": [["numpy"]], "end": ["numpy", "scipy", "scipy.sparse"]}
+    got = run_python(RECORD_LOADED, *args)
+    assert got == {"rc": 0, "end": ["numpy", "scipy", "scipy.sparse"]}
     assert sorted(p.name for p in (tmp_path / "m").iterdir()) == ["A.tsv", "C.tsv", "N.tsv", "R.tsv", "S.tsv"]

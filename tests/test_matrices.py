@@ -175,9 +175,9 @@ class TestNormalize:
         assert n.mat.toarray().tolist() == [[1.0]]
 
     def test_zero_column_stays_zero(self):
-        # doc d2 exists but holds no kept token
-        index = ingest([("d1", [(b"t", 3)]), ("d2", [])])
-        n = matrix_pipeline(keep_all(index))["N"]
+        # doc d2 holds only u, which the trim drops
+        index = ingest([("d1", [(b"t", 3)]), ("d2", [(b"u", 1)])])
+        n = matrix_pipeline(TrimmedIndex(index, (b"t",)))["N"]
         assert entry(n, b"t", "d2") == 0.0
 
     def test_columns_attain_one(self, example_index):
@@ -193,8 +193,9 @@ class TestRandS:
         assert entry(r, b"t", "d1") == 1.0
 
     def test_S_shape_and_zero_rows(self):
-        index = ingest([("d1", [(b"t", 3)]), ("d2", [])])
-        s = matrix_pipeline(keep_all(index))["S"]
+        # doc d2 holds only u, which the trim drops
+        index = ingest([("d1", [(b"t", 3)]), ("d2", [(b"u", 1)])])
+        s = matrix_pipeline(TrimmedIndex(index, (b"t",)))["S"]
         assert s.mat.shape == (2, 1)
         assert entry(s, "d2", b"t") == 0.0
 
