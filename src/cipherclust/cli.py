@@ -20,7 +20,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .clustering import cluster_index, cluster_lines, read_clusters, write_clusters
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, coerce, load_config
 from .crypto import (
     CipherToken,
     IdentityTokenCodec,
@@ -56,6 +56,23 @@ class CLIError(ValueError):
     pass
 
 
+# each integer flag and the config field whose rule reads it
+FLAG_FIELDS = {"--n": "keywords_per_doc", "--a": "abstract_size", "--abstract-size": "abstract_size",
+               "--c": "prune_width", "--top": "cutoff", "--k": "k_mode"}
+
+
+def _add_field_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        name = FLAG_FIELDS[flag]
+        parser.add_argument(flag, help=f"config key {name} (default {getattr(PipelineConfig, name)})")
+
+
+def _flag_values(args) -> dict:
+    """{field: value} for each integer flag given, read as a config file value is; errors name the flag."""
+    given = ((flag, name, getattr(args, flag[2:].replace("-", "_"), None)) for flag, name in FLAG_FIELDS.items())
+    return {name: coerce(name, raw, flag) for flag, name, raw in given if raw is not None}
+
+
 def _resolve_codec(args, config: PipelineConfig | None = None) -> TokenCodec:
     if getattr(args, "identity", False):
         return IdentityTokenCodec()
@@ -73,12 +90,6 @@ def _add_codec_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--identity", action="store_true", help="identity codec (evaluation mode, readable tokens)"
     )
-
-
-def _stopwords(args) -> frozenset[str]:
-    if getattr(args, "stopwords", None):
-        return load_stopwords(args.stopwords)
-    return DEFAULT_STOPWORDS
 
 
 def _file_sha256(path: Path) -> str:
@@ -101,12 +112,13 @@ def _build_index(args, config: PipelineConfig, digest=None):
     """The index of --corpus or --keywords; a given digest is fed the corpus files as they are read."""
     codec = _resolve_codec(args, config)
     if args.corpus:
-        return build_index_from_corpus(args.corpus, codec, config.keywords_per_doc, _stopwords(args), digest)
+        stop = load_stopwords(args.stopwords) if args.stopwords else DEFAULT_STOPWORDS
+        return build_index_from_corpus(args.corpus, codec, config.keywords_per_doc, stop, digest)
     return build_index_from_keywords(keyword_records(args.keywords), codec)
 
 
 def cmd_build_index(args) -> int:
-    config = load_config(args.config, {"keywords_per_doc": args.n})
+    config = load_config(args.config, _flag_values(args))
     index = _build_index(args, config)
     write_index(index, args.out)
     return 0
@@ -143,8 +155,7 @@ def _warn_k_shortfall(clusters) -> None:
 
 def cmd_cluster(args) -> int:
     index = read_index(args.index)
-    k = "auto" if args.k == "auto" else int(args.k)
-    clusters, _ = cluster_index(index, k=k)
+    clusters, _ = cluster_index(index, k=PipelineConfig(**_flag_values(args)).k_mode)
     _warn_k_shortfall(clusters)
     write_clusters(clusters, args.out)
     return 0
@@ -152,12 +163,13 @@ def cmd_cluster(args) -> int:
 
 def cmd_abstracts(args) -> int:
     clusters = read_clusters(args.clusters)
-    abstracts = build_abstracts(clusters, args.a)
+    abstracts = build_abstracts(clusters, PipelineConfig(**_flag_values(args)).abstract_size)
     write_abstracts(abstracts, args.out)
     return 0
 
 
 def cmd_search(args) -> int:
+    config = PipelineConfig(**_flag_values(args))
     clusters = read_clusters(args.clusters)
     codec = _resolve_codec(args)
     tokens = encrypt_query(codec, args.query)
@@ -166,8 +178,8 @@ def cmd_search(args) -> int:
     else:
         abstracts = read_abstracts(args.abstracts)
         check_pairing(abstracts, clusters.k_used, clusters.cluster_of, clusters.index, args.abstracts)
-        selected = prune(tokens, abstracts, args.c)
-    result = search(tokens, clusters, selected, args.top)
+        selected = prune(tokens, abstracts, config.prune_width)
+    result = search(tokens, clusters, selected, config.cutoff)
     sys.stdout.write(format_results(result))
     return 0
 
@@ -184,12 +196,13 @@ def cmd_evaluate_coherence(args) -> int:
 def cmd_evaluate_search(args) -> int:
     from . import evaluation
 
+    config = PipelineConfig(**_flag_values(args))
     codec = _resolve_codec(args)
     clusters = read_clusters(args.clusters)
     abstracts = read_abstracts(args.abstracts)
     check_pairing(abstracts, clusters.k_used, clusters.cluster_of, clusters.index, args.abstracts)
     queries = evaluation.load_queries(args.queries)
-    results, timings = evaluation.run_benchmark(queries, clusters, abstracts, codec, args.c, args.top)
+    results, timings = evaluation.run_benchmark(queries, clusters, abstracts, codec, config.prune_width, config.cutoff)
     evaluation.write_results_file(results, args.results)
     report = evaluation.EvaluationReport(search_times=timings, corpus_sha256=index_digest(clusters.index))
     _emit(report.to_dict(), args.out)
@@ -218,15 +231,8 @@ def cmd_evaluate_compare(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    overrides = {
-        "keywords_per_doc": args.n,
-        "abstract_size": args.abstract_size,
-        "prune_width": args.c,
-        "cutoff": args.top,
-        "k_mode": ("auto" if args.k == "auto" else int(args.k)) if args.k else None,
-        "codec": "identity" if args.identity else ("keyed" if args.key else None),
-    }
-    config = load_config(args.config, overrides)
+    codec = "identity" if args.identity else ("keyed" if args.key else None)
+    config = load_config(args.config, {**_flag_values(args), "codec": codec})
     if config.codec == "keyed" and not args.key:
         raise CLIError("codec 'keyed' needs --key <file>")
 
@@ -316,11 +322,6 @@ def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config
             raise CLIError("abstract exceeds the configured size")
 
 
-def _add_search_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--c", type=int, default=PipelineConfig.prune_width, help="prune width")
-    parser.add_argument("--top", type=int, default=PipelineConfig.cutoff, help="result cutoff")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cipherclust",
@@ -334,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--keywords", metavar="FILE", help="pre-extracted keyword TSV")
     _add_codec_flags(p)
     p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--n", type=int, default=None, help="keywords per document")
-    p.add_argument("--stopwords", metavar="FILE")
+    _add_field_flags(p, "--n")
+    p.add_argument("--stopwords", metavar="FILE", help="stopwords file, split into words as documents are")
     p.add_argument("--config", metavar="FILE")
     p.set_defaults(func=cmd_build_index)
 
@@ -346,13 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="select centers and distribute tokens")
     p.add_argument("--index", required=True, metavar="FILE")
-    p.add_argument("--k", default="auto", help="'auto' or a positive integer")
+    _add_field_flags(p, "--k")
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("abstracts", help="build per-cluster abstracts")
     p.add_argument("--clusters", required=True, metavar="FILE")
-    p.add_argument("--a", type=int, default=PipelineConfig.abstract_size, help="tokens per abstract")
+    _add_field_flags(p, "--a")
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=cmd_abstracts)
 
@@ -361,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", required=True, metavar="FILE")
     p.add_argument("--abstracts", metavar="FILE")
     _add_codec_flags(p)
-    _add_search_flags(p)
+    _add_field_flags(p, "--c", "--top")
     p.add_argument("--no-prune", action="store_true", help="search every cluster")
     p.set_defaults(func=cmd_search)
 
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--clusters", required=True, metavar="FILE")
     pe.add_argument("--abstracts", required=True, metavar="FILE")
     _add_codec_flags(pe)
-    _add_search_flags(pe)
+    _add_field_flags(pe, "--c", "--top")
     pe.add_argument("--results", required=True, metavar="FILE", help="results TSV for evaluate tsap")
     pe.add_argument("--out", metavar="FILE")
     pe.set_defaults(func=cmd_evaluate_search)
@@ -402,12 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--keywords", metavar="FILE")
     _add_codec_flags(p)
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--k", default=None, help="'auto' or a positive integer")
-    p.add_argument("--n", type=int, default=None, help="keywords per document")
-    p.add_argument("--abstract-size", type=int, default=None)
-    p.add_argument("--c", type=int, default=None, help="prune width")
-    p.add_argument("--top", type=int, default=None, help="result cutoff")
-    p.add_argument("--stopwords", metavar="FILE")
+    _add_field_flags(p, "--k", "--n", "--abstract-size", "--c", "--top")
+    p.add_argument("--stopwords", metavar="FILE", help="stopwords file, split into words as documents are")
     p.add_argument("--config", metavar="FILE")
     p.set_defaults(func=cmd_pipeline)
 

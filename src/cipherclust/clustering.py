@@ -386,13 +386,14 @@ def write_clusters(cluster_set: ClusterSet, path: str | Path) -> None:
 def cluster_lines(path: str | Path) -> Iterator[tuple[Cluster, dict[CipherToken, dict[str, int]]]]:
     """Each cluster of a clusters file with a {document id: frequency} map per token, in file order.
 
-    Rejected with path:lineno: a malformed line or token entry, cluster ids
-    that are not the integers 0, 1, 2, ... in order, a token listed twice
-    (in one cluster or in two), a posting list naming a document twice, a
-    frequency that is not an integer >= 1, a document id that is not a
-    string or that ingest rejects (checked when the document is first seen),
-    and a center missing from its own cluster's tokens. Since clusters are disjoint, the
-    last also rejects two clusters sharing a center.
+    Rejected with path:lineno: a malformed line or token entry (an empty
+    token among them), cluster ids that are not the integers 0, 1, 2, ... in
+    order, a token with no posting, a token listed twice (in one cluster or
+    in two), a posting list naming a document twice, a frequency that is
+    not an integer >= 1, a document id that is not a string or that ingest
+    rejects (checked when the document is first seen), and a center missing
+    from its own cluster's tokens. Since clusters are disjoint, the last
+    also rejects two clusters sharing a center.
 
     Every map holds one string per document id, the first one read, across
     all lines. Each token entry's parse tree is freed once its map is built,
@@ -426,6 +427,8 @@ def cluster_lines(path: str | Path) -> Iterator[tuple[Cluster, dict[CipherToken,
                 postings = list(entry["postings"])
             except (ValueError, KeyError, TypeError) as exc:
                 raise IndexDataError(f"{where}: malformed token entry: {exc}")
+            if not postings:
+                raise IndexDataError(f"{where}: token {name} has no posting")
             if token in seen:
                 raise IndexDataError(f"{where}: token {name} is listed twice")
             seen.add(token)

@@ -2,7 +2,7 @@
 
 Precedence, lowest to highest: built-in defaults, config file (either the
 --config flag or the CLUSTCRYPT_CONFIG environment variable), command-line
-flags.
+flags. A flag's text is read by its field's rule, as a file value is.
 """
 from __future__ import annotations
 
@@ -51,8 +51,8 @@ class PipelineConfig:
         return self
 
 
-def _coerce(name: str, raw: str, where: str):
-    """The value of config key name from its text raw; where (path:lineno) prefixes every error."""
+def coerce(name: str, raw: str, where: str):
+    """The value of config key name from its text raw; where (path:lineno, or a flag) prefixes every error."""
     if name not in _WANTED:
         raise ConfigError(f"{where}: unknown config key {name!r}")
     raw = raw.strip()
@@ -84,7 +84,7 @@ def parse_config_file(path: str | Path) -> dict:
         if name in set_at:
             raise ConfigError(f"{where}: {name} is already set on line {set_at[name]}")
         set_at[name] = lineno
-        values[name] = _coerce(name, raw, where)
+        values[name] = coerce(name, raw, where)
     return values
 
 

@@ -52,10 +52,6 @@ def load_key(path: str | Path) -> SecretKey:
     raise CryptoError(f"key file {path} must hold 32 raw bytes or 64 hex characters")
 
 
-def normalize_term(word: str) -> str:
-    return word.strip().lower()
-
-
 # Every byte outside [a-z0-9] becomes a space.
 SEPARATORS = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789" else 32 for b in range(256))
 
@@ -81,7 +77,7 @@ class TokenCodec:
 
 
 class KeyedTokenCodec(TokenCodec):
-    """Keyed PRF over the normalized plaintext, truncated to a fixed-width tag.
+    """Keyed PRF over a plaintext word, truncated to a fixed-width tag.
 
     Output length never depends on input length, so token sizes leak nothing
     about the underlying words. The tag is HMAC-SHA256(key, plaintext); the
@@ -117,14 +113,7 @@ def encrypt_query(codec: TokenCodec, query: str) -> list[CipherToken]:
     Stopwords are kept: an index built with other stopwords may hold them,
     and a token the index lacks matches nothing anyway.
     """
-    out: list[CipherToken] = []
-    seen: set[CipherToken] = set()
-    for term in words(query):
-        token = codec.encrypt_token(term)
-        if token not in seen:
-            seen.add(token)
-            out.append(token)
-    return out
+    return list(dict.fromkeys(map(codec.encrypt_token, words(query))))
 
 
 def token_to_b64(token: CipherToken) -> str:
@@ -132,4 +121,8 @@ def token_to_b64(token: CipherToken) -> str:
 
 
 def token_from_b64(text: str) -> CipherToken:
-    return base64.b64decode(text, validate=True)
+    """The token that token_to_b64 rendered as text; no codec makes an empty token, so none is read."""
+    token = base64.b64decode(text, validate=True)
+    if not token:
+        raise CryptoError("empty token")
+    return token

@@ -30,7 +30,7 @@ from operator import attrgetter, itemgetter, lt
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .crypto import CipherToken, TokenCodec, normalize_term, token_from_b64, token_to_b64, words
+from .crypto import CipherToken, TokenCodec, token_from_b64, token_to_b64, words
 
 
 class IndexDataError(ValueError):
@@ -102,9 +102,9 @@ def extract_keywords(
 ) -> list[tuple[str, int]]:
     """Top-n non-stopword terms of a document by in-document frequency.
 
-    Terms are crypto.words of the text. Stopwords must already be normalized
-    (lower case, no surrounding whitespace). Ties break lexicographically;
-    the same n must be used for every document of a corpus.
+    Terms are crypto.words of the text; a stopword drops the term equal to
+    it, so each must be one such word. Ties break lexicographically; the
+    same n must be used for every document of a corpus.
 
     Only terms whose count reaches the n-th largest count are sorted, by
     term and then stably by count, descending: the (-count, term) order,
@@ -195,13 +195,14 @@ def build_index_from_corpus(
     read once, as bytes, and decoded as UTF-8; line endings are kept, which
     no word (crypto.words) can tell apart. If a digest is given, each file's
     name and bytes are fed to it as read, in file name order, each followed
-    by a NUL byte, so it covers exactly the bytes that were indexed.
+    by a NUL byte, so it covers exactly the bytes that were indexed. The
+    stopwords are split by crypto.words: "don't" drops don and t.
     """
     corpus = Path(corpus_dir)
     paths = sorted((p for p in corpus.iterdir() if p.is_file() and p.suffix == ".txt"), key=attrgetter("name"))
     if not paths:
         raise IndexDataError(f"no .txt documents found in {corpus}")
-    stop = frozenset(normalize_term(w) for w in stopwords)
+    stop = frozenset(words(" ".join(stopwords)))
 
     def read(path: Path) -> str:
         raw = path.read_bytes()
@@ -216,14 +217,16 @@ def build_index_from_corpus(
 def keyword_records(path: str | Path) -> Iterator[tuple[str, list[tuple[str, int]]]]:
     """Parse a pre-extracted keyword file, `docId<TAB>term:freq[,term:freq]*`, one record per line.
 
-    Terms are normalized as documents' words are. Rejected with path:lineno:
-    a line without a tab, a malformed pair, a term holding a colon or
-    normalizing to empty, a term given twice on one line, a frequency that
-    is not ASCII digits or is below 1, a document id that ingest rejects and
-    a document id repeated on a later line. Each record is yielded once its
+    A term is the one crypto.words word of its raw spelling (split once per
+    distinct spelling), as documents and queries are split. Rejected with
+    path:lineno: a line without a tab, a malformed pair, a term of no word
+    or of two (net-traffic), a term given twice on one line, a frequency not
+    of ASCII digits or below 1, a document id that ingest rejects and a
+    document id repeated on a later line. Each record is yielded once its
     line passes, so a consumer that drops it holds one record at a time.
     """
     first_line: dict[str, int] = {}
+    term_of: dict[str, str] = {}
     for lineno, line in data_lines(path):
         where = f"{path}:{lineno}"
         try:
@@ -240,11 +243,13 @@ def keyword_records(path: str | Path) -> Iterator[tuple[str, list[tuple[str, int
                 raw, sep, freq_s = item.rpartition(":")
                 if not sep or not raw:
                     raise IndexDataError(f"{where}: malformed pair {item!r}")
-                if ":" in raw:
-                    raise IndexDataError(f"{where}: term {raw!r} contains reserved characters")
-                term = normalize_term(raw)
-                if not term:
-                    raise IndexDataError(f"{where}: term {raw!r} is empty once normalized")
+                term = term_of.get(raw)
+                if term is None:
+                    found = words(raw)
+                    if len(found) != 1:
+                        fault = f"splits into the words {', '.join(found)}; a term must be one word"
+                        raise IndexDataError(f"{where}: term {raw!r} {fault if found else 'is empty once normalized'}")
+                    term = term_of[raw] = found[0]
                 if term in pairs:
                     raise IndexDataError(f"{where}: term {term!r} is given twice")
                 freq = int(freq_s) if freq_s.isascii() and freq_s.isdigit() else 0
@@ -348,14 +353,14 @@ def write_index(index: CentralIndex, path: str | Path) -> None:
 def index_lines(path: str | Path) -> Iterator[tuple[CipherToken, dict[str, int]]]:
     """(token, {document id: frequency}) for each line of an index file written by write_index.
 
-    Rejected with path:lineno: a malformed line or posting, a document id
-    holding a tab or colon, a frequency not written as write_index writes an
-    integer >= 1 (ASCII digits, no sign, separator, space or leading zero), a
-    token on two lines and a document listed twice for one token. One regex
-    match checks the posting field, so the per-posting loop only splits and
-    converts; a line that fails a check is diagnosed by _posting_fault. Each
-    line is yielded once it passes, so a consumer that drops it holds one
-    line's postings at a time.
+    Rejected with path:lineno: a malformed line (an empty token among them)
+    or posting, a document id holding a tab or colon, a frequency not
+    written as write_index writes an integer >= 1 (ASCII digits, no sign,
+    separator, space or leading zero), a token on two lines and a document
+    listed twice for one token. One regex match checks the posting field,
+    so the per-posting loop only splits and converts; a line that fails a
+    check is diagnosed by _posting_fault. Each line is yielded once it
+    passes, so a consumer that drops it holds one line's postings at a time.
     """
     seen: set[CipherToken] = set()
     for lineno, line in data_lines(path):
@@ -414,5 +419,5 @@ def index_digest(index: CentralIndex) -> str:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    words = {normalize_term(w) for w in Path(path).read_text(encoding="utf-8").split()}
-    return frozenset(w for w in words if w)
+    """The crypto.words of a stopwords file: an entry "don't" gives don and t."""
+    return frozenset(words(Path(path).read_text(encoding="utf-8")))

@@ -326,9 +326,10 @@ def write_abstracts(abstracts: Abstracts, path: str | Path) -> None:
 def read_abstracts(path: str | Path) -> Abstracts:
     """Parse an abstracts file written by write_abstracts.
 
-    Rejected with path:lineno: a malformed line or entry, a frequency that is
-    not an integer >= 1, a token listed twice (in one abstract or in two)
-    and cluster ids that do not run 0, 1, 2, ... in order.
+    Rejected with path:lineno: a malformed line or entry (an empty token
+    among them), a frequency that is not an integer >= 1, a token listed
+    twice (in one abstract or in two) and cluster ids that do not run 0, 1,
+    2, ... in order.
     """
     abstracts = []
     linenos = []

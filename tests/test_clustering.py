@@ -507,6 +507,22 @@ class TestReadClustersRejectsMalformedEntries:
         with pytest.raises(IndexDataError, match=f"^{where}cluster ids must be 0,1,2,... in order$"):
             read_clusters(mini_clusters_file)
 
+    @pytest.mark.parametrize("field, fault", [("center", "malformed cluster line"), ("t", "malformed token entry")])
+    def test_empty_token(self, mini_clusters_file, field, fault):
+        # base64 "" decodes to b"", a token no codec makes
+        _edit_line(mini_clusters_file, 2,
+                   lambda obj: (obj if field == "center" else obj["tokens"][0]).__setitem__(field, ""))
+        where = re.escape(f"{mini_clusters_file}:2: ")
+        with pytest.raises(IndexDataError, match=f"^{where}{fault}: empty token$"):
+            read_clusters(mini_clusters_file)
+
+    def test_token_with_no_posting(self, mini_clusters_file):
+        name = json.loads(mini_clusters_file.read_text().splitlines()[1])["tokens"][0]["t"]
+        _edit_line(mini_clusters_file, 2, lambda obj: obj["tokens"][0].__setitem__("postings", []))
+        where = re.escape(f"{mini_clusters_file}:2: ")
+        with pytest.raises(IndexDataError, match=f"^{where}token {re.escape(name)} has no posting$"):
+            read_clusters(mini_clusters_file)
+
     def test_frequency_below_one(self, mini_clusters_file):
         _edit_line(mini_clusters_file, 2, lambda obj: obj["tokens"][0]["postings"][0].__setitem__(1, 0))
         where = re.escape(f"{mini_clusters_file}:2:")

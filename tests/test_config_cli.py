@@ -257,6 +257,29 @@ class TestStageCommands:
         assert main(["pipeline", "--keywords", str(kw), "--identity", "--out", str(out)]) == 0
         assert json.loads((out / "k_report.json").read_text())["k_used"] >= 1
 
+    def test_keyword_file_term_is_found_by_its_query(self, tmp_path, key_file, capsys):
+        kw = tmp_path / "kw.tsv"
+        kw.write_text("d1\tCaf\u00e9:2,router:1\nd2\trouter:4,wifi:1\nd3\twifi:2\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--keywords", str(kw), "--key", str(key_file), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["search", "--query", "caf\u00e9", "--clusters", str(out / "clusters.jsonl"),
+                     "--abstracts", str(out / "abstracts.jsonl"), "--key", str(key_file)]) == 0
+        assert capsys.readouterr().out == "1\td1\t2\n"
+
+    def test_stopwords_file_entries_are_split_into_words(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.txt").write_text("don't don't apple t\n")
+        stop = tmp_path / "stop.txt"
+        stop.write_text("don't\n")
+        index_path = tmp_path / "index.tsv"
+        assert main(["build-index", "--corpus", str(corpus), "--identity", "--stopwords", str(stop),
+                     "--out", str(index_path)]) == 0
+        from cipherclust.index import read_index
+
+        assert read_index(index_path).tokens() == [b"apple"]
+
     def test_stopword_only_document_is_in_no_index(self, tmp_path, mini_corpus_dir):
         from cipherclust.clustering import read_clusters
         from cipherclust.crypto import IdentityTokenCodec
@@ -347,7 +370,7 @@ class TestStageCommands:
                    "--abstracts", str(pipeline_dir / "abstracts.jsonl"), "--identity", "--top", top])
         out = capsys.readouterr()
         assert rc == 1 and out.out == ""
-        assert "result cutoff must be >= 1" in out.err
+        assert "--top: cutoff must be a positive integer" in out.err
 
     def test_search_reports_a_malformed_abstracts_file(self, tmp_path, pipeline_dir, capsys):
         abstracts = tmp_path / "abs.jsonl"
@@ -454,6 +477,52 @@ class TestStageCommands:
                 ["build-index", "--corpus", str(mini_corpus_dir), "--key", str(key_file),
                  "--identity", "--out", str(tmp_path / "i.tsv")]
             )
+
+
+class TestIntegerFlags:
+    """An integer flag is read by its config field's rule and a fault names the flag, as a file names path:lineno."""
+
+    # int() takes the first three; a config file rejects all four
+    @pytest.mark.parametrize("value", ["\u0663", "1_0", "+5", "0"])
+    @pytest.mark.parametrize("command, flag, wanted", [
+        ("cluster", "--k", "k_mode must be 'auto' or a positive integer"),
+        ("pipeline", "--k", "k_mode must be 'auto' or a positive integer"),
+        ("search", "--c", "prune_width must be a positive integer"),
+    ], ids=["cluster", "pipeline", "search"])
+    def test_rejected_naming_the_flag(self, tmp_path, pipeline_dir, mini_corpus_dir, capsys, command, flag, wanted,
+                                      value):
+        out = tmp_path / "out"
+        argv = {
+            "cluster": ["--index", str(pipeline_dir / "index.tsv"), "--out", str(out)],
+            "pipeline": ["--corpus", str(mini_corpus_dir), "--identity", "--out", str(out)],
+            "search": ["--query", "garlic sauce", "--clusters", str(pipeline_dir / "clusters.jsonl"),
+                       "--abstracts", str(pipeline_dir / "abstracts.jsonl"), "--identity"],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *argv, flag, value]) == 1
+        got = int(value) if value == "0" else value
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert json.loads(printed.err) == {"error": "ConfigError", "message": f"{flag}: {wanted}, got {got!r}"}
+        assert not out.exists()
+
+    def test_flag_and_file_share_the_rule(self, tmp_path, mini_corpus_dir, capsys):
+        conf = tmp_path / "conf"
+        conf.write_text("k_mode = 1_0\n")
+        argv = ["pipeline", "--corpus", str(mini_corpus_dir), "--identity", "--out", str(tmp_path / "run")]
+        assert main([*argv, "--config", str(conf)]) == 1
+        from_file = json.loads(capsys.readouterr().err)["message"]
+        assert main([*argv, "--k", "1_0"]) == 1
+        from_flag = json.loads(capsys.readouterr().err)["message"]
+        assert from_file.removeprefix(f"{conf}:1: ") == from_flag.removeprefix("--k: ") != from_flag
+
+    @pytest.mark.parametrize("flags, k_target", [(["--k", "03"], 3), (["--k", "auto"], None), ([], None)])
+    def test_accepted_values(self, tmp_path, mini_corpus_dir, flags, k_target):
+        out = tmp_path / "run"
+        assert main(["pipeline", "--corpus", str(mini_corpus_dir), "--identity", "--out", str(out), *flags]) == 0
+        report = json.loads((out / "k_report.json").read_text())
+        assert report["k_mode"] == (k_target or "auto")
+        assert report["k_target"] == (k_target or report["k_estimate"])
 
 
 class TestValidateArtifacts:

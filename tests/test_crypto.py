@@ -15,7 +15,6 @@ from cipherclust.crypto import (
     SecretKey,
     encrypt_query,
     load_key,
-    normalize_term,
     token_from_b64,
     token_to_b64,
     words,
@@ -146,10 +145,11 @@ class TestKeyHandling:
         assert "00" not in repr(SecretKey(bytes(32)))
 
 
-@given(word=st.text(min_size=0, max_size=10))
-def test_normalize_term_idempotent(word):
-    once = normalize_term(word)
-    assert normalize_term(once) == once
+@given(text=st.text(max_size=10))
+def test_words_idempotent(text):
+    # the words of a text, joined by spaces, are their own words
+    once = words(text)
+    assert words(" ".join(once)) == once
 
 
 @given(token=st.binary(min_size=1, max_size=40))

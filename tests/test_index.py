@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cipherclust.crypto import IdentityTokenCodec, KeyedTokenCodec, SecretKey
+import cipherclust.index as index_module
+from cipherclust.crypto import IdentityTokenCodec, KeyedTokenCodec, SecretKey, encrypt_query, words
 from cipherclust.index import (
     IndexDataError,
     build_index_from_corpus,
@@ -20,6 +21,7 @@ from cipherclust.index import (
     index_lines,
     ingest,
     keyword_records,
+    load_stopwords,
     read_index,
     read_keyword_file,
     trim,
@@ -267,6 +269,13 @@ class TestIndexFile:
         with pytest.raises(IndexDataError):
             read_index(path)
 
+    def test_empty_token_rejected(self, tmp_path):
+        # base64 "" decodes to b"", a token no codec makes
+        path = tmp_path / "bad.tsv"
+        path.write_text("VA==\td1:3\n\td1:2\n")
+        with pytest.raises(IndexDataError, match=f"^{re.escape(str(path))}:2: malformed index line$"):
+            read_index(path)
+
     # "VA==" and "VQ==" are the tokens b"T" and b"U"
     @pytest.mark.parametrize("body, lineno, fault", [
         ("VA==\td1:3,d2:x\n", 1, "frequency 'x' of 'd2' is not an integer"),
@@ -430,10 +439,66 @@ class TestKeywordFile:
         with pytest.raises(IndexDataError, match=f"^{re.escape(str(path))}:2: malformed pair 'net'$"):
             next(records)
 
+    @pytest.mark.parametrize("item, raw, found", [
+        ("net-traffic:3", "net-traffic", "net, traffic"), ("don't:1", "don't", "don, t"), ("a:b:2", "a:b", "a, b"),
+    ])
+    def test_term_of_two_words(self, tmp_path, item, raw, found):
+        # a query splits each of these into two words, so no query could reach one token for it
+        message = f"term {raw!r} splits into the words {found}; a term must be one word"
+        self.rejects(tmp_path, f"doc2\tfoo:1,{item}", message)
+
+    def test_term_is_the_token_its_query_finds(self, tmp_path):
+        path = tmp_path / "kw.tsv"
+        path.write_text("d1\tCafé:2,net:1\nd2\tcafé:5\n", encoding="utf-8")
+        codec = KeyedTokenCodec(SecretKey(bytes(32)))
+        index = build_index_from_keywords(keyword_records(path), codec)
+        (token,) = encrypt_query(codec, "café")
+        assert index.entries[token] == {"d1": 2, "d2": 5}
+
+    def test_words_run_once_per_distinct_spelling(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(index_module, "words", lambda raw: calls.append(raw) or words(raw))
+        path = tmp_path / "kw.tsv"
+        path.write_text("d1\tnet:1,cake:2\nd2\tNet:3\nd3\tnet:4,cake:1\n")
+        assert read_keyword_file(path) == [
+            ("d1", [("net", 1), ("cake", 2)]), ("d2", [("net", 3)]), ("d3", [("net", 4), ("cake", 1)]),
+        ]
+        assert calls == ["net", "cake", "Net"]
+
     def test_leading_zero_and_normalization_accepted(self, tmp_path):
         path = tmp_path / "kw.tsv"
         path.write_text("doc1\t Net :03,cake:1\ndoc2\t\n")
         assert read_keyword_file(path) == [("doc1", [("net", 3), ("cake", 1)]), ("doc2", [])]
+
+
+@given(raw=st.text(
+    alphabet=st.one_of(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r,"),
+                       st.sampled_from("aZ9 -:'\t\u212a\u00e9")),
+    min_size=1, max_size=12,
+))
+def test_an_accepted_term_is_the_token_its_query_finds(tmp_path_factory, raw):
+    """A raw term is accepted exactly when it is one word, and the query of its raw spelling finds its token."""
+    path = tmp_path_factory.mktemp("kw") / "kw.tsv"
+    path.write_text(f"d1\t{raw}:1\n", encoding="utf-8")
+    codec = KeyedTokenCodec(SecretKey(bytes(32)))
+    try:
+        index = build_index_from_keywords(keyword_records(path), codec)
+    except IndexDataError as exc:
+        assert len(words(raw)) != 1 and str(exc).startswith(f"{path}:1: term {raw!r} ")
+        return
+    assert index.tokens() == encrypt_query(codec, raw) == [codec.encrypt_token(*words(raw))]
+
+
+class TestStopwordEntries:
+    def test_file_entries_are_split_into_words(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("don't\n  The\nnet-traffic,\u00e9\n", encoding="utf-8")
+        assert load_stopwords(path) == {"don", "t", "the", "net", "traffic"}
+
+    def test_corpus_stopwords_are_split_into_words(self, tmp_path):
+        (tmp_path / "a.txt").write_text("don't don t apple\n")
+        index = build_index_from_corpus(tmp_path, IdentityTokenCodec(), 5, stopwords=["don't"])
+        assert index.tokens() == [b"apple"]
 
 
 class CountingCodec(IdentityTokenCodec):

@@ -87,7 +87,7 @@ def test_evaluation_file_commands_load_neither_numpy_nor_scipy(run_dir, tmp_path
 
 
 @pytest.mark.parametrize("command", ["pipeline", "cluster", "estimate-k", "evaluate coherence"])
-def test_numeric_commands_load_numpy_before_the_freeze_and_never_scipy(run_dir, tmp_path, command):
+def test_numeric_commands_load_numpy_and_never_scipy(run_dir, tmp_path, command):
     args = {
         "pipeline": ["--corpus", str(DATA_DIR / "mini_corpus"), "--identity", "--out", str(tmp_path / "run")],
         "cluster": ["--index", str(run_dir / "index.tsv"), "--k", "2", "--out", str(tmp_path / "c.jsonl")],

@@ -438,6 +438,15 @@ class TestAbstractsFile:
         with pytest.raises(IndexDataError, match=re.escape(f"{path}:2:") + ".*lists a token twice"):
             read_abstracts(path)
 
+    def test_empty_token_rejected(self, tmp_path):
+        # base64 "" decodes to b"", a token no codec makes
+        path = tmp_path / "abstracts.jsonl"
+        write_abstracts(build_abstracts(small_cluster_set(), a=10), path)
+        first = path.read_text().splitlines()[0]
+        path.write_text(f'{first}\n{{"cluster":1,"entries":[["",1]]}}\n')
+        with pytest.raises(IndexDataError, match=f"^{re.escape(str(path))}:2: malformed abstract line: empty token$"):
+            read_abstracts(path)
+
     # "Y2FrZQ==" is the token b"cake"
     @pytest.mark.parametrize("line, fault", [
         ('{"cluster":1,"entries":5}', "malformed abstract line"),
