@@ -3,7 +3,8 @@
 Subcommands: build-index, estimate-k, cluster, abstracts, search, evaluate
 (coherence | search | tsap | compare), pipeline. Stages talk to each other
 only through the documented file formats, so any stage can be re-run or
-replaced on its own.
+replaced on its own. Each command reads its settings through _config:
+defaults, then the config file (--config or CLUSTCRYPT_CONFIG), then flags.
 
 Only the numeric commands (estimate-k, cluster, evaluate coherence,
 pipeline) load numpy, through the functions they call; the others never
@@ -73,15 +74,18 @@ def _flag_values(args) -> dict:
     return {name: coerce(name, raw, flag) for flag, name, raw in given if raw is not None}
 
 
-def _resolve_codec(args, config: PipelineConfig | None = None) -> TokenCodec:
-    if getattr(args, "identity", False):
+def _config(args) -> PipelineConfig:
+    """Defaults, then the config file (--config, else CLUSTCRYPT_CONFIG), then the flags; --key/--identity set codec."""
+    codec = "identity" if getattr(args, "identity", False) else ("keyed" if getattr(args, "key", None) else None)
+    return load_config(getattr(args, "config", None), {**_flag_values(args), "codec": codec})
+
+
+def _codec(args, config: PipelineConfig) -> TokenCodec:
+    if config.codec == "identity":
         return IdentityTokenCodec()
-    key_path = getattr(args, "key", None)
-    if key_path:
-        return KeyedTokenCodec(load_key(key_path))
-    if config is not None and config.codec == "identity":
-        return IdentityTokenCodec()
-    raise CLIError("either --key <file> or --identity is required")
+    if not args.key:
+        raise CLIError("either --key <file> or --identity is required")
+    return KeyedTokenCodec(load_key(args.key))
 
 
 def _add_codec_flags(parser: argparse.ArgumentParser) -> None:
@@ -110,7 +114,10 @@ def _emit(obj, out: str | None) -> None:
 
 def _build_index(args, config: PipelineConfig, digest=None):
     """The index of --corpus or --keywords; a given digest is fed the corpus files as they are read."""
-    codec = _resolve_codec(args, config)
+    for flag, given in (("--n", args.n), ("--stopwords", args.stopwords)):
+        if args.keywords and given is not None:
+            raise CLIError(f"{flag} applies to --corpus only: a keyword file's terms are indexed as given")
+    codec = _codec(args, config)
     if args.corpus:
         stop = load_stopwords(args.stopwords) if args.stopwords else DEFAULT_STOPWORDS
         return build_index_from_corpus(args.corpus, codec, config.keywords_per_doc, stop, digest)
@@ -118,8 +125,7 @@ def _build_index(args, config: PipelineConfig, digest=None):
 
 
 def cmd_build_index(args) -> int:
-    config = load_config(args.config, _flag_values(args))
-    index = _build_index(args, config)
+    index = _build_index(args, _config(args))
     write_index(index, args.out)
     return 0
 
@@ -155,7 +161,7 @@ def _warn_k_shortfall(clusters) -> None:
 
 def cmd_cluster(args) -> int:
     index = read_index(args.index)
-    clusters, _ = cluster_index(index, k=PipelineConfig(**_flag_values(args)).k_mode)
+    clusters, _ = cluster_index(index, k=_config(args).k_mode)
     _warn_k_shortfall(clusters)
     write_clusters(clusters, args.out)
     return 0
@@ -163,15 +169,15 @@ def cmd_cluster(args) -> int:
 
 def cmd_abstracts(args) -> int:
     clusters = read_clusters(args.clusters)
-    abstracts = build_abstracts(clusters, PipelineConfig(**_flag_values(args)).abstract_size)
+    abstracts = build_abstracts(clusters, _config(args).abstract_size)
     write_abstracts(abstracts, args.out)
     return 0
 
 
 def cmd_search(args) -> int:
-    config = PipelineConfig(**_flag_values(args))
+    config = _config(args)
+    codec = _codec(args, config)
     clusters = read_clusters(args.clusters)
-    codec = _resolve_codec(args)
     tokens = encrypt_query(codec, args.query)
     if args.no_prune:
         selected = range(clusters.k_used)
@@ -196,8 +202,8 @@ def cmd_evaluate_coherence(args) -> int:
 def cmd_evaluate_search(args) -> int:
     from . import evaluation
 
-    config = PipelineConfig(**_flag_values(args))
-    codec = _resolve_codec(args)
+    config = _config(args)
+    codec = _codec(args, config)
     clusters = read_clusters(args.clusters)
     abstracts = read_abstracts(args.abstracts)
     check_pairing(abstracts, clusters.k_used, clusters.cluster_of, clusters.index, args.abstracts)
@@ -231,20 +237,12 @@ def cmd_evaluate_compare(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    codec = "identity" if args.identity else ("keyed" if args.key else None)
-    config = load_config(args.config, {**_flag_values(args), "codec": codec})
-    if config.codec == "keyed" and not args.key:
-        raise CLIError("codec 'keyed' needs --key <file>")
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    input_path = Path(args.corpus or args.keywords)
-    if not input_path.exists():
-        raise CLIError(f"input path {input_path} does not exist")
-
+    config = _config(args)
     corpus_digest = hashlib.sha256()
     index = _build_index(args, config, corpus_digest)
-    input_sha256 = corpus_digest.hexdigest() if args.corpus else _file_sha256(input_path)
+    input_sha256 = corpus_digest.hexdigest() if args.corpus else _file_sha256(Path(args.keywords))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     index_path = out_dir / "index.tsv"
     write_index(index, index_path)
 

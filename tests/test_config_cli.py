@@ -178,7 +178,8 @@ class TestPipelineCommand:
         assert rc == 1
         err = capsys.readouterr().err.strip()
         diagnostic = json.loads(err.splitlines()[-1])
-        assert "error" in diagnostic and "message" in diagnostic
+        assert diagnostic == {"error": "CLIError", "message": "either --key <file> or --identity is required"}
+        assert not (tmp_path / "x").exists()
 
     def test_document_named_with_a_line_separator(self, tmp_path, key_file):
         corpus = tmp_path / "corpus"
@@ -195,6 +196,17 @@ class TestPipelineCommand:
         rc = main(["pipeline", "--corpus", str(tmp_path / "nope"), "--identity", "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("missing", ["keyword file", "config file"])
+    def test_a_missing_file_leaves_no_out(self, tmp_path, mini_corpus_dir, capsys, missing):
+        nope = str(tmp_path / "nope")
+        argv = (["--keywords", nope] if missing == "keyword file"
+                else ["--corpus", str(mini_corpus_dir), "--config", nope])
+        out = tmp_path / "x"
+        assert main(["pipeline", *argv, "--identity", "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+        assert not out.exists()
 
 
 class TestKShortfall:
@@ -319,6 +331,49 @@ class TestStageCommands:
         fields = dict(part.split("=") for part in out.split())
         assert set(fields) == {"m", "trace", "k"}
         assert int(fields["k"]) >= 1
+
+    @pytest.mark.parametrize("codec", ["keyed", "identity"])
+    def test_estimate_k_agrees_with_the_k_report(self, tmp_path, mini_corpus_dir, key_file, capsys, codec):
+        # estimate-k forms the kept tokens' matrix itself; the pipeline selects kept rows of the whole index's
+        codec_flags = ["--key", str(key_file)] if codec == "keyed" else ["--identity"]
+        run = tmp_path / "run"
+        assert main(["pipeline", "--corpus", str(mini_corpus_dir), *codec_flags, "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert main(["estimate-k", "--index", str(run / "index.tsv")]) == 0
+        printed = dict(part.split("=") for part in capsys.readouterr().out.split())
+        k_report = json.loads((run / "k_report.json").read_text())
+        assert printed == {"m": str(k_report["m"]), "trace": f"{k_report['trace']:.12g}",
+                           "k": str(k_report["k_estimate"])}
+
+    @pytest.mark.parametrize("command", ["build-index", "pipeline"])
+    @pytest.mark.parametrize("flag", ["--n", "--stopwords"])
+    def test_corpus_only_flags_rejected_with_a_keyword_file(self, tmp_path, capsys, command, flag):
+        kw = tmp_path / "kw.tsv"
+        kw.write_text("d1\tnet:3,the:1,cake:2\n")
+        stop = tmp_path / "stop.txt"
+        stop.write_text("net\n")
+        out = tmp_path / "out"
+        value = "1" if flag == "--n" else str(stop)
+        assert main([command, "--keywords", str(kw), "--identity", "--out", str(out), flag, value]) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert json.loads(printed.err) == {
+            "error": "CLIError",
+            "message": f"{flag} applies to --corpus only: a keyword file's terms are indexed as given",
+        }
+        assert not out.exists()
+
+    def test_keywords_per_doc_from_a_config_file_accepted_with_a_keyword_file(self, tmp_path):
+        kw = tmp_path / "kw.tsv"
+        kw.write_text("d1\tnet:3,the:1,cake:2\nd2\tnet:1\n")
+        conf = tmp_path / "conf"
+        conf.write_text("keywords_per_doc = 1\n")
+        index_path, run = tmp_path / "index.tsv", tmp_path / "run"
+        common = ["--keywords", str(kw), "--identity", "--config", str(conf)]
+        assert main(["build-index", *common, "--out", str(index_path)]) == 0
+        assert main(["pipeline", *common, "--out", str(run)]) == 0
+        assert index_path.read_bytes() == (run / "index.tsv").read_bytes()
+        assert json.loads((run / "manifest.json").read_text())["config"]["keywords_per_doc"] == 1
 
     def test_dump_matrices(self, tmp_path, mini_corpus_dir, key_file):
         index_path = tmp_path / "index.tsv"
@@ -801,3 +856,44 @@ class TestConfigCodecResolution:
         assert main(["pipeline", "--corpus", str(mini_corpus_dir), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["keywords_per_doc"] == 5
+
+
+class TestStagesAgreeWithThePipeline:
+    """Under one config file, each stage run on its own reads the settings the pipeline read."""
+
+    @pytest.fixture
+    def run(self, tmp_path, mini_corpus_dir, monkeypatch):
+        conf = tmp_path / "conf"
+        conf.write_text("k_mode = 3\nabstract_size = 2\ncutoff = 2\nprune_width = 1\ncodec = identity\n")
+        monkeypatch.setenv(CONFIG_ENV, str(conf))
+        run = tmp_path / "run"
+        assert main(["pipeline", "--corpus", str(mini_corpus_dir), "--out", str(run)]) == 0
+        return run
+
+    def test_cluster_and_abstracts_rewrite_the_pipeline_files(self, tmp_path, run):
+        clusters, abstracts = tmp_path / "clusters.jsonl", tmp_path / "abstracts.jsonl"
+        assert main(["cluster", "--index", str(run / "index.tsv"), "--out", str(clusters)]) == 0
+        assert main(["abstracts", "--clusters", str(run / "clusters.jsonl"), "--out", str(abstracts)]) == 0
+        assert clusters.read_bytes() == (run / "clusters.jsonl").read_bytes()
+        assert abstracts.read_bytes() == (run / "abstracts.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("flags, rows", [([], 2), (["--top", "3"], 3)])
+    def test_search_takes_the_cutoff_from_the_file_unless_flagged(self, run, capsys, flags, rows):
+        capsys.readouterr()
+        assert main(["search", "--query", "garlic sauce", "--clusters", str(run / "clusters.jsonl"),
+                     "--abstracts", str(run / "abstracts.jsonl"), *flags]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == rows
+
+    def test_evaluate_search_takes_the_prune_width_from_the_file(self, tmp_path, run):
+        from cipherclust.search import read_abstracts
+
+        # every abstract's top token: a width above 1 would search more than one cluster
+        query = " ".join(abstract.entries[0][0].decode() for abstract in read_abstracts(run / "abstracts.jsonl"))
+        queries, results, report = tmp_path / "queries.tsv", tmp_path / "results.tsv", tmp_path / "report.json"
+        queries.write_text(f"q1\t{query}\n")
+        assert main(["evaluate", "search", "--queries", str(queries), "--clusters", str(run / "clusters.jsonl"),
+                     "--abstracts", str(run / "abstracts.jsonl"), "--results", str(results),
+                     "--out", str(report)]) == 0
+        [timing] = json.loads(report.read_text())["search_times"]
+        assert timing["clusters_searched"] == 1
+        assert len(results.read_text().splitlines()) <= 2

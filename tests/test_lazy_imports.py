@@ -1,4 +1,4 @@
-"""The search path and the file-only evaluate commands load neither numpy nor scipy.
+"""build-index, abstracts, the search path and the file-only evaluate commands load neither numpy nor scipy.
 
 Numeric commands load numpy and never load scipy; only estimate-k
 --dump-matrices, which forms the whole A -> N -> R -> S -> C chain, loads
@@ -65,6 +65,16 @@ def test_search_command_loads_neither_numpy_nor_scipy(run_dir, extra):
     args = ["search", "--query", "garlic sauce", "--clusters", str(run_dir / "clusters.jsonl"),
             "--abstracts", str(run_dir / "abstracts.jsonl"), "--identity", *extra]
     assert run_python(code, *args) == []
+
+
+@pytest.mark.parametrize("command", ["build-index", "abstracts"])
+def test_file_stage_commands_load_neither_numpy_nor_scipy(run_dir, tmp_path, command):
+    args = {
+        "build-index": ["--corpus", str(DATA_DIR / "mini_corpus"), "--identity", "--out", str(tmp_path / "i.tsv")],
+        "abstracts": ["--clusters", str(run_dir / "clusters.jsonl"), "--out", str(tmp_path / "a.jsonl")],
+    }[command]
+    code = "import json, sys\nfrom cipherclust.cli import main\nassert main(sys.argv[1:]) == 0\n" + REPORT_NUMERIC
+    assert run_python(code, command, *args) == []
 
 
 @pytest.mark.parametrize("command", ["evaluate search", "evaluate tsap", "evaluate compare"])
