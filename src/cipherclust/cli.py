@@ -62,7 +62,8 @@ FLAG_FIELDS = {"--n": "keywords_per_doc", "--a": "abstract_size", "--abstract-si
                "--c": "prune_width", "--top": "cutoff", "--k": "k_mode"}
 
 
-def _add_field_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+def _add_setting_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    parser.add_argument("--config", metavar="FILE")
     for flag in flags:
         name = FLAG_FIELDS[flag]
         parser.add_argument(flag, help=f"config key {name} (default {getattr(PipelineConfig, name)})")
@@ -100,8 +101,8 @@ def _file_sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_json(path: Path, obj) -> None:
-    write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
+def _write_json(path: Path, obj) -> str:
+    return write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
 
 def _emit(obj, out: str | None) -> None:
@@ -237,6 +238,11 @@ def cmd_evaluate_compare(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    """Build and write every artifact, check the run, and write a manifest of the artifacts' digests.
+
+    No artifact is parsed: the built objects are checked, and each file must hash to the digest its
+    writer returned. The round trips of tests/test_formats.py show each reader parses what its writer wrote.
+    """
     config = _config(args)
     corpus_digest = hashlib.sha256()
     index = _build_index(args, config, corpus_digest)
@@ -244,16 +250,16 @@ def cmd_pipeline(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     index_path = out_dir / "index.tsv"
-    write_index(index, index_path)
+    written = {index_path: write_index(index, index_path)}
 
     clusters, est = cluster_index(index, k=config.k_mode)
     _warn_k_shortfall(clusters)
     clusters_path = out_dir / "clusters.jsonl"
-    write_clusters(clusters, clusters_path)
+    written[clusters_path] = write_clusters(clusters, clusters_path)
 
     abstracts = build_abstracts(clusters, config.abstract_size)
     abstracts_path = out_dir / "abstracts.jsonl"
-    write_abstracts(abstracts, abstracts_path)
+    written[abstracts_path] = write_abstracts(abstracts, abstracts_path)
 
     k_report = {
         "m": est.m,
@@ -264,16 +270,24 @@ def cmd_pipeline(args) -> int:
         "k_used": clusters.k_used,
     }
     k_report_path = out_dir / "k_report.json"
-    _write_json(k_report_path, k_report)
+    written[k_report_path] = _write_json(k_report_path, k_report)
 
-    _validate_artifacts(index, index_path, clusters_path, abstracts_path, config)
+    if b"" in index.entries:
+        raise CLIError("the index holds an empty token, which no reader reads")
+    if clusters.index is not index:
+        raise CLIError("clusters file postings differ from the index")
+    cluster_of = {token: cid for cid, cluster in enumerate(clusters.clusters) for token in cluster.tokens}
+    if cluster_of.keys() != index.entries.keys():
+        raise CLIError("clusters file does not partition the index tokens")
+    _check_abstracts(abstracts, clusters.k_used, cluster_of, index, abstracts_path, config)
+    for path, digest in written.items():
+        if _file_sha256(path) != digest:
+            raise CLIError(f"{path}: the file differs from the bytes written to it")
 
     manifest = {
         "config": asdict(config),
         "input": {"path": str(args.corpus or args.keywords), "sha256": input_sha256},
-        "artifacts": {
-            p.name: _file_sha256(p) for p in (index_path, k_report_path, clusters_path, abstracts_path)
-        },
+        "artifacts": {path.name: digest for path, digest in written.items()},
         "k": k_report,
     }
     _write_json(out_dir / "manifest.json", manifest)
@@ -282,6 +296,9 @@ def cmd_pipeline(args) -> int:
 
 def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config) -> None:
     """Re-read every artifact and check it against what was built, line by line.
+
+    pipeline no longer calls this (see cmd_pipeline); it is kept for
+    perfbench/child.py's cli.validate span and for its own tests.
 
     Each parsed line is compared with the built index and dropped, so no
     second copy of the index or the clusters is held. Every index file line
@@ -313,11 +330,13 @@ def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config
         raise CLIError("clusters file does not partition the index tokens")
     if not matched:
         raise CLIError("clusters file postings differ from the index")
-    abstracts = read_abstracts(abstracts_path)
-    check_pairing(abstracts, k, cluster_of, index, abstracts_path)
-    for abstract in abstracts:
-        if len(abstract.entries) > config.abstract_size:
-            raise CLIError("abstract exceeds the configured size")
+    _check_abstracts(read_abstracts(abstracts_path), k, cluster_of, index, abstracts_path, config)
+
+
+def _check_abstracts(abstracts, k, cluster_of, index, path, config) -> None:
+    check_pairing(abstracts, k, cluster_of, index, path)
+    if any(len(abstract.entries) > config.abstract_size for abstract in abstracts):
+        raise CLIError("abstract exceeds the configured size")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,9 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--keywords", metavar="FILE", help="pre-extracted keyword TSV")
     _add_codec_flags(p)
     p.add_argument("--out", required=True, metavar="FILE")
-    _add_field_flags(p, "--n")
+    _add_setting_flags(p, "--n")
     p.add_argument("--stopwords", metavar="FILE", help="stopwords file, split into words as documents are")
-    p.add_argument("--config", metavar="FILE")
     p.set_defaults(func=cmd_build_index)
 
     p = sub.add_parser("estimate-k", help="estimate the cluster count from an index")
@@ -345,13 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="select centers and distribute tokens")
     p.add_argument("--index", required=True, metavar="FILE")
-    _add_field_flags(p, "--k")
+    _add_setting_flags(p, "--k")
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("abstracts", help="build per-cluster abstracts")
     p.add_argument("--clusters", required=True, metavar="FILE")
-    _add_field_flags(p, "--a")
+    _add_setting_flags(p, "--a")
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=cmd_abstracts)
 
@@ -360,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", required=True, metavar="FILE")
     p.add_argument("--abstracts", metavar="FILE")
     _add_codec_flags(p)
-    _add_field_flags(p, "--c", "--top")
+    _add_setting_flags(p, "--c", "--top")
     p.add_argument("--no-prune", action="store_true", help="search every cluster")
     p.set_defaults(func=cmd_search)
 
@@ -378,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--clusters", required=True, metavar="FILE")
     pe.add_argument("--abstracts", required=True, metavar="FILE")
     _add_codec_flags(pe)
-    _add_field_flags(pe, "--c", "--top")
+    _add_setting_flags(pe, "--c", "--top")
     pe.add_argument("--results", required=True, metavar="FILE", help="results TSV for evaluate tsap")
     pe.add_argument("--out", metavar="FILE")
     pe.set_defaults(func=cmd_evaluate_search)
@@ -401,9 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--keywords", metavar="FILE")
     _add_codec_flags(p)
     p.add_argument("--out", required=True, metavar="DIR")
-    _add_field_flags(p, "--k", "--n", "--abstract-size", "--c", "--top")
+    _add_setting_flags(p, "--k", "--n", "--abstract-size", "--c", "--top")
     p.add_argument("--stopwords", metavar="FILE", help="stopwords file, split into words as documents are")
-    p.add_argument("--config", metavar="FILE")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -367,8 +367,8 @@ def cluster_index(index: CentralIndex, k: int | str = "auto") -> tuple[ClusterSe
 # ---------------------------------------------------------------------------
 # clusters file (JSON lines)
 
-def write_clusters(cluster_set: ClusterSet, path: str | Path) -> None:
-    """One JSON object per cluster, ordered by id; tokens carry postings.
+def write_clusters(cluster_set: ClusterSet, path: str | Path) -> str:
+    """One JSON object per cluster, ordered by id; tokens carry postings. Returns write_lines' digest.
 
     Postings are written in held order, each `(doc, freq)` item as an array.
     """
@@ -380,7 +380,7 @@ def write_clusters(cluster_set: ClusterSet, path: str | Path) -> None:
         ]
         obj = {"id": cid, "center": token_to_b64(cluster.center), "tokens": tokens_payload}
         lines.append(json.dumps(obj, separators=(",", ":")))
-    write_lines(path, lines)
+    return write_lines(path, lines)
 
 
 def cluster_lines(path: str | Path) -> Iterator[tuple[Cluster, dict[CipherToken, dict[str, int]]]]:

@@ -292,22 +292,24 @@ def build_index_from_keywords(
 # ---------------------------------------------------------------------------
 # line files: UTF-8 with LF line endings; readers skip blank lines
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+def write_lines(path: str | Path, lines: Iterable[str]) -> str:
     """Write each line followed by one LF, as UTF-8, replacing path atomically.
 
-    The lines go to a temporary file beside path, which os.replace then
-    moves over it. A failure before that removes the temporary file and
-    leaves any earlier file at path as it was.
+    The text is encoded once, and those bytes go to a temporary file beside
+    path, which os.replace then moves over it; their sha256 hex digest is
+    returned. A failure before that removes the temporary file and leaves
+    any earlier file at path as it was.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("".join(line + "\n" for line in lines))
+        data = "".join(line + "\n" for line in lines).encode("utf-8")
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return hashlib.sha256(data).hexdigest()
 
 
 def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -342,9 +344,9 @@ def _check_utf8(path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # index file format (TSV)
 
-def write_index(index: CentralIndex, path: str | Path) -> None:
-    """One line per token: `<b64 token>\\t<docId>:<freq>[,<docId>:<freq>]*`."""
-    write_lines(path, (
+def write_index(index: CentralIndex, path: str | Path) -> str:
+    """One line per token: `<b64 token>\\t<docId>:<freq>[,<docId>:<freq>]*`; returns write_lines' digest."""
+    return write_lines(path, (
         f"{token_to_b64(token)}\t" + ",".join(f"{doc}:{freq}" for doc, freq in index.entries[token].items())
         for token in index.tokens()
     ))

@@ -312,7 +312,7 @@ def check_pairing(
 # ---------------------------------------------------------------------------
 # abstracts file (JSON lines) and results TSV
 
-def write_abstracts(abstracts: Abstracts, path: str | Path) -> None:
+def write_abstracts(abstracts: Abstracts, path: str | Path) -> str:
     lines = []
     for abstract in abstracts:
         obj = {
@@ -320,7 +320,7 @@ def write_abstracts(abstracts: Abstracts, path: str | Path) -> None:
             "entries": [[token_to_b64(t), freq] for t, freq in abstract.entries],
         }
         lines.append(json.dumps(obj, separators=(",", ":")))
-    write_lines(path, lines)
+    return write_lines(path, lines)
 
 
 def read_abstracts(path: str | Path) -> Abstracts:

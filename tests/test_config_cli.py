@@ -748,6 +748,116 @@ class TestValidateArtifacts:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+class TestPipelineChecks:
+    """pipeline checks the built objects and each artifact's digest; it parses none of its artifacts."""
+
+    NAMES = ("index.tsv", "clusters.jsonl", "abstracts.jsonl", "k_report.json", "manifest.json")
+
+    @staticmethod
+    def pipeline(mini_corpus_dir, out, *flags):
+        return main(["pipeline", "--corpus", str(mini_corpus_dir), "--identity", "--out", str(out), *flags])
+
+    def test_parses_no_artifact_and_reads_each_once(self, tmp_path, mini_corpus_dir, monkeypatch):
+        from cipherclust import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a build parses none of its artifacts")
+
+        for name in ("index_lines", "cluster_lines", "read_abstracts"):
+            monkeypatch.setattr(cli, name, refuse)
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counting(path):
+            reads.append(path.name)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        assert self.pipeline(mini_corpus_dir, tmp_path / "a") == 0
+        monkeypatch.undo()
+        assert sorted(name for name in reads if name in self.NAMES) == sorted(self.NAMES[:-1])
+        assert self.pipeline(mini_corpus_dir, tmp_path / "b") == 0
+        for name in self.NAMES:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+    def test_an_artifact_changed_after_its_write(self, tmp_path, mini_corpus_dir, monkeypatch, capsys):
+        from cipherclust import cli
+
+        write_clusters = cli.write_clusters
+
+        def append_a_byte(clusters, path):
+            digest = write_clusters(clusters, path)
+            with open(path, "ab") as fh:
+                fh.write(b"\n")  # a blank line, which every reader skips
+            return digest
+
+        monkeypatch.setattr(cli, "write_clusters", append_a_byte)
+        out = tmp_path / "run"
+        assert self.pipeline(mini_corpus_dir, out) == 1
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert diagnostic == {"error": "CLIError",
+                              "message": f"{out / 'clusters.jsonl'}: the file differs from the bytes written to it"}
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("fault, message", [
+        ("empty token", "the index holds an empty token, which no reader reads"),
+        ("partition", "clusters file does not partition the index tokens"),
+        ("postings", "clusters file postings differ from the index"),
+    ])
+    def test_a_faulty_build_is_rejected(self, tmp_path, mini_corpus_dir, monkeypatch, capsys, fault, message):
+        from cipherclust import cli
+        from cipherclust.clustering import Cluster, ClusterSet, cluster_index
+        from cipherclust.crypto import IdentityTokenCodec
+        from cipherclust.index import CentralIndex
+
+        class EmptyGarlic(IdentityTokenCodec):
+            def encrypt_token(self, plaintext):
+                return b"" if plaintext == "garlic" else super().encrypt_token(plaintext)
+
+        def faulty(index, k):
+            clusters, est = cluster_index(index, k)
+            first, *rest = clusters.clusters
+            if fault == "partition":  # a token of the first cluster is in none
+                dropped = max(set(first.tokens) - {first.center})
+                first = Cluster(first.center, tuple(t for t in first.tokens if t != dropped))
+                return ClusterSet((first, *rest), index, clusters.k_requested), est
+            token = first.tokens[0]
+            entries = {**index.entries, token: {doc: freq + 1 for doc, freq in index.entries[token].items()}}
+            return ClusterSet(clusters.clusters, CentralIndex(entries), clusters.k_requested), est
+
+        if fault == "empty token":
+            monkeypatch.setattr(cli, "IdentityTokenCodec", EmptyGarlic)
+        else:
+            monkeypatch.setattr(cli, "cluster_index", faulty)
+        out = tmp_path / "run"
+        assert self.pipeline(mini_corpus_dir, out) == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {"error": "CLIError", "message": message}
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("fault, error, message", [
+        ("oversized", "CLIError", "^abstract exceeds the configured size$"),
+        ("mis-paired", "IndexDataError",
+         r"abstracts\.jsonl: abstract of cluster 0 names token \S+, which is not in that cluster$"),
+    ])
+    def test_a_faulty_abstract_is_rejected(self, tmp_path, mini_corpus_dir, monkeypatch, capsys, fault, error,
+                                           message):
+        from cipherclust import cli
+        from cipherclust.search import Abstract, Abstracts, build_abstracts
+
+        def faulty(clusters, a):
+            if fault == "oversized":
+                return build_abstracts(clusters, a + 1)
+            first, second, *rest = build_abstracts(clusters, a)
+            return Abstracts((Abstract(0, second.entries), Abstract(1, first.entries), *rest))
+
+        monkeypatch.setattr(cli, "build_abstracts", faulty)
+        out = tmp_path / "run"
+        assert self.pipeline(mini_corpus_dir, out, "--abstract-size", "1") == 1
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert diagnostic["error"] == error and re.search(message, diagnostic["message"])
+        assert not (out / "manifest.json").exists()
+
+
 class TestEvaluateCommands:
     def test_coherence_and_compare(self, tmp_path, pipeline_dir, embeddings_path, mini_corpus_dir):
         dyn_report = tmp_path / "dyn.json"
@@ -861,10 +971,12 @@ class TestConfigCodecResolution:
 class TestStagesAgreeWithThePipeline:
     """Under one config file, each stage run on its own reads the settings the pipeline read."""
 
+    CONF = "k_mode = 3\nabstract_size = 2\ncutoff = 2\nprune_width = 1\ncodec = identity\n"
+
     @pytest.fixture
     def run(self, tmp_path, mini_corpus_dir, monkeypatch):
         conf = tmp_path / "conf"
-        conf.write_text("k_mode = 3\nabstract_size = 2\ncutoff = 2\nprune_width = 1\ncodec = identity\n")
+        conf.write_text(self.CONF)
         monkeypatch.setenv(CONFIG_ENV, str(conf))
         run = tmp_path / "run"
         assert main(["pipeline", "--corpus", str(mini_corpus_dir), "--out", str(run)]) == 0
@@ -876,6 +988,26 @@ class TestStagesAgreeWithThePipeline:
         assert main(["abstracts", "--clusters", str(run / "clusters.jsonl"), "--out", str(abstracts)]) == 0
         assert clusters.read_bytes() == (run / "clusters.jsonl").read_bytes()
         assert abstracts.read_bytes() == (run / "abstracts.jsonl").read_bytes()
+
+    def test_stages_take_the_config_flag(self, tmp_path, mini_corpus_dir, capsys):
+        conf = tmp_path / "conf"
+        conf.write_text(self.CONF)
+        flag = ["--config", str(conf)]
+        run, clusters, abstracts = tmp_path / "flagged", tmp_path / "clusters.jsonl", tmp_path / "abstracts.jsonl"
+        assert main(["pipeline", "--corpus", str(mini_corpus_dir), "--out", str(run), *flag]) == 0
+        assert main(["cluster", "--index", str(run / "index.tsv"), *flag, "--out", str(clusters)]) == 0
+        assert main(["abstracts", "--clusters", str(run / "clusters.jsonl"), *flag, "--out", str(abstracts)]) == 0
+        assert clusters.read_bytes() == (run / "clusters.jsonl").read_bytes()
+        assert abstracts.read_bytes() == (run / "abstracts.jsonl").read_bytes()
+        capsys.readouterr()
+        assert main(["search", "--query", "garlic sauce", "--clusters", str(run / "clusters.jsonl"),
+                     "--abstracts", str(run / "abstracts.jsonl"), *flag]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        queries, results = tmp_path / "queries.tsv", tmp_path / "results.tsv"
+        queries.write_text("q1\tgarlic sauce\n")
+        assert main(["evaluate", "search", "--queries", str(queries), "--clusters", str(run / "clusters.jsonl"),
+                     "--abstracts", str(run / "abstracts.jsonl"), "--results", str(results), *flag]) == 0
+        assert len(results.read_text().splitlines()) == 2
 
     @pytest.mark.parametrize("flags, rows", [([], 2), (["--top", "3"], 3)])
     def test_search_takes_the_cutoff_from_the_file_unless_flagged(self, run, capsys, flags, rows):

@@ -1,5 +1,7 @@
-"""The three artifact formats: read(write(x)) == x, and the posting maps every builder holds."""
+"""The three artifact formats: read(write(x)) == x, each writer returns its file's sha256, and the posting
+maps every builder holds."""
 import gc
+import hashlib
 import json
 import random
 import tracemalloc
@@ -73,7 +75,7 @@ class TestRoundTrip:
     @given(index=indexes())
     def test_index(self, tmp_path_factory, index):
         path = tmp_path_factory.getbasetemp() / "index.tsv"
-        write_index(index, path)
+        assert write_index(index, path) == hashlib.sha256(path.read_bytes()).hexdigest()
         again = read_index(path)
         assert again == index and again.docs == index.docs
         assert posting_tuples(again) == posting_tuples(index)
@@ -82,7 +84,7 @@ class TestRoundTrip:
     @given(cluster_set=cluster_sets())
     def test_clusters(self, tmp_path_factory, cluster_set):
         path = tmp_path_factory.getbasetemp() / "clusters.jsonl"
-        write_clusters(cluster_set, path)
+        assert write_clusters(cluster_set, path) == hashlib.sha256(path.read_bytes()).hexdigest()
         again = read_clusters(path)
         assert again == cluster_set and again.index.docs == cluster_set.index.docs
         assert posting_tuples(again.index) == posting_tuples(cluster_set.index)
@@ -91,7 +93,7 @@ class TestRoundTrip:
     @given(abstracts=abstract_lists())
     def test_abstracts(self, tmp_path_factory, abstracts):
         path = tmp_path_factory.getbasetemp() / "abstracts.jsonl"
-        write_abstracts(abstracts, path)
+        assert write_abstracts(abstracts, path) == hashlib.sha256(path.read_bytes()).hexdigest()
         assert list(read_abstracts(path)) == abstracts
 
 
