@@ -33,9 +33,9 @@ from .crypto import (
 from .index import (
     DEFAULT_STOPWORDS,
     build_index_from_corpus,
-    build_index_from_keywords,
     index_digest,
     index_lines,
+    ingest,
     keyword_records,
     load_stopwords,
     read_index,
@@ -122,7 +122,7 @@ def _build_index(args, config: PipelineConfig, digest=None):
     if args.corpus:
         stop = load_stopwords(args.stopwords) if args.stopwords else DEFAULT_STOPWORDS
         return build_index_from_corpus(args.corpus, codec, config.keywords_per_doc, stop, digest)
-    return build_index_from_keywords(keyword_records(args.keywords), codec)
+    return ingest(keyword_records(args.keywords), codec.encrypt_token)
 
 
 def cmd_build_index(args) -> int:

@@ -240,8 +240,9 @@ def cooccurring_pairs(freq: FrequencyMatrix, center_freq: FrequencyMatrix) -> tu
     """(row of freq, row of center_freq) of every pair of rows sharing a document.
 
     Each posting of freq is expanded over the centers of its document, read
-    from a document -> centers list; np.unique then drops repeats and sorts
-    the pairs by row of freq, then by center. The work grows with the
+    from a document -> centers list; the pair keys, sorted in place and each
+    kept where it differs from the one before (np.unique imports numpy.ma),
+    order the pairs by row of freq, then by center. The work grows with the
     postings times the centers per document.
     """
     import numpy as np
@@ -256,7 +257,11 @@ def cooccurring_pairs(freq: FrequencyMatrix, center_freq: FrequencyMatrix) -> tu
     starts = doc_ptr[freq.indices]
     counts = doc_ptr[freq.indices + 1] - starts
     expanded = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
-    keys = np.unique(np.repeat(freq.row_of(), counts) * n_centers + doc_centers[expanded])
+    keys = np.repeat(freq.row_of(), counts) * n_centers + doc_centers[expanded]
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
     return keys // n_centers, keys % n_centers
 
 

@@ -5,10 +5,12 @@ posting list of (document id, frequency). Frequencies stay plaintext; only
 token identities are ciphertext. A document's terms are its crypto.words,
 which states the tokenizer rule.
 
-An index is its posting lists: CentralIndex holds nothing else, and its
-documents are those that hold a posting, derived only where the matrices
-read them. A document with no keyword is in no index, so ingest and the two
-readers build equal indexes from the same postings.
+ingest is the one loop that builds an index: postings accumulate under each
+term, a term is encrypted where it is first seen, and the lists are keyed by
+token when the input ends. An index is its posting lists: CentralIndex holds
+nothing else, and its documents are those that hold a posting, derived only
+where the matrices read them. A document with no keyword is in no index, so
+ingest and the two readers build equal indexes from the same postings.
 
 A posting list is a plain `{doc: frequency}` dict held in ascending
 document-id order, from ingest and the readers through to search. CPython's
@@ -28,7 +30,7 @@ from functools import cached_property
 from itertools import filterfalse, islice
 from operator import attrgetter, itemgetter, lt
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from .crypto import CipherToken, TokenCodec, token_from_b64, token_to_b64, words
 
@@ -136,34 +138,42 @@ def check_doc_id(doc_id: str, where: str = "") -> None:
         raise IndexDataError(f"{where}document id {doc_id!r} contains reserved characters")
 
 
-def ingest(records: Iterable[tuple[str, Iterable[tuple[CipherToken, int]]]]) -> CentralIndex:
-    """Build a CentralIndex from per-document (token, frequency) lists.
+def ingest(records: Iterable[tuple[str, Iterable[tuple[Any, int]]]], token=bytes) -> CentralIndex:
+    """Build a CentralIndex from per-document (key, frequency) lists, one record in flight at a time.
 
-    Rejects duplicate document ids and any (token, doc) pair appearing with
-    two different frequencies. Records are consumed one at a time, and each
-    token's per-document map becomes its posting list (see in_doc_order). A
-    document with no pair is checked, but holds no posting and so is not in
-    the index.
+    token(key) is called once, where the key is first seen: a codec's
+    encrypt_token for terms, bytes for token records. That map is local to
+    the call, so no key-derived value outlives it. When the records end, each
+    key's per-document map becomes its token's posting list (see
+    in_doc_order). Rejects duplicate document ids, any (key, doc) pair given
+    two frequencies, and two keys of one token. A document with no pair is
+    checked, but holds no posting.
     """
     seen_docs: set[str] = set()
-    acc: dict[CipherToken, dict[str, int]] = {}
+    acc: dict[Any, dict[str, int]] = {}
+    token_of: dict[Any, CipherToken] = {}
     for doc_id, pairs in records:
         check_doc_id(doc_id)
         if doc_id in seen_docs:
             raise IndexDataError(f"duplicate document id {doc_id!r}")
         seen_docs.add(doc_id)
-        for token, freq in pairs:
+        for key, freq in pairs:
             if freq < 1:
                 raise IndexDataError(f"frequency must be >= 1 for token in {doc_id!r}, got {freq}")
-            by_doc = acc.get(token)
+            by_doc = acc.get(key)
             if by_doc is None:
-                by_doc = acc[bytes(token)] = {}
+                by_doc = acc[key] = {}
+                token_of[key] = token(key)
             if by_doc.setdefault(doc_id, freq) != freq:
                 raise IndexDataError(
-                    f"conflicting frequencies for (token={token_to_b64(token)}, doc={doc_id!r}): "
+                    f"conflicting frequencies for (token={token_to_b64(token_of[key])}, doc={doc_id!r}): "
                     f"{by_doc[doc_id]} vs {freq}"
                 )
-    return CentralIndex({token: in_doc_order(by_doc) for token, by_doc in acc.items()})
+    entries = {token_of[key]: in_doc_order(by_doc) for key, by_doc in acc.items()}
+    if len(entries) < len(acc):
+        [(shared, _)] = Counter(token_of.values()).most_common(1)
+        raise IndexDataError(f"two keys map to the token {token_to_b64(shared)}")
+    return CentralIndex(entries)
 
 
 def trim(index: CentralIndex) -> TrimmedIndex:
@@ -189,14 +199,14 @@ def build_index_from_corpus(
     stopwords: Iterable[str] = DEFAULT_STOPWORDS,
     digest: hashlib._Hash | None = None,
 ) -> CentralIndex:
-    """Extract keywords from every *.txt file in a directory and ingest them.
+    """Extract keywords from every *.txt file in a directory and ingest them, encrypted by codec.
 
     The file name (without extension) becomes the document id. Each file is
-    read once, as bytes, and decoded as UTF-8; line endings are kept, which
-    no word (crypto.words) can tell apart. If a digest is given, each file's
-    name and bytes are fed to it as read, in file name order, each followed
-    by a NUL byte, so it covers exactly the bytes that were indexed. The
-    stopwords are split by crypto.words: "don't" drops don and t.
+    read once, as bytes, decoded as UTF-8 and ingested before the next is
+    read; line endings are kept, which no word (crypto.words) can tell apart.
+    If a digest is given, each file's name and bytes are fed to it as read,
+    in name order, each followed by a NUL byte, so it covers exactly the
+    bytes indexed. The stopwords are split by crypto.words ("don't": don, t).
     """
     corpus = Path(corpus_dir)
     paths = sorted((p for p in corpus.iterdir() if p.is_file() and p.suffix == ".txt"), key=attrgetter("name"))
@@ -211,7 +221,7 @@ def build_index_from_corpus(
         return raw.decode("utf-8")
 
     records = ((path.stem, extract_keywords(read(path), n, stop)) for path in paths)
-    return build_index_from_keywords(records, codec)
+    return ingest(records, codec.encrypt_token)
 
 
 def keyword_records(path: str | Path) -> Iterator[tuple[str, list[tuple[str, int]]]]:
@@ -266,50 +276,31 @@ def read_keyword_file(path: str | Path) -> list[tuple[str, list[tuple[str, int]]
     return list(keyword_records(path))
 
 
-def build_index_from_keywords(
-    records: Iterable[tuple[str, list[tuple[str, int]]]], codec: TokenCodec
-) -> CentralIndex:
-    """Encrypt per-document (term, frequency) lists and ingest them.
-
-    Each distinct term is encrypted once per build. The term -> token map is
-    local to the call, so no key-derived value outlives the build. Records
-    are encrypted and ingested one at a time, so a generator of records
-    (keyword_records, or extracted documents) holds one plaintext list and
-    one encrypted list at a time.
-    """
-    token_of: dict[str, CipherToken] = {}
-
-    def encrypted() -> Iterator[tuple[str, list[tuple[CipherToken, int]]]]:
-        for doc_id, pairs in records:
-            for term, _ in pairs:
-                if term not in token_of:
-                    token_of[term] = codec.encrypt_token(term)
-            yield doc_id, [(token_of[term], freq) for term, freq in pairs]
-
-    return ingest(encrypted())
-
-
 # ---------------------------------------------------------------------------
 # line files: UTF-8 with LF line endings; readers skip blank lines
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> str:
     """Write each line followed by one LF, as UTF-8, replacing path atomically.
 
-    The text is encoded once, and those bytes go to a temporary file beside
-    path, which os.replace then moves over it; their sha256 hex digest is
-    returned. A failure before that removes the temporary file and leaves
-    any earlier file at path as it was.
+    Each line is encoded, hashed and written in turn to a temporary file
+    beside path, which os.replace then moves over it; the sha256 hex digest
+    of its bytes is returned. A failure before that removes the temporary
+    file and leaves any earlier file at path as it was.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    h = hashlib.sha256()
     try:
-        data = "".join(line + "\n" for line in lines).encode("utf-8")
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            for line in lines:
+                data = (line + "\n").encode("utf-8")
+                h.update(data)
+                fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return hashlib.sha256(data).hexdigest()
+    return h.hexdigest()
 
 
 def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:

@@ -21,6 +21,16 @@ def sorted_keywords(text: str, n: int, stopwords) -> list[tuple[str, int]]:
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
 
 
+def encrypted_postings(records, encrypt) -> dict[bytes, dict[str, int]]:
+    """Per-document (term, frequency) records as an index in two plain steps:
+    every term encrypted, then each token's postings gathered in document-id order."""
+    postings: dict[bytes, dict[str, int]] = {}
+    for doc, pairs in records:
+        for term, freq in pairs:
+            postings.setdefault(encrypt(term), {})[doc] = freq
+    return {token: dict(sorted(by_doc.items())) for token, by_doc in postings.items()}
+
+
 def dense_pipeline(a: list[list[float]]):
     """Brute-force A -> N -> R -> S -> C on a dense row-major matrix."""
     m = len(a)

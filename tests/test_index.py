@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cipherclust.index as index_module
-from cipherclust.crypto import IdentityTokenCodec, KeyedTokenCodec, SecretKey, encrypt_query, words
+from cipherclust.crypto import (
+    IdentityTokenCodec, KeyedTokenCodec, SecretKey, encrypt_query, token_to_b64, words,
+)
 from cipherclust.index import (
     IndexDataError,
     build_index_from_corpus,
-    build_index_from_keywords,
     data_lines,
     extract_keywords,
     index_lines,
@@ -33,7 +34,7 @@ from cipherclust.matrices import frequency_matrix
 from conftest import (
     EXAMPLE_DOCS, EXAMPLE_FREQS, keep_all, posting_tuples, random_freqs, random_index, records_from_freqs,
 )
-from oracles import sorted_keywords
+from oracles import encrypted_postings, sorted_keywords
 
 
 class TestExtractKeywords:
@@ -176,6 +177,22 @@ class TestIngest:
         with pytest.raises(IndexDataError, match=f"^{re.escape(message)}$"):
             ingest(iter(records))
 
+    def test_conflict_names_the_encrypted_token(self):
+        codec = KeyedTokenCodec(SecretKey(bytes(32)))
+        token = token_to_b64(codec.encrypt_token("net"))
+        message = f"conflicting frequencies for (token={token}, doc='d1'): 3 vs 4"
+        with pytest.raises(IndexDataError, match=f"^{re.escape(message)}$"):
+            ingest([("d1", [("net", 3), ("cake", 1), ("net", 4)])], codec.encrypt_token)
+
+    def test_two_terms_of_one_token_rejected(self):
+        # merging their postings would silently change both terms' lists
+        class CollidingCodec(IdentityTokenCodec):
+            def encrypt_token(self, plaintext):
+                return b"T"
+
+        with pytest.raises(IndexDataError, match=f"^{re.escape('two keys map to the token VA==')}$"):
+            ingest([("d1", [("net", 3)]), ("d2", [("cake", 1)])], CollidingCodec().encrypt_token)
+
 
 @given(data=st.data())
 def test_ingest_round_trips_triples(data):
@@ -192,6 +209,23 @@ def test_ingest_round_trips_triples(data):
     got = {(t, d, f) for t, postings in idx.entries.items() for d, f in postings.items()}
     want = {(t, d, f) for t, by in freqs.items() for d, f in by.items()}
     assert got == want
+
+
+@pytest.mark.parametrize("codec", [IdentityTokenCodec(), KeyedTokenCodec(SecretKey(bytes(32)))],
+                         ids=["identity", "keyed"])
+@given(records=st.lists(
+    st.tuples(st.sampled_from([f"d{j}" for j in range(8)]),
+              st.dictionaries(st.sampled_from(["net", "cake", "caf\u00e9", "a", "zz"]), st.integers(1, 9),
+                              max_size=4)),
+    unique_by=lambda record: record[0], max_size=8,
+))
+def test_ingest_encrypts_terms_as_two_steps_would(codec, records):
+    """Terms repeat across documents, records may be empty, and documents come in any id order."""
+    records = [(doc, list(by_term.items())) for doc, by_term in records]
+    index = ingest(iter(records), codec.encrypt_token)
+    assert index == ingest([(doc, [(codec.encrypt_token(t), f) for t, f in pairs]) for doc, pairs in records])
+    want = encrypted_postings(records, codec.encrypt_token)
+    assert {t: list(p.items()) for t, p in index.entries.items()} == {t: list(p.items()) for t, p in want.items()}
 
 
 class TestDocCooccurrence:
@@ -451,7 +485,7 @@ class TestKeywordFile:
         path = tmp_path / "kw.tsv"
         path.write_text("d1\tCafé:2,net:1\nd2\tcafé:5\n", encoding="utf-8")
         codec = KeyedTokenCodec(SecretKey(bytes(32)))
-        index = build_index_from_keywords(keyword_records(path), codec)
+        index = ingest(keyword_records(path), codec.encrypt_token)
         (token,) = encrypt_query(codec, "café")
         assert index.entries[token] == {"d1": 2, "d2": 5}
 
@@ -482,7 +516,7 @@ def test_an_accepted_term_is_the_token_its_query_finds(tmp_path_factory, raw):
     path.write_text(f"d1\t{raw}:1\n", encoding="utf-8")
     codec = KeyedTokenCodec(SecretKey(bytes(32)))
     try:
-        index = build_index_from_keywords(keyword_records(path), codec)
+        index = ingest(keyword_records(path), codec.encrypt_token)
     except IndexDataError as exc:
         assert len(words(raw)) != 1 and str(exc).startswith(f"{path}:1: term {raw!r} ")
         return
@@ -514,11 +548,11 @@ class TestEncryptOncePerBuild:
     def test_keyword_records(self):
         records = [("d1", [("net", 3), ("cake", 1)]), ("d2", [("net", 2)]), ("d3", [("cake", 4), ("net", 1)])]
         codec = CountingCodec()
-        index = build_index_from_keywords(records, codec)
+        index = ingest(records, codec.encrypt_token)
         assert sorted(codec.calls) == ["cake", "net"]
         assert index == ingest([(d, [(t.encode(), f) for t, f in pairs]) for d, pairs in records])
         # the term -> token map does not outlive a build
-        build_index_from_keywords(records, codec)
+        ingest(records, codec.encrypt_token)
         assert sorted(codec.calls) == ["cake", "cake", "net", "net"]
 
     def test_records_are_encrypted_as_they_arrive(self):
@@ -529,8 +563,8 @@ class TestEncryptOncePerBuild:
             assert codec.calls == ["net"]
             yield "d2", [("cake", 1), ("net", 2)]
 
-        assert build_index_from_keywords(records(), codec) == ingest([("d1", [(b"net", 3)]),
-                                                                      ("d2", [(b"cake", 1), (b"net", 2)])])
+        assert ingest(records(), codec.encrypt_token) == ingest([("d1", [(b"net", 3)]),
+                                                                 ("d2", [(b"cake", 1), (b"net", 2)])])
 
     def test_a_keyword_file_build_holds_little_beyond_the_index(self, tmp_path):
         # each record is read, encrypted and ingested before the next, and each token's
@@ -547,7 +581,7 @@ class TestEncryptOncePerBuild:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            index = build_index_from_keywords(keyword_records(path), codec)
+            index = ingest(keyword_records(path), codec.encrypt_token)
             gc.collect()
             held, peak = (m - base for m in tracemalloc.get_traced_memory())
         finally:

@@ -96,16 +96,28 @@ def test_evaluation_file_commands_load_neither_numpy_nor_scipy(run_dir, tmp_path
     assert run_python(code, *command.split(), *args) == []
 
 
-@pytest.mark.parametrize("command", ["pipeline", "cluster", "estimate-k", "evaluate coherence"])
-def test_numeric_commands_load_numpy_and_never_scipy(run_dir, tmp_path, command):
-    args = {
+def numeric_args(command: str, run_dir: Path, tmp_path: Path) -> list[str]:
+    return {
         "pipeline": ["--corpus", str(DATA_DIR / "mini_corpus"), "--identity", "--out", str(tmp_path / "run")],
         "cluster": ["--index", str(run_dir / "index.tsv"), "--k", "2", "--out", str(tmp_path / "c.jsonl")],
         "estimate-k": ["--index", str(run_dir / "index.tsv")],
         "evaluate coherence": ["--clusters", str(run_dir / "clusters.jsonl"),
                                "--embeddings", str(DATA_DIR / "synthetic_embeddings.txt")],
     }[command]
+
+
+@pytest.mark.parametrize("command", ["pipeline", "cluster", "estimate-k", "evaluate coherence"])
+def test_numeric_commands_load_numpy_and_never_scipy(run_dir, tmp_path, command):
+    args = numeric_args(command, run_dir, tmp_path)
     assert run_python(RECORD_LOADED, *command.split(), *args) == {"rc": 0, "end": ["numpy"]}
+
+
+@pytest.mark.parametrize("command", ["pipeline", "cluster"])
+def test_builds_leave_numpy_ma_unloaded(run_dir, tmp_path, command):
+    # np.unique imports numpy.ma on its first call, a cost paid by every build that made one
+    code = ("import json, sys\nfrom cipherclust.cli import main\nassert main(sys.argv[1:]) == 0\n"
+            "print(json.dumps('numpy.ma' in sys.modules))")
+    assert run_python(code, command, *numeric_args(command, run_dir, tmp_path)) is False
 
 
 def test_dump_matrices_loads_scipy(run_dir, tmp_path):
