@@ -114,15 +114,19 @@ def _emit(obj, out: str | None) -> None:
 
 
 def _build_index(args, config: PipelineConfig, digest=None):
-    """The index of --corpus or --keywords; a given digest is fed the corpus files as they are read."""
+    """The index of --corpus or --keywords, refused if empty; a given digest is fed the corpus files as read."""
     for flag, given in (("--n", args.n), ("--stopwords", args.stopwords)):
         if args.keywords and given is not None:
             raise CLIError(f"{flag} applies to --corpus only: a keyword file's terms are indexed as given")
     codec = _codec(args, config)
     if args.corpus:
         stop = load_stopwords(args.stopwords) if args.stopwords else DEFAULT_STOPWORDS
-        return build_index_from_corpus(args.corpus, codec, config.keywords_per_doc, stop, digest)
-    return ingest(keyword_records(args.keywords), codec.encrypt_token)
+        index = build_index_from_corpus(args.corpus, codec, config.keywords_per_doc, stop, digest)
+    else:
+        index = ingest(keyword_records(args.keywords), codec.encrypt_token)
+    if not index.entries:
+        raise CLIError(f"{args.corpus or args.keywords}: no document holds a keyword, so there is no index to build")
+    return index
 
 
 def cmd_build_index(args) -> int:
@@ -196,7 +200,7 @@ def cmd_evaluate_coherence(args) -> int:
 
     clusters = read_clusters(args.clusters)
     table = evaluation.load_embeddings(args.embeddings)
-    _emit(evaluation.coherence_report(clusters, table).to_dict(), args.out)
+    _emit(asdict(evaluation.coherence_report(clusters, table)), args.out)
     return 0
 
 
@@ -212,7 +216,7 @@ def cmd_evaluate_search(args) -> int:
     results, timings = evaluation.run_benchmark(queries, clusters, abstracts, codec, config.prune_width, config.cutoff)
     evaluation.write_results_file(results, args.results)
     report = evaluation.EvaluationReport(search_times=timings, corpus_sha256=index_digest(clusters.index))
-    _emit(report.to_dict(), args.out)
+    _emit(asdict(report), args.out)
     return 0
 
 
@@ -221,10 +225,8 @@ def cmd_evaluate_tsap(args) -> int:
 
     ranked = evaluation.read_results_file(args.results)
     judgments = evaluation.load_judgments(args.judgments)
-    report = evaluation.EvaluationReport(
-        tsap_per_query=[(q, evaluation.tsap_at_10(docs, judgments, q)) for q, docs in ranked.items()]
-    )
-    _emit(report.to_dict(), args.out)
+    scores = [evaluation.TsapScore(q, evaluation.tsap_at_10(docs, judgments, q)) for q, docs in ranked.items()]
+    _emit(asdict(evaluation.EvaluationReport(tsap_per_query=scores)), args.out)
     return 0
 
 

@@ -376,16 +376,19 @@ def write_clusters(cluster_set: ClusterSet, path: str | Path) -> str:
     """One JSON object per cluster, ordered by id; tokens carry postings. Returns write_lines' digest.
 
     Postings are written in held order, each `(doc, freq)` item as an array.
+    Each token entry is rendered on its own into the line's fixed frame, so
+    no object tree of a whole line is built; tokens are base64 and ids are
+    ints, which need no escaping.
     """
     entries = cluster_set.index.entries
-    lines = []
-    for cid, cluster in enumerate(cluster_set.clusters):
-        tokens_payload = [
-            {"t": token_to_b64(token), "postings": [*entries[token].items()]} for token in cluster.tokens
-        ]
-        obj = {"id": cid, "center": token_to_b64(cluster.center), "tokens": tokens_payload}
-        lines.append(json.dumps(obj, separators=(",", ":")))
-    return write_lines(path, lines)
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    return write_lines(path, (
+        f'{{"id":{cid},"center":"{token_to_b64(cluster.center)}","tokens":['
+        + ",".join(f'{{"t":"{token_to_b64(token)}","postings":{encode([*entries[token].items()])}}}'
+                   for token in cluster.tokens)
+        + "]}"
+        for cid, cluster in enumerate(cluster_set.clusters)
+    ))
 
 
 def cluster_lines(path: str | Path) -> Iterator[tuple[Cluster, dict[CipherToken, dict[str, int]]]]:

@@ -2,6 +2,8 @@
 
 Coherence needs readable tokens, so it only applies to indexes built with
 the identity codec; the clustering code path itself is unchanged either way.
+A report and its records are dataclasses named as their JSON keys, so
+dataclasses.asdict renders one.
 numpy is imported by the coherence functions that compute with it, so
 TSAP scoring and report comparison load no numeric library.
 """
@@ -118,10 +120,16 @@ def cluster_coherence(words: Iterable[str], table: EmbeddingTable) -> float | No
 
 @dataclass(frozen=True)
 class ClusterCoherence:
-    cluster_id: int
+    cluster: int
     coherence: float | None
     embeddable_tokens: int
     skipped_tokens: int
+
+
+@dataclass(frozen=True)
+class TsapScore:
+    query: str
+    score: float
 
 
 @dataclass(frozen=True)
@@ -133,7 +141,7 @@ class SearchTiming:
     pruned-vs-full search comparison.
     """
 
-    query_id: str
+    query: str
     pruned_ms: float
     full_ms: float
     prune_ms: float
@@ -142,44 +150,19 @@ class SearchTiming:
 
 @dataclass
 class EvaluationReport:
+    """A report of evaluate coherence, search or tsap, rendered by dataclasses.asdict: each field is a JSON key."""
+
     per_cluster: list[ClusterCoherence] = field(default_factory=list)
     overall: float | None = None
-    tsap_per_query: list[tuple[str, float]] = field(default_factory=list)
+    tsap_per_query: list[TsapScore] = field(default_factory=list)
     search_times: list[SearchTiming] = field(default_factory=list)
     corpus_sha256: str | None = None
     embeddings_sha256: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "per_cluster": [
-                {
-                    "cluster": c.cluster_id,
-                    "coherence": c.coherence,
-                    "embeddable_tokens": c.embeddable_tokens,
-                    "skipped_tokens": c.skipped_tokens,
-                }
-                for c in self.per_cluster
-            ],
-            "overall": self.overall,
-            "tsap_per_query": [{"query": q, "score": s} for q, s in self.tsap_per_query],
-            "search_times": [
-                {
-                    "query": t.query_id,
-                    "pruned_ms": t.pruned_ms,
-                    "full_ms": t.full_ms,
-                    "prune_ms": t.prune_ms,
-                    "clusters_searched": t.clusters_searched,
-                }
-                for t in self.search_times
-            ],
-            "corpus_sha256": self.corpus_sha256,
-            "embeddings_sha256": self.embeddings_sha256,
-        }
-
     @classmethod
     def load(cls, path: str | Path) -> "EvaluationReport":
-        """Read what compare uses from a coherence report: overall (a number
-        or null), corpus_sha256 and embeddings_sha256 (strings)."""
+        """Read what compare uses from a coherence report, each field under its own key:
+        overall (a number or null), corpus_sha256 and embeddings_sha256 (strings)."""
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
             overall, digests = obj["overall"], (obj["corpus_sha256"], obj["embeddings_sha256"])
@@ -213,7 +196,7 @@ def coherence_report(clusters: ClusterSet, table: EmbeddingTable) -> EvaluationR
         coherence = cluster_coherence(words, table)
         per_cluster.append(
             ClusterCoherence(
-                cluster_id=cid,
+                cluster=cid,
                 coherence=coherence,
                 embeddable_tokens=embeddable,
                 skipped_tokens=len(words) - embeddable,
@@ -334,7 +317,8 @@ def read_results_file(path: str | Path) -> dict[str, list[str]]:
     """Ranked doc ids per query, in rank order.
 
     As write_results_file writes them, each query's ranks must run 1, 2, 3, ...
-    in file order; rank 0, a repeated rank and a gap are rejected with path:lineno.
+    in file order, up to TSAP_CUTOFF; rank 0, a repeated rank, a gap and a rank
+    past the cutoff are rejected with path:lineno.
     """
     ranked: dict[str, list[str]] = {}
     for lineno, line in data_lines(path):
@@ -349,6 +333,8 @@ def read_results_file(path: str | Path) -> dict[str, list[str]]:
         if rank != len(docs) + 1:
             problem = "twice" if 1 <= rank <= len(docs) else f"where rank {len(docs) + 1} is due"
             raise EvaluationError(f"{path}:{lineno}: query {query_id!r} has rank {rank} {problem}")
+        if rank > TSAP_CUTOFF:
+            raise EvaluationError(f"{path}:{lineno}: query {query_id!r} has rank {rank}, past TSAP's {TSAP_CUTOFF}")
         docs.append(doc_id)
     return ranked
 
@@ -389,7 +375,7 @@ def run_benchmark(
         results[query_id] = result
         timings.append(
             SearchTiming(
-                query_id=query_id,
+                query=query_id,
                 pruned_ms=pruned_best / 1e6,
                 full_ms=full_best / 1e6,
                 prune_ms=prune_best / 1e6,

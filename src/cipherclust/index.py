@@ -201,11 +201,12 @@ def build_index_from_corpus(
 ) -> CentralIndex:
     """Extract keywords from every *.txt file in a directory and ingest them, encrypted by codec.
 
-    The file name (without extension) becomes the document id. Each file is
-    read once, as bytes, decoded as UTF-8 and ingested before the next is
-    read; line endings are kept, which no word (crypto.words) can tell apart.
-    If a digest is given, each file's name and bytes are fed to it as read,
-    in name order, each followed by a NUL byte, so it covers exactly the
+    The file name (without extension) becomes the document id, checked
+    before the file is read, and a fault names the file. Each file is read
+    once, as bytes, decoded as UTF-8 and ingested before the next is read;
+    line endings are kept, which no word (crypto.words) can tell apart. If a
+    digest is given, each file's name and bytes are fed to it as read, in
+    name order, each followed by a NUL byte, so it covers exactly the
     bytes indexed. The stopwords are split by crypto.words ("don't": don, t).
     """
     corpus = Path(corpus_dir)
@@ -215,6 +216,7 @@ def build_index_from_corpus(
     stop = frozenset(words(" ".join(stopwords)))
 
     def read(path: Path) -> str:
+        check_doc_id(path.stem, f"{path}: ")
         raw = path.read_bytes()
         if digest is not None:
             digest.update(path.name.encode("utf-8") + b"\0" + raw + b"\0")
@@ -378,8 +380,11 @@ def index_lines(path: str | Path) -> Iterator[tuple[CipherToken, dict[str, int]]
 
 
 def read_index(path: str | Path) -> CentralIndex:
-    """Parse an index file written by write_index; index_lines states what it rejects."""
-    return CentralIndex({token: in_doc_order(by_doc) for token, by_doc in index_lines(path)})
+    """Parse an index file written by write_index; index_lines states what it rejects, and a file of no token is too."""
+    entries = {token: in_doc_order(by_doc) for token, by_doc in index_lines(path)}
+    if not entries:
+        raise IndexDataError(f"{path}: the index holds no token")
+    return CentralIndex(entries)
 
 
 def _posting_fault(items: list[str]) -> str:

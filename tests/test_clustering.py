@@ -563,6 +563,29 @@ def test_cluster_lines_yields_each_cluster_as_its_line_passes(mini_clusters_file
         next(lines)
 
 
+def test_write_clusters_renders_one_token_entry_at_a_time(tmp_path):
+    # One cluster of 120,000 postings, so one line. Building every entry's dict and posting tuples
+    # before rendering the line peaks near 8x the bytes written; rendering each entry by itself holds
+    # little more than the line, its pieces and its UTF-8 bytes.
+    rng = random.Random(7)
+    vocabulary = [f"tok{i:05d}".encode() for i in range(4000)]
+    index = ingest([(f"doc{j:05d}", [(t, rng.randint(1, 99)) for t in rng.sample(vocabulary, 30)])
+                    for j in range(4000)])
+    tokens = index.tokens()
+    cluster_set = ClusterSet(clusters=(Cluster(center=tokens[0], tokens=tuple(tokens)),), index=index, k_requested=1)
+    path = tmp_path / "clusters.jsonl"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_clusters(cluster_set, path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, index.entries.values())) == 120_000
+    assert peak < 4 * path.stat().st_size
+
+
 def test_cluster_lines_frees_each_token_entry_once_its_map_is_built(tmp_path):
     # One cluster, so one line holds all 30,000 postings. The read peaks near that line's JSON parse
     # tree: each token entry's part of the tree is freed as its map is built (holding the whole

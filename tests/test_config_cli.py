@@ -534,6 +534,45 @@ class TestStageCommands:
             )
 
 
+class TestNothingToIndex:
+    """An input of no keyword is refused where its index is built, naming the input, before any file is
+    written; an index file of no token is refused by the commands that read one, naming the file."""
+
+    @staticmethod
+    def keywordless(tmp_path, source) -> str:
+        if source == "keyword file":
+            path = tmp_path / "kw.tsv"
+            path.write_text("d1\t\nd2\t\n")
+        else:
+            path = tmp_path / "corpus"
+            path.mkdir()
+            (path / "d1.txt").write_text("the and of\n")
+        return str(path)
+
+    @pytest.mark.parametrize("source", ["corpus", "keyword file"])
+    @pytest.mark.parametrize("command", ["build-index", "pipeline"])
+    def test_a_keywordless_input_is_refused(self, tmp_path, capsys, command, source):
+        given = self.keywordless(tmp_path, source)
+        out = tmp_path / "out"
+        flag = "--keywords" if source == "keyword file" else "--corpus"
+        assert main([command, flag, given, "--identity", "--out", str(out)]) == 1
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert diagnostic == {"error": "CLIError",
+                              "message": f"{given}: no document holds a keyword, so there is no index to build"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+    @pytest.mark.parametrize("command", ["cluster", "estimate-k"])
+    def test_an_index_file_of_no_token_is_named(self, tmp_path, capsys, command, text):
+        index = tmp_path / "index.tsv"
+        index.write_text(text)
+        out = ["--out", str(tmp_path / "clusters.jsonl")] if command == "cluster" else []
+        assert main([command, "--index", str(index), *out]) == 1
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert diagnostic == {"error": "IndexDataError", "message": f"{index}: the index holds no token"}
+        assert not (tmp_path / "clusters.jsonl").exists()
+
+
 class TestIntegerFlags:
     """An integer flag is read by its config field's rule and a fault names the flag, as a file names path:lineno."""
 
@@ -926,6 +965,19 @@ class TestEvaluateCommands:
             "error": "IndexDataError",
             "message": f"{abstracts}: 6 abstracts for 2 clusters; the abstract of cluster 2 has no cluster",
         }
+
+    def test_search_report_keys(self, tmp_path, pipeline_dir):
+        # its timings keep it from a golden hash, so its keys are pinned here
+        report = tmp_path / "report.json"
+        assert self._evaluate_search(tmp_path, pipeline_dir / "clusters.jsonl", pipeline_dir / "abstracts.jsonl",
+                                     "--identity", "--out", str(report)) == 0
+        got = json.loads(report.read_text())
+        assert set(got) == {"per_cluster", "overall", "tsap_per_query", "search_times", "corpus_sha256",
+                            "embeddings_sha256"}
+        assert got["search_times"] and all(
+            set(row) == {"query", "pruned_ms", "full_ms", "prune_ms", "clusters_searched"}
+            for row in got["search_times"]
+        )
 
     def test_search_needs_a_codec(self, tmp_path, pipeline_dir, capsys):
         rc = self._evaluate_search(tmp_path, pipeline_dir / "clusters.jsonl", pipeline_dir / "abstracts.jsonl")

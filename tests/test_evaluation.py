@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ class TestCoherenceReport:
         scorable = [c.coherence for c in report.per_cluster if c.coherence is not None]
         assert report.overall == pytest.approx(sum(scorable) / len(scorable))
         for entry in report.per_cluster:
-            size = len(clusters.clusters[entry.cluster_id].tokens)
+            size = len(clusters.clusters[entry.cluster].tokens)
             assert entry.embeddable_tokens + entry.skipped_tokens == size
 
     def test_ciphertext_clusters_rejected(self, embeddings_path):
@@ -151,7 +152,7 @@ class TestCoherenceReport:
         clusters, _ = cluster_index(index, k="auto")
         report = coherence_report(clusters, load_embeddings(embeddings_path))
         path = tmp_path / "report.json"
-        _emit(report.to_dict(), str(path))
+        _emit(asdict(report), str(path))
         again = EvaluationReport.load(path)
         read = (again.overall, again.corpus_sha256, again.embeddings_sha256)
         assert read == (report.overall, report.corpus_sha256, report.embeddings_sha256)
@@ -346,6 +347,15 @@ class TestFilesAndBenchmark:
         path.write_text("q1\t2\td1\t3\nq1\t1\td2\t9\n")
         with pytest.raises(EvaluationError, match=re.escape(f"{path}:1: query 'q1' has rank 2 where rank 1 is due")):
             read_results_file(path)
+
+    def test_rank_past_the_tsap_cutoff_rejected(self, tmp_path):
+        # evaluate search --top 20 writes such a file; TSAP reads at most 10 ranks per query
+        path = tmp_path / "results.tsv"
+        path.write_text("q00\t1\td1\t4\n" + "".join(f"q01\t{rank}\td{rank}\t9\n" for rank in range(1, 12)))
+        with pytest.raises(EvaluationError, match="^" + re.escape(f"{path}:12: query 'q01' has rank 11, past")):
+            read_results_file(path)
+        path.write_text("".join(f"q01\t{rank}\td{rank}\t9\n" for rank in range(1, 11)))
+        assert len(read_results_file(path)["q01"]) == 10
 
     def test_results_file_round_trip(self, tmp_path):
         results = {

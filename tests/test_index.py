@@ -69,6 +69,14 @@ class TestExtractKeywords:
         assert crlf == lf
         assert list(crlf.entries[b"apple"].items()) == [("doc", 3)]
 
+    @pytest.mark.parametrize("raw", [b"router bandwidth\n", b"\xff not UTF-8\n"], ids=["text", "undecodable"])
+    def test_a_file_name_that_is_no_document_id_is_named_before_the_file_is_read(self, tmp_path, raw):
+        (tmp_path / "a.txt").write_text("router\n")
+        (tmp_path / "x:y.txt").write_bytes(raw)
+        message = f"{tmp_path / 'x:y.txt'}: document id 'x:y' contains reserved characters"
+        with pytest.raises(IndexDataError, match=f"^{re.escape(message)}$"):
+            build_index_from_corpus(tmp_path, IdentityTokenCodec(), 5)
+
     def test_corpus_digest_covers_the_bytes_read(self, tmp_path):
         files = {"b.txt": b"beta\r\nbeta", "a.txt": b"alpha", "skip.md": b"not read"}
         for name, raw in files.items():
