@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -337,7 +338,7 @@ def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config
 
 def _check_abstracts(abstracts, k, cluster_of, index, path, config) -> None:
     check_pairing(abstracts, k, cluster_of, index, path)
-    if any(len(abstract.entries) > config.abstract_size for abstract in abstracts):
+    if any(n > config.abstract_size for n in Counter(abstracts.cluster.values()).values()):
         raise CLIError("abstract exceeds the configured size")
 
 

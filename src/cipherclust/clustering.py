@@ -378,13 +378,14 @@ def write_clusters(cluster_set: ClusterSet, path: str | Path) -> str:
     Postings are written in held order, each `(doc, freq)` item as an array.
     Each token entry is rendered on its own into the line's fixed frame, so
     no object tree of a whole line is built; tokens are base64 and ids are
-    ints, which need no escaping.
+    ints, which need no escaping. Each document id is quoted once per write.
     """
     entries = cluster_set.index.entries
-    encode = json.JSONEncoder(separators=(",", ":")).encode
+    quoted = {doc: json.dumps(doc) for doc in cluster_set.index.docs}
     return write_lines(path, (
         f'{{"id":{cid},"center":"{token_to_b64(cluster.center)}","tokens":['
-        + ",".join(f'{{"t":"{token_to_b64(token)}","postings":{encode([*entries[token].items()])}}}'
+        + ",".join(f'{{"t":"{token_to_b64(token)}","postings":['
+                   + ",".join([f"[{quoted[doc]},{freq}]" for doc, freq in entries[token].items()]) + "]}"
                    for token in cluster.tokens)
         + "]}"
         for cid, cluster in enumerate(cluster_set.clusters)
@@ -470,8 +471,9 @@ def cluster_lines(path: str | Path) -> Iterator[tuple[Cluster, dict[CipherToken,
 def read_clusters(path: str | Path) -> ClusterSet:
     """Rebuild a ClusterSet (and its distributed index) from a clusters file.
 
-    cluster_lines states what is rejected. The requested k is not stored in
-    the file; k_requested is set to the cluster count actually present.
+    cluster_lines states what is rejected, and a file of no cluster is too.
+    The requested k is not stored in the file; k_requested is set to the
+    cluster count actually present.
     Each token keeps cluster_lines' map (sorted only if out of document
     order), so document ids are shared, one string per document. Then the
     ClusterSet's cluster_of and views are built: a server pays for them as
@@ -482,6 +484,8 @@ def read_clusters(path: str | Path) -> ClusterSet:
     for cluster, members in cluster_lines(path):
         clusters.append(cluster)
         entries.update((token, in_doc_order(by_doc)) for token, by_doc in members.items())
+    if not clusters:
+        raise IndexDataError(f"{path}: the clusters file holds no cluster")
     index = CentralIndex(entries)
     cluster_set = ClusterSet(clusters=tuple(clusters), index=index, k_requested=len(clusters))
     cluster_set.cluster_of, cluster_set.views  # noqa: B018 - built here, at load

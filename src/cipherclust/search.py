@@ -9,17 +9,17 @@ so concurrent queries over shared snapshots are safe.
 Query cost follows the query, not the clusters. Cluster token sets are
 disjoint and each abstract lists tokens of its own cluster, so a token is in
 at most one cluster and at most one abstract. The lookup maps are built
-once, at load time: token -> abstract frequency and token -> cluster id for
-the abstracts when an Abstracts is constructed, and token -> cluster id for
-the clusters (ClusterSet.cluster_of, built on first use) by read_clusters. prune
-then looks each query token up once, O(query tokens), plus a sort of the
-clusters it hits; search looks each query token up once and takes the
-posting lists of those in a selected cluster, O(query tokens + postings
-added). The longest list seeds the scores in one dict() call; only the
-other lists' postings are added one by one. The cutoff-th best score is
-found by an integer sort of the scores, or by a heap of cutoff entries
-above HEAP_FLOOR_RATIO x cutoff scores, and only the documents that reach
-it get the keyed sort.
+once, at load time. The abstracts are two maps, token -> abstract frequency
+and token -> cluster id, filled by build_abstracts or read_abstracts; the
+clusters' token -> cluster id map (ClusterSet.cluster_of, built on first
+use) is built by read_clusters. prune then looks each query token up once,
+O(query tokens), plus a sort of the clusters it hits; search looks each
+query token up once and takes the posting lists of those in a selected
+cluster, O(query tokens + postings added). The longest list seeds the
+scores in one dict() call; only the other lists' postings are added one by
+one. The cutoff-th best score is found by an integer sort of the scores, or
+by a heap of cutoff entries above HEAP_FLOOR_RATIO x cutoff scores, and
+only the documents that reach it get the keyed sort.
 
 A query whose longest selected list has clustering.LONG_LIST_POSTINGS or
 more postings is ranked by Fagin's threshold algorithm over impact views
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import add, lt
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from . import clustering
 from .clustering import ClusterSet
@@ -62,66 +62,29 @@ FIRST_BATCH = 32
 
 
 @dataclass(frozen=True)
-class Abstract:
-    """A cluster's top tokens; entries must name each token once."""
-
-    cluster_id: int
-    entries: tuple[tuple[CipherToken, int], ...]  # (token, corpus frequency), highest first
-
-    def __post_init__(self):
-        if len({token for token, _ in self.entries}) != len(self.entries):
-            raise ValueError(f"abstract of cluster {self.cluster_id} lists a token twice")
-
-
-class SharedTokenError(ValueError):
-    """A token in the abstracts of two clusters, first and second by cluster id."""
-
-    def __init__(self, token: CipherToken, first: int, second: int):
-        super().__init__(f"token {token_to_b64(token)} is in the abstracts of clusters {first} and {second}")
-        self.token, self.first, self.second = token, first, second
-
-
-@dataclass(frozen=True)
 class Abstracts:
-    """The abstracts of a cluster set, in order, with prune's lookup maps.
+    """The abstracts of k clusters, as the two maps prune reads.
 
-    No token may be in two abstracts, as no token is in two clusters. So
-    frequency and cluster map each abstract token to its frequency and to
-    its abstract's cluster id, and min_token maps each cluster id with a
-    non-empty abstract to the abstract's smallest token: prune's tie-break,
-    unique per abstract. All three are built once, here.
+    frequency maps each abstract token to its corpus frequency and cluster
+    maps it to its abstract's cluster id: the abstract of cluster i is the
+    tokens that cluster maps to i, in insertion order. A token has one id,
+    so no token can be in two abstracts, as no token is in two clusters. k
+    counts the abstracts, empty ones included. min_token maps each cluster
+    id with a non-empty abstract to the abstract's smallest token: prune's
+    tie-break, unique per abstract, derived once, here.
     """
 
-    abstracts: tuple[Abstract, ...]
-    frequency: dict[CipherToken, int] = field(init=False, compare=False, repr=False)
-    cluster: dict[CipherToken, int] = field(init=False, compare=False, repr=False)
+    k: int
+    frequency: dict[CipherToken, int]
+    cluster: dict[CipherToken, int]
     min_token: dict[int, CipherToken] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        frequency: dict[CipherToken, int] = {}
-        cluster: dict[CipherToken, int] = {}
         min_token: dict[int, CipherToken] = {}
-        for abstract in self.abstracts:
-            cid = abstract.cluster_id
-            for token, freq in abstract.entries:
-                if token in cluster:
-                    raise SharedTokenError(token, cluster[token], cid)
-                frequency[token] = freq
-                cluster[token] = cid
-            if abstract.entries:
-                min_token[cid] = min(token for token, _ in abstract.entries)
-        object.__setattr__(self, "frequency", frequency)
-        object.__setattr__(self, "cluster", cluster)
+        for token, cid in self.cluster.items():
+            if cid not in min_token or token < min_token[cid]:
+                min_token[cid] = token
         object.__setattr__(self, "min_token", min_token)
-
-    def __len__(self) -> int:
-        return len(self.abstracts)
-
-    def __iter__(self) -> Iterator[Abstract]:
-        return iter(self.abstracts)
-
-    def __getitem__(self, position: int) -> Abstract:
-        return self.abstracts[position]
 
 
 @dataclass(frozen=True)
@@ -140,23 +103,25 @@ def build_abstracts(clusters: ClusterSet, a: int) -> Abstracts:
     """
     if a < 1:
         raise ValueError("abstract size must be >= 1")
-    abstracts = []
-    for cid, cluster in enumerate(clusters.clusters):
+    frequency: dict[CipherToken, int] = {}
+    cluster: dict[CipherToken, int] = {}
+    for cid, members in enumerate(clusters.clusters):
         scored = sorted(
-            ((token, clusters.index.total_frequency(token)) for token in cluster.tokens),
+            ((token, clusters.index.total_frequency(token)) for token in members.tokens),
             key=lambda kv: (-kv[1], kv[0]),
         )
-        abstracts.append(Abstract(cluster_id=cid, entries=tuple(scored[:a])))
-    return Abstracts(tuple(abstracts))
+        for token, freq in scored[:a]:
+            frequency[token] = freq
+            cluster[token] = cid
+    return Abstracts(clusters.k_used, frequency, cluster)
 
 
 def prune(query_tokens: Iterable[CipherToken], abstracts: Abstracts, c: int) -> list[int]:
     """Top-c clusters whose abstracts overlap the query, by summed frequency.
 
     Ties go to the abstract with the smaller minimum token. Clusters scoring
-    zero are dropped; if every cluster scores zero the cluster ids of all
-    abstracts are returned, in abstract order, so the search can fall back
-    to the full index.
+    zero are dropped; if every cluster scores zero all k cluster ids are
+    returned, in order, so the search can fall back to the full index.
     """
     if c < 1:
         raise ValueError("prune width must be >= 1")
@@ -170,7 +135,7 @@ def prune(query_tokens: Iterable[CipherToken], abstracts: Abstracts, c: int) -> 
     min_token = abstracts.min_token
     scored = [(-score, min_token[cid], cid) for cid, score in scores.items() if score > 0]
     if not scored:
-        return [abstract.cluster_id for abstract in abstracts]
+        return list(range(abstracts.k))
     scored.sort()
     return [cid for _, _, cid in scored[:c]]
 
@@ -285,79 +250,81 @@ def check_pairing(
 
     The clusters are given as their count k, the cluster id of each token
     and the index they partition. There must be one abstract per cluster,
-    and each entry must name a token of its own cluster with that token's
+    and each abstract token must be a token of its own cluster with its
     total frequency in the index. The error names the abstracts file and the
     cluster id. Costs one lookup per entry plus one pass over the postings
     of the abstracts' tokens.
     """
-    n = len(abstracts)
+    n = abstracts.k
     if n != k:
         unpaired = f"the abstract of cluster {k} has no cluster" if n > k else f"cluster {n} has no abstract"
         raise IndexDataError(f"{path}: {n} abstracts for {k} clusters; {unpaired}")
-    for abstract in abstracts:
-        for token, freq in abstract.entries:
-            if cluster_of.get(token) != abstract.cluster_id:
-                raise IndexDataError(
-                    f"{path}: abstract of cluster {abstract.cluster_id} names token "
-                    f"{token_to_b64(token)}, which is not in that cluster"
-                )
-            total = index.total_frequency(token)
-            if freq != total:
-                raise IndexDataError(
-                    f"{path}: abstract of cluster {abstract.cluster_id} gives token "
-                    f"{token_to_b64(token)} frequency {freq}; the clusters give {total}"
-                )
+    for token, cid in abstracts.cluster.items():
+        if cluster_of.get(token) != cid:
+            raise IndexDataError(
+                f"{path}: abstract of cluster {cid} names token {token_to_b64(token)}, which is not in that cluster"
+            )
+        freq, total = abstracts.frequency[token], index.total_frequency(token)
+        if freq != total:
+            raise IndexDataError(
+                f"{path}: abstract of cluster {cid} gives token "
+                f"{token_to_b64(token)} frequency {freq}; the clusters give {total}"
+            )
 
 
 # ---------------------------------------------------------------------------
 # abstracts file (JSON lines) and results TSV
 
 def write_abstracts(abstracts: Abstracts, path: str | Path) -> str:
-    lines = []
-    for abstract in abstracts:
-        obj = {
-            "cluster": abstract.cluster_id,
-            "entries": [[token_to_b64(t), freq] for t, freq in abstract.entries],
-        }
-        lines.append(json.dumps(obj, separators=(",", ":")))
-    return write_lines(path, lines)
+    """One JSON line per abstract, ordered by cluster id; entries in the maps' insertion order.
+
+    That order is rank order for build_abstracts and file order for
+    read_abstracts, so a file read back is written byte for byte.
+    """
+    entries: list[list[list]] = [[] for _ in range(abstracts.k)]
+    for token, cid in abstracts.cluster.items():
+        entries[cid].append([token_to_b64(token), abstracts.frequency[token]])
+    return write_lines(path, (
+        json.dumps({"cluster": cid, "entries": listed}, separators=(",", ":")) for cid, listed in enumerate(entries)
+    ))
 
 
 def read_abstracts(path: str | Path) -> Abstracts:
     """Parse an abstracts file written by write_abstracts.
 
     Rejected with path:lineno: a malformed line or entry (an empty token
-    among them), a frequency that is not an integer >= 1, a token listed
-    twice (in one abstract or in two) and cluster ids that do not run 0, 1,
-    2, ... in order.
+    among them), cluster ids that do not run 0, 1, 2, ... in order, a
+    frequency that is not an integer >= 1, and a token listed twice, in one
+    abstract or again on a later line.
     """
-    abstracts = []
-    linenos = []
+    frequency: dict[CipherToken, int] = {}
+    cluster: dict[CipherToken, int] = {}
+    k = 0
     for lineno, line in data_lines(path):
         where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
             cid = obj["cluster"]
-            entries = tuple((token_from_b64(t), f) for t, f in obj["entries"])
+            entries = [(token_from_b64(t), f) for t, f in obj["entries"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise IndexDataError(f"{where}: malformed abstract line: {exc}")
-        if type(cid) is not int or cid != len(abstracts):
+        if type(cid) is not int or cid != k:
             raise IndexDataError(f"{where}: cluster id {cid!r}; ids must be 0,1,2,... in order")
         for token, freq in entries:
             if type(freq) is not int or freq < 1:
                 raise IndexDataError(
                     f"{where}: token {token_to_b64(token)} has frequency {freq!r}; need an integer >= 1"
                 )
-        try:
-            abstracts.append(Abstract(cluster_id=cid, entries=entries))
-        except ValueError as exc:
-            raise IndexDataError(f"{where}: {exc}")
-        linenos.append(lineno)
-    try:
-        return Abstracts(tuple(abstracts))
-    except SharedTokenError as exc:  # cluster ids are positions here, so exc.second indexes linenos
-        token = token_to_b64(exc.token)
-        raise IndexDataError(f"{path}:{linenos[exc.second]}: token {token} is also in the abstract of cluster {exc.first}")
+        if len(dict(entries)) != len(entries):
+            raise IndexDataError(f"{where}: abstract of cluster {cid} lists a token twice")
+        for token, freq in entries:
+            if token in cluster:
+                first = cluster[token]
+                raise IndexDataError(f"{where}: token {token_to_b64(token)} is also in the abstract of cluster {first}")
+            frequency[token] = freq
+            cluster[token] = cid
+        k += 1
+    return Abstracts(k, frequency, cluster)
 
 
 def format_results(result: SearchResult) -> str:

@@ -335,7 +335,7 @@ def test_criterion_10_desk_scale_throughput():
         assert index.token_count == 10_000 and len(index.docs) == 2_000
         assert est is not None and 1 <= est.k <= est.m
         assert clusters.k_used <= est.k
-        assert len(abstracts) == clusters.k_used
+        assert abstracts.k == clusters.k_used
         seen = [token for cluster in clusters.clusters for token in cluster.tokens]
         assert len(seen) == len(set(seen)) == 10_000
         print(f"    k={est.k} k_used={clusters.k_used} elapsed={elapsed:.1f}s")

@@ -536,7 +536,8 @@ class TestStageCommands:
 
 class TestNothingToIndex:
     """An input of no keyword is refused where its index is built, naming the input, before any file is
-    written; an index file of no token is refused by the commands that read one, naming the file."""
+    written; an index file of no token, or a clusters file of no cluster, is refused by the commands that
+    read one, naming the file."""
 
     @staticmethod
     def keywordless(tmp_path, source) -> str:
@@ -571,6 +572,26 @@ class TestNothingToIndex:
         diagnostic = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert diagnostic == {"error": "IndexDataError", "message": f"{index}: the index holds no token"}
         assert not (tmp_path / "clusters.jsonl").exists()
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+    @pytest.mark.parametrize("command", ["abstracts", "evaluate coherence", "search", "evaluate search"])
+    def test_a_clusters_file_of_no_cluster_is_named(self, tmp_path, pipeline_dir, embeddings_path, capsys, command,
+                                                    text):
+        clusters = tmp_path / "clusters.jsonl"
+        clusters.write_text(text)
+        queries, out = tmp_path / "queries.tsv", tmp_path / "out"
+        queries.write_text("q1\tgarlic\n")
+        argv = {
+            "abstracts": ["abstracts", "--out", str(out)],
+            "evaluate coherence": ["evaluate", "coherence", "--embeddings", str(embeddings_path), "--out", str(out)],
+            "search": ["search", "--no-prune", "--query", "garlic", "--identity"],
+            "evaluate search": ["evaluate", "search", "--queries", str(queries), "--identity", "--abstracts",
+                                str(pipeline_dir / "abstracts.jsonl"), "--results", str(out)],
+        }[command]
+        assert main([*argv, "--clusters", str(clusters)]) == 1
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert diagnostic == {"error": "IndexDataError", "message": f"{clusters}: the clusters file holds no cluster"}
+        assert not out.exists()
 
 
 class TestIntegerFlags:
@@ -881,13 +902,15 @@ class TestPipelineChecks:
     def test_a_faulty_abstract_is_rejected(self, tmp_path, mini_corpus_dir, monkeypatch, capsys, fault, error,
                                            message):
         from cipherclust import cli
-        from cipherclust.search import Abstract, Abstracts, build_abstracts
+        from cipherclust.search import Abstracts, build_abstracts
 
         def faulty(clusters, a):
             if fault == "oversized":
                 return build_abstracts(clusters, a + 1)
-            first, second, *rest = build_abstracts(clusters, a)
-            return Abstracts((Abstract(0, second.entries), Abstract(1, first.entries), *rest))
+            built = build_abstracts(clusters, a)
+            swapped = {t: {0: 1, 1: 0}.get(cid, cid) for t, cid in built.cluster.items()}
+            # listed by id, as build_abstracts lists them, so cluster 0's abstract is checked first
+            return Abstracts(built.k, built.frequency, dict(sorted(swapped.items(), key=lambda kv: kv[1])))
 
         monkeypatch.setattr(cli, "build_abstracts", faulty)
         out = tmp_path / "run"
@@ -1072,7 +1095,9 @@ class TestStagesAgreeWithThePipeline:
         from cipherclust.search import read_abstracts
 
         # every abstract's top token: a width above 1 would search more than one cluster
-        query = " ".join(abstract.entries[0][0].decode() for abstract in read_abstracts(run / "abstracts.jsonl"))
+        abstracts = read_abstracts(run / "abstracts.jsonl")
+        top = {cid: token for token, cid in reversed(abstracts.cluster.items())}  # each abstract's first entry
+        query = " ".join(token.decode() for token in top.values())
         queries, results, report = tmp_path / "queries.tsv", tmp_path / "results.tsv", tmp_path / "report.json"
         queries.write_text(f"q1\t{query}\n")
         assert main(["evaluate", "search", "--queries", str(queries), "--clusters", str(run / "clusters.jsonl"),

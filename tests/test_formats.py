@@ -18,7 +18,7 @@ from cipherclust.config import PipelineConfig
 from cipherclust.crypto import IdentityTokenCodec, token_to_b64
 from cipherclust.index import build_index_from_corpus, ingest, read_index, write_index
 from cipherclust.search import (
-    Abstract, build_abstracts, check_pairing, prune, read_abstracts, search, write_abstracts,
+    Abstracts, build_abstracts, check_pairing, prune, read_abstracts, search, write_abstracts,
 )
 
 from conftest import posting_tuples, random_index, records_from_freqs
@@ -58,15 +58,19 @@ def cluster_sets(draw):
 
 
 @st.composite
-def abstract_lists(draw):
-    """Up to five abstracts; no token is in two of them, as no token is in two clusters."""
+def abstract_maps(draw):
+    """Up to five abstracts, their tokens drawn in any cluster order; no token is in two of them."""
     n = draw(st.integers(0, 5))
     token_list = draw(st.lists(tokens, max_size=6 * n, unique=True))
     owners = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=len(token_list), max_size=len(token_list)))
     freqs = draw(st.lists(st.integers(1, 10**6), min_size=len(token_list), max_size=len(token_list)))
+    return Abstracts(n, dict(zip(token_list, freqs)), dict(zip(token_list, owners)))
+
+
+def abstract_entries(abstracts):
+    """Each abstract's (token, frequency) entries in order, as the file lists them."""
     return [
-        Abstract(cluster_id=cid, entries=tuple((t, f) for t, f, o in zip(token_list, freqs, owners) if o == cid))
-        for cid in range(n)
+        [(t, abstracts.frequency[t]) for t, cid in abstracts.cluster.items() if cid == i] for i in range(abstracts.k)
     ]
 
 
@@ -90,11 +94,12 @@ class TestRoundTrip:
         assert posting_tuples(again.index) == posting_tuples(cluster_set.index)
 
     @settings(deadline=None)
-    @given(abstracts=abstract_lists())
+    @given(abstracts=abstract_maps())
     def test_abstracts(self, tmp_path_factory, abstracts):
         path = tmp_path_factory.getbasetemp() / "abstracts.jsonl"
         assert write_abstracts(abstracts, path) == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert list(read_abstracts(path)) == abstracts
+        again = read_abstracts(path)
+        assert again == abstracts and abstract_entries(again) == abstract_entries(abstracts)
 
 
 class TestPostingsLeaveTheCollector:

@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import re
 import sys
@@ -11,15 +12,15 @@ from hypothesis import strategies as st
 
 from cipherclust import clustering
 from cipherclust.clustering import Cluster, ClusterSet, distribute, impact_views
+from cipherclust.crypto import token_to_b64
 from cipherclust.index import IndexDataError, ingest
 from cipherclust import search as search_module
 from cipherclust.search import (
     HEAP_FLOOR_RATIO,
-    Abstract,
     Abstracts,
     SearchResult,
-    SharedTokenError,
     build_abstracts,
+    check_pairing,
     format_results,
     prune,
     read_abstracts,
@@ -50,18 +51,16 @@ class TestBuildAbstracts:
     def test_small_cluster_kept_whole(self):
         cs = small_cluster_set()
         abstracts = build_abstracts(cs, a=10)
-        assert len(abstracts[0].entries) == 2
+        assert [t for t, cid in abstracts.cluster.items() if cid == 0] == [b"net", b"router"]
         assert abstracts.frequency[b"net"] == 8 and abstracts.cluster[b"net"] == 0
 
     def test_cardinality_cut(self):
         cs = small_cluster_set()
         abstracts = build_abstracts(cs, a=1)
-        assert [len(a.entries) for a in abstracts] == [1, 1]
         # net total 8 beats router 2; cake 8 beats flour 4
-        assert abstracts[0].entries[0][0] == b"net"
-        assert abstracts[1].entries[0][0] == b"cake"
+        assert abstracts.k == 2 and abstracts.cluster == {b"net": 0, b"cake": 1}
 
-    def test_boundary_tie_keeps_smaller_ciphertext(self):
+    def test_boundary_tie_keeps_smaller_ciphertext(self, tmp_path):
         idx = ingest([("d1", [(b"aa", 5), (b"zz", 5), (b"mm", 9)])])
         cs = ClusterSet(
             clusters=(Cluster(center=b"mm", tokens=(b"aa", b"mm", b"zz")),),
@@ -69,7 +68,11 @@ class TestBuildAbstracts:
             k_requested=1,
         )
         abstracts = build_abstracts(cs, a=2)
-        assert [t for t, _ in abstracts[0].entries] == [b"mm", b"aa"]
+        assert abstracts.cluster == {b"mm": 0, b"aa": 0}
+        # the rank order lives in the written line: "bW0=" is b"mm", "YWE=" is b"aa"
+        path = tmp_path / "abstracts.jsonl"
+        write_abstracts(abstracts, path)
+        assert path.read_text() == '{"cluster":0,"entries":[["bW0=",9],["YWE=",5]]}\n'
 
     def test_a_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -86,25 +89,12 @@ class TestPrune:
         assert prune([b"unknown"], abstracts, c=3) == [0, 1]
 
     def test_top_c_by_score(self):
-        abstracts = Abstracts((
-            Abstract(cluster_id=0, entries=((b"q0", 5),)),
-            Abstract(cluster_id=1, entries=((b"q1", 3),)),
-            Abstract(cluster_id=2, entries=((b"q2", 1),)),
-        ))
+        abstracts = Abstracts(3, {b"q0": 5, b"q1": 3, b"q2": 1}, {b"q0": 0, b"q1": 1, b"q2": 2})
         assert prune([b"q0", b"q1", b"q2"], abstracts, c=2) == [0, 1]
-
-    def test_token_in_two_abstracts_rejected(self):
-        # no token is in two clusters, so none can be in two abstracts
-        abstracts = (
-            Abstract(cluster_id=0, entries=((b"q", 5),)),
-            Abstract(cluster_id=1, entries=((b"q", 3),)),
-        )
-        with pytest.raises(SharedTokenError, match="token cQ== is in the abstracts of clusters 0 and 1"):
-            Abstracts(abstracts)
 
     def test_c_must_be_positive(self):
         with pytest.raises(ValueError):
-            prune([b"q"], Abstracts(()), c=0)
+            prune([b"q"], Abstracts(0, {}, {}), c=0)
 
 
 class TestSearch:
@@ -412,6 +402,46 @@ class TestAbstractsFile:
         write_abstracts(abstracts, path)
         assert read_abstracts(path) == abstracts
 
+    # cluster 0 lists "aa" (1) before "bm" (9), out of rank order; cluster 1's abstract is empty
+    UNRANKED = '{"cluster":0,"entries":[["YWE=",1],["Ym0=",9]]}\n{"cluster":1,"entries":[]}\n'
+
+    def test_an_empty_abstract_still_counts(self, tmp_path):
+        path = tmp_path / "abstracts.jsonl"
+        path.write_text(self.UNRANKED)
+        abstracts = read_abstracts(path)
+        assert prune([b"unknown"], abstracts, c=3) == [0, 1]
+        with pytest.raises(IndexDataError, match=re.escape(f"{path}: 2 abstracts for 3 clusters; cluster 2 has")):
+            check_pairing(abstracts, 3, {}, None, path)
+
+    def test_file_order_round_trips_byte_for_byte(self, tmp_path):
+        path, again = tmp_path / "abstracts.jsonl", tmp_path / "again.jsonl"
+        path.write_text(self.UNRANKED)
+        write_abstracts(read_abstracts(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_held_bytes_per_entry(self, tmp_path):
+        # 50 abstracts of 100 entries, as a 50-cluster build at the default abstract size writes
+        rng = random.Random(5)
+        path = tmp_path / "abstracts.jsonl"
+        lines = [
+            json.dumps({"cluster": cid, "entries": [[token_to_b64(rng.randbytes(16)), rng.randint(1, 10**4)]
+                                                   for _ in range(100)]}, separators=(",", ":"))
+            for cid in range(50)
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            abstracts = read_abstracts(path)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # the two maps and the tokens: 136 bytes per entry; a tuple per entry as well took 201
+        assert held <= 165 * 5_000, held
+        assert abstracts.k == 50 and len(abstracts.cluster) == 5_000
+
     def test_format_results(self):
         idx = ingest([("d1", [(b"T", 3)]), ("d2", [(b"T", 5)])])
         cs = ClusterSet(
@@ -491,9 +521,7 @@ def query_fixtures(draw):
     )
     cs = ClusterSet(clusters=clusters, index=ingest(records_from_freqs(freqs)), k_requested=k)
     a = draw(st.integers(1, len(tokens) + 1))
-    order = draw(st.permutations(range(k)))
-    built = build_abstracts(cs, a)
-    abstracts = Abstracts(tuple(built[cid] for cid in order))
+    abstracts = build_abstracts(cs, a)
     unknown = st.binary(min_size=1, max_size=3).filter(lambda t: t not in freqs)
     query = draw(st.lists(st.one_of(st.sampled_from(tokens), unknown), max_size=6))
     return cs, abstracts, query, draw(unknown)
@@ -507,14 +535,18 @@ class TestAgainstScanReference:
     def test_matches_scan_reference(self, fixture, data):
         cs, abstracts, query, unknown = fixture
         k = cs.k_used
-        ref_abstracts = [(a.cluster_id, list(a.entries)) for a in abstracts]
+        ref_abstracts = [
+            (cid, [(t, abstracts.frequency[t]) for t, owner in abstracts.cluster.items() if owner == cid])
+            for cid in range(abstracts.k)
+        ]
         cluster_tokens = [list(c.tokens) for c in cs.clusters]
         postings = {t: list(ps.items()) for t, ps in cs.index.entries.items()}
         every_token = list(cs.index.entries)
 
-        for abstract in abstracts:
+        for cid, entries in ref_abstracts:
             for token in every_token + [unknown]:
-                assert dict(abstract.entries).get(token, 0) == scan_frequency(list(abstract.entries), token)
+                got = abstracts.frequency[token] if abstracts.cluster.get(token) == cid else 0
+                assert got == scan_frequency(entries, token)
 
         # drawn, repeated-token, all-zero fallback, empty and all-token queries
         queries = [query, query + query[:2], [unknown], [], every_token]
