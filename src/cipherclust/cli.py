@@ -21,10 +21,9 @@ from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
-from .clustering import cluster_index, cluster_lines, read_clusters, write_clusters
+from .clustering import cluster_index, read_clusters, write_clusters
 from .config import PipelineConfig, coerce, load_config
 from .crypto import (
-    CipherToken,
     IdentityTokenCodec,
     KeyedTokenCodec,
     TokenCodec,
@@ -35,7 +34,6 @@ from .index import (
     DEFAULT_STOPWORDS,
     build_index_from_corpus,
     index_digest,
-    index_lines,
     ingest,
     keyword_records,
     load_stopwords,
@@ -275,14 +273,7 @@ def cmd_pipeline(args) -> int:
     k_report_path = out_dir / "k_report.json"
     written[k_report_path] = _write_json(k_report_path, k_report)
 
-    if b"" in index.entries:
-        raise CLIError("the index holds an empty token, which no reader reads")
-    if clusters.index is not index:
-        raise CLIError("clusters file postings differ from the index")
-    cluster_of = {token: cid for cid, cluster in enumerate(clusters.clusters) for token in cluster.tokens}
-    if cluster_of.keys() != index.entries.keys():
-        raise CLIError("clusters file does not partition the index tokens")
-    _check_abstracts(abstracts, clusters.k_used, cluster_of, index, abstracts_path, config)
+    _check_run(index, clusters, abstracts, abstracts_path, config)
     for path, digest in written.items():
         if _file_sha256(path) != digest:
             raise CLIError(f"{path}: the file differs from the bytes written to it")
@@ -298,46 +289,28 @@ def cmd_pipeline(args) -> int:
 
 
 def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config) -> None:
-    """Re-read every artifact and check it against what was built, line by line.
+    """Re-read every artifact through its reader and run pipeline's checks on what was read.
 
     pipeline no longer calls this (see cmd_pipeline); it is kept for
-    perfbench/child.py's cli.validate span and for its own tests.
-
-    Each parsed line is compared with the built index and dropped, so no
-    second copy of the index or the clusters is held. Every index file line
-    must equal the built entry of its token (as maps: in any posting order),
-    and the lines must give every token (the reader rejects a token listed
-    twice). Every clusters file token must be an index token with equal
-    postings, and the tokens must partition the index. The abstracts must
-    pair with the re-read clusters and keep to the configured size. A
-    file's mismatch is raised once the file is read to its end, so a
-    reader's fault on any of its lines comes first.
+    perfbench/child.py's cli.validate span and for its own tests. A reader's
+    fault anywhere in its file comes before any mismatch with the built index.
     """
-    entries = index.entries
-    lines = 0
-    matched = True
-    for token, by_doc in index_lines(index_path):
-        lines += 1
-        matched = matched and by_doc == entries.get(token)
-    if not matched or lines != len(entries):
+    if read_index(index_path) != index:
         raise CLIError("index file round-trip mismatch")
-    cluster_of: dict[CipherToken, int] = {}
-    k = 0
-    matched = True
-    for _, members in cluster_lines(clusters_path):
-        for token, by_doc in members.items():
-            cluster_of[token] = k
-            matched = matched and by_doc == entries.get(token)
-        k += 1
-    if cluster_of.keys() != entries.keys():
+    _check_run(index, read_clusters(clusters_path), read_abstracts(abstracts_path), abstracts_path, config)
+
+
+def _check_run(index, clusters, abstracts, path, config) -> None:
+    """Check that the clusters partition the index's tokens and hold its postings, and that the
+    abstracts (read from path) pair with the clusters and keep to config.abstract_size."""
+    if b"" in index.entries:
+        raise CLIError("the index holds an empty token, which no reader reads")
+    cluster_of = {token: cid for cid, cluster in enumerate(clusters.clusters) for token in cluster.tokens}
+    if cluster_of.keys() != index.entries.keys():
         raise CLIError("clusters file does not partition the index tokens")
-    if not matched:
+    if clusters.index != index:
         raise CLIError("clusters file postings differ from the index")
-    _check_abstracts(read_abstracts(abstracts_path), k, cluster_of, index, abstracts_path, config)
-
-
-def _check_abstracts(abstracts, k, cluster_of, index, path, config) -> None:
-    check_pairing(abstracts, k, cluster_of, index, path)
+    check_pairing(abstracts, clusters.k_used, cluster_of, index, path)
     if any(n > config.abstract_size for n in Counter(abstracts.cluster.values()).values()):
         raise CLIError("abstract exceeds the configured size")
 

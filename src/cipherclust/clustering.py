@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .crypto import CipherToken, token_from_b64, token_to_b64
 from .index import CentralIndex, IndexDataError, check_doc_id, data_lines, in_doc_order, trim, write_lines
@@ -392,8 +392,8 @@ def write_clusters(cluster_set: ClusterSet, path: str | Path) -> str:
     ))
 
 
-def cluster_lines(path: str | Path) -> Iterator[tuple[Cluster, dict[CipherToken, dict[str, int]]]]:
-    """Each cluster of a clusters file with a {document id: frequency} map per token, in file order.
+def read_clusters(path: str | Path) -> ClusterSet:
+    """Rebuild a ClusterSet (and its distributed index) from a clusters file.
 
     Rejected with path:lineno: a malformed line or token entry (an empty
     token among them), cluster ids that are not the integers 0, 1, 2, ... in
@@ -401,17 +401,20 @@ def cluster_lines(path: str | Path) -> Iterator[tuple[Cluster, dict[CipherToken,
     in two), a posting list naming a document twice, a frequency that is
     not an integer >= 1, a document id that is not a string or that ingest
     rejects (checked when the document is first seen), and a center missing
-    from its own cluster's tokens. Since clusters are disjoint, the last
-    also rejects two clusters sharing a center.
+    from its own cluster's tokens; and, naming the path, a file of no
+    cluster. Since clusters are disjoint, a missing center also rejects two
+    clusters sharing a center.
 
-    Every map holds one string per document id, the first one read, across
-    all lines. Each token entry's parse tree is freed once its map is built,
-    and each cluster is yielded once its line passes, so a consumer that
-    drops it holds one line's postings at a time.
+    The requested k is not stored in the file; k_requested is set to the
+    cluster count actually present. Every posting map holds one string per
+    document id, the first one read, across all lines, and is sorted only if
+    out of document order. Each token entry's parse tree is freed once its
+    map is built. Then the ClusterSet's cluster_of and views are built: a
+    server pays for them as it loads, not at its first query.
     """
-    seen: set[CipherToken] = set()
+    clusters: list[Cluster] = []
+    entries: dict[CipherToken, dict[str, int]] = {}
     docs: dict[str, str] = {}
-    k = 0
     for lineno, line in data_lines(path):
         where = f"{path}:{lineno}"
         try:
@@ -425,9 +428,9 @@ def cluster_lines(path: str | Path) -> Iterator[tuple[Cluster, dict[CipherToken,
         # token_objs now holds the only reference to each token entry; a
         # one-cluster file is a single line holding every posting
         del obj
-        if type(cid) is not int or cid != k:
+        if type(cid) is not int or cid != len(clusters):
             raise IndexDataError(f"{where}: cluster ids must be 0,1,2,... in order")
-        members: dict[CipherToken, dict[str, int]] = {}
+        members: list[CipherToken] = []
         for i in range(len(token_objs)):
             entry, token_objs[i] = token_objs[i], None
             try:
@@ -438,9 +441,8 @@ def cluster_lines(path: str | Path) -> Iterator[tuple[Cluster, dict[CipherToken,
                 raise IndexDataError(f"{where}: malformed token entry: {exc}")
             if not postings:
                 raise IndexDataError(f"{where}: token {name} has no posting")
-            if token in seen:
+            if token in entries:
                 raise IndexDataError(f"{where}: token {name} is listed twice")
-            seen.add(token)
             by_doc: dict[str, int] = {}
             for posting in postings:
                 try:
@@ -460,30 +462,12 @@ def cluster_lines(path: str | Path) -> Iterator[tuple[Cluster, dict[CipherToken,
                     check_doc_id(doc_id, f"{where}: ")
                     shared = docs[doc_id] = doc_id
                 by_doc[shared] = freq
-            members[token] = by_doc
+            entries[token] = in_doc_order(by_doc)
+            members.append(token)
         tokens = tuple(sorted(members))
         if center not in tokens:
             raise IndexDataError(f"{where}: center {center_s} is not among the cluster's tokens")
-        yield Cluster(center=center, tokens=tokens), members
-        k += 1
-
-
-def read_clusters(path: str | Path) -> ClusterSet:
-    """Rebuild a ClusterSet (and its distributed index) from a clusters file.
-
-    cluster_lines states what is rejected, and a file of no cluster is too.
-    The requested k is not stored in the file; k_requested is set to the
-    cluster count actually present.
-    Each token keeps cluster_lines' map (sorted only if out of document
-    order), so document ids are shared, one string per document. Then the
-    ClusterSet's cluster_of and views are built: a server pays for them as
-    it loads, not at its first query.
-    """
-    clusters: list[Cluster] = []
-    entries: dict[CipherToken, dict[str, int]] = {}
-    for cluster, members in cluster_lines(path):
-        clusters.append(cluster)
-        entries.update((token, in_doc_order(by_doc)) for token, by_doc in members.items())
+        clusters.append(Cluster(center=center, tokens=tokens))
     if not clusters:
         raise IndexDataError(f"{path}: the clusters file holds no cluster")
     index = CentralIndex(entries)

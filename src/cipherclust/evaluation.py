@@ -162,13 +162,14 @@ class EvaluationReport:
     @classmethod
     def load(cls, path: str | Path) -> "EvaluationReport":
         """Read what compare uses from a coherence report, each field under its own key:
-        overall (a number or null), corpus_sha256 and embeddings_sha256 (strings)."""
+        overall (a finite number or null), corpus_sha256 and embeddings_sha256 (strings)."""
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
             overall, digests = obj["overall"], (obj["corpus_sha256"], obj["embeddings_sha256"])
         except (ValueError, KeyError, TypeError) as exc:
             raise EvaluationError(f"{path}: not a coherence report: {exc}")
-        if type(overall) not in (int, float, type(None)) or not all(type(d) is str for d in digests):
+        finite = type(overall) in (int, type(None)) or (type(overall) is float and math.isfinite(overall))
+        if not finite or not all(type(d) is str for d in digests):
             raise EvaluationError(
                 f"{path}: not a coherence report; need overall as a number or null and "
                 "corpus_sha256 and embeddings_sha256 as strings"

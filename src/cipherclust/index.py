@@ -345,28 +345,27 @@ def write_index(index: CentralIndex, path: str | Path) -> str:
     ))
 
 
-def index_lines(path: str | Path) -> Iterator[tuple[CipherToken, dict[str, int]]]:
-    """(token, {document id: frequency}) for each line of an index file written by write_index.
+def read_index(path: str | Path) -> CentralIndex:
+    """Parse an index file written by write_index.
 
     Rejected with path:lineno: a malformed line (an empty token among them)
     or posting, a document id holding a tab or colon, a frequency not
     written as write_index writes an integer >= 1 (ASCII digits, no sign,
     separator, space or leading zero), a token on two lines and a document
-    listed twice for one token. One regex match checks the posting field,
-    so the per-posting loop only splits and converts; a line that fails a
-    check is diagnosed by _posting_fault. Each line is yielded once it
-    passes, so a consumer that drops it holds one line's postings at a time.
+    listed twice for one token; and, naming the path, a file of no token.
+    One regex match checks the posting field, so the per-posting loop only
+    splits and converts; a line that fails a check is diagnosed by
+    _posting_fault.
     """
-    seen: set[CipherToken] = set()
+    entries: dict[CipherToken, dict[str, int]] = {}
     for lineno, line in data_lines(path):
         try:
             token_s, rest = line.split("\t", 1)
             token = token_from_b64(token_s)
         except ValueError:
             raise IndexDataError(f"{path}:{lineno}: malformed index line")
-        if token in seen:
+        if token in entries:
             raise IndexDataError(f"{path}:{lineno}: token {token_s} is listed twice")
-        seen.add(token)
         items = rest.split(",")
         if not _POSTING_FIELD.fullmatch(rest):
             raise IndexDataError(f"{path}:{lineno}: {_posting_fault(items)}")
@@ -376,12 +375,7 @@ def index_lines(path: str | Path) -> Iterator[tuple[CipherToken, dict[str, int]]
             by_doc[doc_id] = int(freq_s)
         if len(by_doc) != len(items):
             raise IndexDataError(f"{path}:{lineno}: {_posting_fault(items)}")
-        yield token, by_doc
-
-
-def read_index(path: str | Path) -> CentralIndex:
-    """Parse an index file written by write_index; index_lines states what it rejects, and a file of no token is too."""
-    entries = {token: in_doc_order(by_doc) for token, by_doc in index_lines(path)}
+        entries[token] = in_doc_order(by_doc)
     if not entries:
         raise IndexDataError(f"{path}: the index holds no token")
     return CentralIndex(entries)

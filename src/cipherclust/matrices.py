@@ -205,14 +205,14 @@ def _label_str(label) -> str:
 def dump_matrix(matrix: LabeledMatrix, path: str | Path) -> None:
     """Debug TSV: row label, then one `col:value` field per nonzero entry."""
     csr = matrix.mat.tocsr()
-    lines = []
-    for i, row_label in enumerate(matrix.row_labels):
-        fields = [_label_str(row_label)]
-        for pos in range(csr.indptr[i], csr.indptr[i + 1]):
-            j = csr.indices[pos]
-            fields.append(f"{_label_str(matrix.col_labels[j])}:{csr.data[pos]:.12g}")
-        lines.append("\t".join(fields))
-    write_lines(path, lines)
+    cols = [_label_str(label) for label in matrix.col_labels]
+
+    def row(i: int, label) -> str:
+        lo, hi = csr.indptr[i], csr.indptr[i + 1]
+        values = zip(csr.indices[lo:hi], csr.data[lo:hi])
+        return "\t".join([_label_str(label), *(f"{cols[j]}:{value:.12g}" for j, value in values)])
+
+    write_lines(path, (row(i, label) for i, label in enumerate(matrix.row_labels)))
 
 
 def dump_matrices(matrices: dict[str, LabeledMatrix], out_dir: str | Path) -> None:

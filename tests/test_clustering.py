@@ -4,7 +4,6 @@ import json
 import random
 import re
 import tracemalloc
-from collections import deque
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from cipherclust.clustering import (
     choose_centers,
     choose_centers_from_diagonal,
     cluster_index,
-    cluster_lines,
     cooccurring_pairs,
     distribute,
     read_clusters,
@@ -545,22 +543,22 @@ class TestReadClustersRejectsMalformedEntries:
             read_clusters(mini_clusters_file)
 
 
-def test_cluster_lines_yields_each_cluster_as_its_line_passes(mini_clusters_file):
+def test_read_clusters_holds_one_string_per_document(mini_clusters_file):
     first = json.loads(mini_clusters_file.read_text().splitlines()[0])
-    _edit_line(mini_clusters_file, 2, lambda obj: obj.__setitem__("id", 5))
-    lines = cluster_lines(mini_clusters_file)
-    cluster, members = next(lines)
+    loaded = read_clusters(mini_clusters_file)
+    members = {token: loaded.index.entries[token] for token in loaded.clusters[0].tokens}
     assert [(token.decode(), by_doc) for token, by_doc in members.items()] == [
         (base64.b64decode(entry["t"]).decode(), dict(map(tuple, entry["postings"])))
         for entry in first["tokens"]
     ]
-    assert cluster.tokens == tuple(sorted(members))
-    # one string per document, shared by every map
+    # one string per document, shared by every map of every line
     shared: dict[str, str] = {}
-    assert all(shared.setdefault(doc, doc) is doc for by_doc in members.values() for doc in by_doc)
-    assert len(shared) < sum(map(len, members.values()))
+    entries = loaded.index.entries.values()
+    assert all(shared.setdefault(doc, doc) is doc for by_doc in entries for doc in by_doc)
+    assert len(shared) < sum(map(len, entries))
+    _edit_line(mini_clusters_file, 2, lambda obj: obj.__setitem__("id", 5))
     with pytest.raises(IndexDataError, match=re.escape(f"{mini_clusters_file}:2: cluster ids must be")):
-        next(lines)
+        read_clusters(mini_clusters_file)
 
 
 def test_write_clusters_renders_one_token_entry_at_a_time(tmp_path):
@@ -586,7 +584,7 @@ def test_write_clusters_renders_one_token_entry_at_a_time(tmp_path):
     assert peak < 4 * path.stat().st_size
 
 
-def test_cluster_lines_frees_each_token_entry_once_its_map_is_built(tmp_path):
+def test_read_clusters_frees_each_token_entry_once_its_map_is_built(tmp_path):
     # One cluster, so one line holds all 30,000 postings. The read peaks near that line's JSON parse
     # tree: each token entry's part of the tree is freed as its map is built (holding the whole
     # tree to the end of the line reads about 40% above it, freeing it about 20%).
@@ -610,4 +608,4 @@ def test_cluster_lines_frees_each_token_entry_once_its_map_is_built(tmp_path):
         finally:
             tracemalloc.stop()
 
-    assert traced_peak(lambda: deque(cluster_lines(path), maxlen=0)) < 1.3 * traced_peak(lambda: json.loads(line))
+    assert traced_peak(lambda: read_clusters(path)) < 1.3 * traced_peak(lambda: json.loads(line))

@@ -1,10 +1,8 @@
-import gc
 import hashlib
 import json
-import random
 import re
 import shutil
-import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -641,7 +639,7 @@ class TestIntegerFlags:
 
 
 class TestValidateArtifacts:
-    """cli._validate_artifacts compares each re-read line with the built index and drops it."""
+    """cli._validate_artifacts re-reads each artifact and runs pipeline's checks on what it read."""
 
     @staticmethod
     def _built(pipeline_dir):
@@ -756,42 +754,31 @@ class TestValidateArtifacts:
             _validate_artifacts(index, pipeline_dir / "index.tsv", clusters_path,
                                 pipeline_dir / "abstracts.jsonl", config)
 
-    def test_holds_far_less_than_a_second_index(self, tmp_path):
-        # 2,000 documents of 6 tokens each (12,000 postings) in 20 clusters: validation holds one
-        # line's parse at a time, not a second index, nor a second set of clusters
-        from cipherclust.cli import _validate_artifacts
-        from cipherclust.clustering import Cluster, ClusterSet, write_clusters
-        from cipherclust.index import ingest, read_index, write_index
-        from cipherclust.search import build_abstracts, write_abstracts
+    def test_an_abstract_over_the_configured_size(self, pipeline_dir):
+        from cipherclust.cli import CLIError, _validate_artifacts
+        from cipherclust.search import read_abstracts
 
-        rng = random.Random(5)
-        vocabulary = [f"tok{i:04d}".encode() for i in range(300)]
-        index = ingest((f"doc{j:05d}", [(t, rng.randint(1, 9)) for t in rng.sample(vocabulary, 6)])
-                       for j in range(2000))
-        tokens = index.tokens()
-        clusters = ClusterSet(clusters=tuple(Cluster(center=tokens[i], tokens=tuple(tokens[i::20]))
-                                             for i in range(20)), index=index, k_requested=20)
-        paths = [tmp_path / name for name in ("index.tsv", "clusters.jsonl", "abstracts.jsonl")]
-        write_index(index, paths[0])
-        write_clusters(clusters, paths[1])
-        write_abstracts(build_abstracts(clusters, 100), paths[2])
-        config = PipelineConfig().validate()
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            again = read_index(paths[0])
-            gc.collect()
-            held = tracemalloc.get_traced_memory()[0] - base
-            del again
-            gc.collect()
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            _validate_artifacts(index, *paths, config)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < held / 2
+        index, config = self._built(pipeline_dir)
+        abstracts_path = pipeline_dir / "abstracts.jsonl"
+        largest = max(Counter(read_abstracts(abstracts_path).cluster.values()).values())
+        assert largest > 1
+        paths = (pipeline_dir / "index.tsv", pipeline_dir / "clusters.jsonl", abstracts_path)
+        _validate_artifacts(index, *paths, PipelineConfig(abstract_size=largest).validate())
+        with pytest.raises(CLIError, match="^abstract exceeds the configured size$"):
+            _validate_artifacts(index, *paths, PipelineConfig(abstract_size=largest - 1).validate())
+
+    @pytest.mark.parametrize("name, fault", [("index.tsv", "the index holds no token"),
+                                             ("clusters.jsonl", "the clusters file holds no cluster")])
+    def test_an_empty_file_is_named(self, tmp_path, pipeline_dir, name, fault):
+        from cipherclust.cli import _validate_artifacts
+        from cipherclust.index import IndexDataError
+
+        index, config = self._built(pipeline_dir)
+        paths = {n: pipeline_dir / n for n in ("index.tsv", "clusters.jsonl", "abstracts.jsonl")}
+        paths[name] = tmp_path / name
+        paths[name].write_text("\n")
+        with pytest.raises(IndexDataError, match=f"^{re.escape(str(paths[name]))}: {fault}$"):
+            _validate_artifacts(index, *paths.values(), config)
 
     def test_a_build_makes_no_search_structures(self, tmp_path, mini_corpus_dir, monkeypatch):
         from cipherclust import clustering
@@ -823,7 +810,7 @@ class TestPipelineChecks:
         def refuse(*args, **kwargs):
             raise AssertionError("a build parses none of its artifacts")
 
-        for name in ("index_lines", "cluster_lines", "read_abstracts"):
+        for name in ("read_index", "read_clusters", "read_abstracts"):
             monkeypatch.setattr(cli, name, refuse)
         reads = []
         read_bytes = Path.read_bytes
@@ -1020,6 +1007,18 @@ class TestEvaluateCommands:
         diagnostic = json.loads(out.err.strip().splitlines()[-1])
         assert diagnostic["error"] == "EvaluationError"
         assert diagnostic["message"].startswith(f"{tsap}: not a coherence report")
+
+    @pytest.mark.parametrize("side", ["--dynamic", "--static"])
+    def test_compare_rejects_a_non_finite_overall(self, tmp_path, capsys, side):
+        finite, non_finite = tmp_path / "finite.json", tmp_path / "non-finite.json"
+        finite.write_text('{"overall": 0.5, "corpus_sha256": "x", "embeddings_sha256": "y"}')
+        non_finite.write_text('{"overall": NaN, "corpus_sha256": "x", "embeddings_sha256": "y"}')
+        reports = {"--dynamic": finite, "--static": finite, side: non_finite}
+        rc = main(["evaluate", "compare", *(str(x) for item in reports.items() for x in item)])
+        out = capsys.readouterr()
+        assert rc == 1 and out.out == ""
+        diagnostic = json.loads(out.err.strip().splitlines()[-1])
+        assert diagnostic["message"].startswith(f"{non_finite}: not a coherence report")
 
 
 class TestConfigCodecResolution:

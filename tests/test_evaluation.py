@@ -163,13 +163,17 @@ class TestCoherenceReport:
             '{"overall": 0.5, "corpus_sha256": "x", "embeddings_sha256": null}',
             '{"overall": "0.5", "corpus_sha256": "x", "embeddings_sha256": "y"}',
             '{"overall": true, "corpus_sha256": "x", "embeddings_sha256": "y"}',
+            # json.loads reads these three, but compare would print them as no JSON reader accepts
+            '{"overall": NaN, "corpus_sha256": "x", "embeddings_sha256": "y"}',
+            '{"overall": Infinity, "corpus_sha256": "x", "embeddings_sha256": "y"}',
+            '{"overall": -Infinity, "corpus_sha256": "x", "embeddings_sha256": "y"}',
             '{"overall": 0.5, "corpus_sha256": 7, "embeddings_sha256": "y"}',
             '{"overall": 0.5, "embeddings_sha256": "y"}',
             '[0.5]',
             'overall = 0.5',
         ],
-        ids=["null-embeddings", "string-overall", "bool-overall", "integer-corpus", "no-corpus",
-             "list", "not-json"],
+        ids=["null-embeddings", "string-overall", "bool-overall", "nan-overall", "infinite-overall",
+             "negative-infinite-overall", "integer-corpus", "no-corpus", "list", "not-json"],
     )
     def test_load_rejects_what_is_not_a_coherence_report(self, tmp_path, text):
         path = tmp_path / "report.json"

@@ -19,7 +19,6 @@ from cipherclust.index import (
     build_index_from_corpus,
     data_lines,
     extract_keywords,
-    index_lines,
     ingest,
     keyword_records,
     load_stopwords,
@@ -340,14 +339,6 @@ class TestIndexFile:
         path.write_text(body, encoding="utf-8")
         with pytest.raises(IndexDataError, match=re.escape(f"{path}:{lineno}: {fault}")):
             read_index(path)
-
-    def test_lines_are_yielded_as_they_pass(self, tmp_path):
-        path = tmp_path / "index.tsv"
-        path.write_text("VA==\td2:4,d1:3\nVQ==\td1:1\nVA==\td2:4\n")
-        lines = index_lines(path)
-        assert [next(lines), next(lines)] == [(b"T", {"d2": 4, "d1": 3}), (b"U", {"d1": 1})]
-        with pytest.raises(IndexDataError, match=f"^{re.escape(str(path))}:3: token VA== is listed twice$"):
-            next(lines)
 
     def test_document_ids_with_unicode_line_separators(self, tmp_path):
         idx = ingest([("a\u2028b", [(b"T", 2)]), ("c\x85d\x0be", [(b"T", 1), (b"U", 4)])])
