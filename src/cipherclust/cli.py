@@ -405,8 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "search" and not args.no_prune and not args.abstracts:
-        parser.error("search needs --abstracts unless --no-prune is given")
+    if args.command == "search":
+        if not args.no_prune and not args.abstracts:
+            parser.error("search needs --abstracts unless --no-prune is given")
+        for flag, given in (("--abstracts", args.abstracts), ("--c", args.c)):
+            if args.no_prune and given is not None:
+                parser.error(f"{flag} applies to a pruned search only: --no-prune searches every cluster")
     try:
         return args.func(args)
     except (ValueError, LookupError, OSError) as exc:

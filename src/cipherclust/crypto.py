@@ -7,7 +7,7 @@ for embedding-based evaluation runs.
 """
 from __future__ import annotations
 
-import base64
+import binascii
 import hashlib
 import hmac
 from dataclasses import dataclass
@@ -117,12 +117,15 @@ def encrypt_query(codec: TokenCodec, query: str) -> list[CipherToken]:
 
 
 def token_to_b64(token: CipherToken) -> str:
-    return base64.b64encode(token).decode("ascii")
+    return binascii.b2a_base64(token, newline=False).decode("ascii")
 
 
 def token_from_b64(text: str) -> CipherToken:
-    """The token that token_to_b64 rendered as text; no codec makes an empty token, so none is read."""
-    token = base64.b64decode(text, validate=True)
+    """The token that token_to_b64 rendered as text; no codec makes an empty token, so none is read. Decoding
+    skips stray characters and a padded last character's unused bits, so only the text written is read back."""
+    token = binascii.a2b_base64(text)
     if not token:
         raise CryptoError("empty token")
+    if binascii.b2a_base64(token, newline=False).decode("ascii") != text:
+        raise CryptoError(f"{text!r} is not canonical base64")
     return token

@@ -16,7 +16,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .clustering import ClusterSet
 from .crypto import TokenCodec, encrypt_query
@@ -263,16 +263,22 @@ def compare(dynamic: EvaluationReport, static: EvaluationReport) -> dict:
 # ---------------------------------------------------------------------------
 # judgments / queries / results files
 
-def load_judgments(path: str | Path) -> dict[tuple[str, str], int]:
-    """TSV `queryId<TAB>docId<TAB>grade`, one grade per (query, doc)."""
-    judgments: dict[tuple[str, str], int] = {}
+def _rows(path: str | Path, fields: int, expected: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) for each data line of a TSV file, # lines skipped; a line without exactly
+    fields tab-separated fields is rejected with path:lineno: expected <expected>."""
     for lineno, line in data_lines(path):
         if line.startswith("#"):
             continue
         parts = line.split("\t")
-        if len(parts) != 3:
-            raise EvaluationError(f"{path}:{lineno}: expected queryId<TAB>docId<TAB>grade")
-        query_id, doc_id, grade_s = parts
+        if len(parts) != fields:
+            raise EvaluationError(f"{path}:{lineno}: expected {expected}")
+        yield lineno, parts
+
+
+def load_judgments(path: str | Path) -> dict[tuple[str, str], int]:
+    """TSV `queryId<TAB>docId<TAB>grade`, one grade per (query, doc)."""
+    judgments: dict[tuple[str, str], int] = {}
+    for lineno, (query_id, doc_id, grade_s) in _rows(path, 3, "queryId<TAB>docId<TAB>grade"):
         grade = _parse_written_int(grade_s, "grade", f"{path}:{lineno}")
         if grade not in GRADES:
             raise EvaluationError(f"{path}:{lineno}: grade must be one of {GRADES}")
@@ -291,17 +297,11 @@ def load_queries(path: str | Path) -> list[tuple[str, str]]:
     """
     queries = []
     first_line: dict[str, int] = {}
-    for lineno, line in data_lines(path):
-        if line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise EvaluationError(f"{path}:{lineno}: expected queryId<TAB>query text")
-        query_id = parts[0]
+    for lineno, (query_id, text) in _rows(path, 2, "queryId<TAB>query text"):
         if query_id in first_line:
             raise EvaluationError(f"{path}:{lineno}: query id {query_id!r} is also on line {first_line[query_id]}")
         first_line[query_id] = lineno
-        queries.append((query_id, parts[1]))
+        queries.append((query_id, text))
     return queries
 
 
@@ -322,13 +322,7 @@ def read_results_file(path: str | Path) -> dict[str, list[str]]:
     past the cutoff are rejected with path:lineno.
     """
     ranked: dict[str, list[str]] = {}
-    for lineno, line in data_lines(path):
-        if line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise EvaluationError(f"{path}:{lineno}: expected queryId, rank, docId, score")
-        query_id, rank_s, doc_id, _ = parts
+    for lineno, (query_id, rank_s, doc_id, _) in _rows(path, 4, "queryId, rank, docId, score"):
         rank = _parse_written_int(rank_s, "rank", f"{path}:{lineno}")
         docs = ranked.setdefault(query_id, [])
         if rank != len(docs) + 1:
@@ -380,7 +374,7 @@ def run_benchmark(
                 pruned_ms=pruned_best / 1e6,
                 full_ms=full_best / 1e6,
                 prune_ms=prune_best / 1e6,
-                clusters_searched=len(result.clusters_searched),
+                clusters_searched=len(selected),
             )
         )
     return results, timings

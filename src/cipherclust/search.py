@@ -13,9 +13,11 @@ once, at load time. The abstracts are two maps, token -> abstract frequency
 and token -> cluster id, filled by build_abstracts or read_abstracts; the
 clusters' token -> cluster id map (ClusterSet.cluster_of, built on first
 use) is built by read_clusters. prune then looks each query token up once,
-O(query tokens), plus a sort of the clusters it hits; search looks each
-query token up once and takes the posting lists of those in a selected
-cluster, O(query tokens + postings added). The longest list seeds the
+O(query tokens), plus a sort of the clusters it hits, or returns range(k),
+every cluster, which allocates nothing, when it hits none. search reads the
+selection once, checking each id, then looks each query token up once and
+takes the posting lists of those in a selected cluster, O(clusters selected
++ query tokens + postings added). The longest list seeds the
 scores in one dict() call; only the other lists' postings are added one by
 one. The cutoff-th best score is found by an integer sort of the scores, or
 by a heap of cutoff entries above HEAP_FLOOR_RATIO x cutoff scores, and
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import add, lt
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import clustering
 from .clustering import ClusterSet
@@ -90,7 +92,6 @@ class Abstracts:
 @dataclass(frozen=True)
 class SearchResult:
     ranked: tuple[tuple[str, int], ...]  # (docId, score), best first
-    clusters_searched: tuple[int, ...]
     # postings read: the work done, which the ranking does not show (every posting of the selected
     # lists, except that the threshold path reads the long lists only down to where it stops)
     postings_touched: int = field(default=0, compare=False)
@@ -116,12 +117,12 @@ def build_abstracts(clusters: ClusterSet, a: int) -> Abstracts:
     return Abstracts(clusters.k_used, frequency, cluster)
 
 
-def prune(query_tokens: Iterable[CipherToken], abstracts: Abstracts, c: int) -> list[int]:
+def prune(query_tokens: Iterable[CipherToken], abstracts: Abstracts, c: int) -> Sequence[int]:
     """Top-c clusters whose abstracts overlap the query, by summed frequency.
 
     Ties go to the abstract with the smaller minimum token. Clusters scoring
-    zero are dropped; if every cluster scores zero all k cluster ids are
-    returned, in order, so the search can fall back to the full index.
+    zero are dropped; if every cluster scores zero, range(k) is returned,
+    every cluster id in order, so the search falls back to the full index.
     """
     if c < 1:
         raise ValueError("prune width must be >= 1")
@@ -135,7 +136,7 @@ def prune(query_tokens: Iterable[CipherToken], abstracts: Abstracts, c: int) -> 
     min_token = abstracts.min_token
     scored = [(-score, min_token[cid], cid) for cid, score in scores.items() if score > 0]
     if not scored:
-        return list(range(abstracts.k))
+        return range(abstracts.k)
     scored.sort()
     return [cid for _, _, cid in scored[:c]]
 
@@ -145,16 +146,14 @@ def search(
 ) -> SearchResult:
     """Rank documents of the selected clusters against the query tokens.
 
-    selected must name distinct cluster ids in 0..k_used-1 and cutoff must be
-    >= 1. Only documents scoring at least the cutoff-th best score are
-    sorted, so ties at the cutoff rank as in a full sort. A query touching a
-    list with an impact view takes the threshold path, _threshold_top.
+    selected must name distinct cluster ids in 0..k_used-1, at least one,
+    and is read once, so a generator will do; cutoff must be >= 1. Only
+    documents scoring at least the cutoff-th best score are sorted, so ties
+    at the cutoff rank as in a full sort. A query touching a list with an
+    impact view takes the threshold path, _threshold_top.
     """
     if cutoff < 1:
         raise ValueError(f"result cutoff must be >= 1, got {cutoff}")
-    selected = tuple(selected)
-    if not selected:
-        raise ValueError("at least one cluster must be selected")
     k = clusters.k_used
     chosen: set[int] = set()
     for cid in selected:
@@ -163,16 +162,16 @@ def search(
         if cid in chosen:
             raise ValueError(f"cluster id {cid} is selected twice")
         chosen.add(cid)
+    if not chosen:
+        raise ValueError("at least one cluster must be selected")
     cluster_of = clusters.cluster_of
     entries = clusters.index.entries
-    query = set(query_tokens)
-    lists = [entries[t] for t in query if cluster_of.get(t) in chosen]
-    lists.sort(key=len)
+    found = [t for t in set(query_tokens) if cluster_of.get(t) in chosen]
+    lists = sorted(map(entries.__getitem__, found), key=len)
     long: list[CipherToken] = []
     if lists and len(lists[-1]) >= clustering.LONG_LIST_POSTINGS:
         # the lists with a view are left to _threshold_top; the others are scored here
         views = clusters.views
-        found = [t for t in query if cluster_of.get(t) in chosen]
         long = [t for t in found if t in views]
         lists = sorted((entries[t] for t in found if t not in views), key=len)
     touched = sum(map(len, lists))
@@ -183,7 +182,7 @@ def search(
             scores[doc] = scores.get(doc, 0) + freq
     if long:
         ranked, read = _threshold_top(scores, [entries[t] for t in long], [views[t] for t in long], cutoff)
-        return SearchResult(ranked=ranked, clusters_searched=selected, postings_touched=touched + read)
+        return SearchResult(ranked=ranked, postings_touched=touched + read)
     items = scores.items()
     if len(scores) > cutoff:
         if len(scores) > HEAP_FLOOR_RATIO * cutoff:
@@ -192,7 +191,7 @@ def search(
             floor = sorted(scores.values(), reverse=True)[cutoff - 1]
         items = [kv for kv in items if kv[1] >= floor]
     ranked = sorted(items, key=lambda kv: (-kv[1], kv[0]))[:cutoff]
-    return SearchResult(ranked=tuple(ranked), clusters_searched=selected, postings_touched=touched)
+    return SearchResult(ranked=tuple(ranked), postings_touched=touched)
 
 
 def _threshold_top(

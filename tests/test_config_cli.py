@@ -524,6 +524,22 @@ class TestStageCommands:
         with pytest.raises(SystemExit):
             main(["search", "--query", "x", "--clusters", str(pipeline_dir / "clusters.jsonl"), "--identity"])
 
+    @pytest.mark.parametrize("flag, value", [("--abstracts", "/nonexistent/abstracts.jsonl"), ("--c", "5")])
+    def test_search_no_prune_refuses_a_pruning_flag(self, pipeline_dir, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--query", "router", "--clusters", str(pipeline_dir / "clusters.jsonl"), "--identity",
+                  "--no-prune", flag, value])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert f"error: {flag} applies to a pruned search only: --no-prune searches every cluster" in out.err
+
+    def test_search_no_prune_takes_a_config_file_with_a_prune_width(self, tmp_path, pipeline_dir, capsys):
+        conf = tmp_path / "conf"
+        conf.write_text("prune_width = 5\n")
+        assert main(["search", "--query", "router", "--clusters", str(pipeline_dir / "clusters.jsonl"),
+                     "--identity", "--no-prune", "--config", str(conf)]) == 0
+        assert capsys.readouterr().out
+
     def test_key_and_identity_are_mutually_exclusive(self, tmp_path, mini_corpus_dir, key_file):
         with pytest.raises(SystemExit):
             main(
@@ -988,6 +1004,17 @@ class TestEvaluateCommands:
             set(row) == {"query", "pruned_ms", "full_ms", "prune_ms", "clusters_searched"}
             for row in got["search_times"]
         )
+
+    def test_search_reports_every_cluster_searched_on_a_fallback(self, tmp_path, pipeline_dir):
+        k_used = json.loads((pipeline_dir / "k_report.json").read_text())["k_used"]
+        assert k_used > 1
+        queries, report = tmp_path / "queries.tsv", tmp_path / "report.json"
+        queries.write_text("q1\tzzz\n")  # a word no abstract holds
+        assert main(["evaluate", "search", "--queries", str(queries), "--identity", "--clusters",
+                     str(pipeline_dir / "clusters.jsonl"), "--abstracts", str(pipeline_dir / "abstracts.jsonl"),
+                     "--results", str(tmp_path / "results.tsv"), "--out", str(report)]) == 0
+        [timing] = json.loads(report.read_text())["search_times"]
+        assert timing["clusters_searched"] == k_used
 
     def test_search_needs_a_codec(self, tmp_path, pipeline_dir, capsys):
         rc = self._evaluate_search(tmp_path, pipeline_dir / "clusters.jsonl", pipeline_dir / "abstracts.jsonl")

@@ -157,6 +157,39 @@ def test_b64_round_trip(token):
     assert token_from_b64(token_to_b64(token)) == token
 
 
+B64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+@given(token=st.binary(min_size=1, max_size=40), data=st.data())
+def test_b64_reads_only_the_written_spelling(token, data):
+    # decoding skips a stray character, and the unused low bits of a padded last character
+    text = token_to_b64(token)
+    at = data.draw(st.integers(0, len(text)))
+    spellings = [text[:at] + " " + text[at:]]
+    pad = text.count("=")
+    if pad:
+        last = B64_ALPHABET.index(text[-pad - 1]) ^ data.draw(st.integers(1, (1 << 2 * pad) - 1))
+        spellings.append(text[:-pad - 1] + B64_ALPHABET[last] + "=" * pad)
+    for spelling in spellings:
+        assert base64.b64decode(spelling) == token
+        with pytest.raises(CryptoError, match=f"^{re.escape(repr(spelling))} is not canonical base64$"):
+            token_from_b64(spelling)
+
+
+def test_one_of_the_sixteen_spellings_of_a_byte_is_read():
+    # "a" is 011000 01, so its second character's low four bits are padding
+    spellings = [f"Y{c}==" for c in B64_ALPHABET if base64.b64decode(f"Y{c}==") == b"a"]
+    assert len(spellings) == 16
+
+    def reads(text):
+        try:
+            return token_from_b64(text) == b"a"
+        except CryptoError:
+            return False
+
+    assert [text for text in spellings if reads(text)] == ["YQ=="] == [token_to_b64(b"a")]
+
+
 class TestWords:
     """words(text) is re.findall("[a-z0-9]+", text.lower()) for every str."""
 

@@ -281,6 +281,20 @@ class TestCompare:
 
 
 class TestFilesAndBenchmark:
+    @pytest.mark.parametrize("reader, good, expected", [
+        (load_judgments, "q1\td1\t2", "queryId<TAB>docId<TAB>grade"),
+        (load_queries, "q1\tgarlic sauce", "queryId<TAB>query text"),
+        (read_results_file, "q1\t1\td1\t4", "queryId, rank, docId, score"),
+    ])
+    def test_tsv_rows_skip_comments_and_count_fields(self, tmp_path, reader, good, expected):
+        path = tmp_path / "rows.tsv"
+        path.write_text(f"# a\tcomment\n{good}\n")
+        assert reader(path)
+        for wrong in (f"{good}\textra", good.rsplit("\t", 1)[0]):
+            path.write_text(f"# a\tcomment\n{good}\n{wrong}\n")
+            with pytest.raises(EvaluationError, match=f"^{re.escape(f'{path}:3: expected {expected}')}$"):
+                reader(path)
+
     def test_judgments_and_queries_files(self, judgments_path, queries_path):
         judgments = load_judgments(judgments_path)
         queries = load_queries(queries_path)
@@ -363,8 +377,8 @@ class TestFilesAndBenchmark:
 
     def test_results_file_round_trip(self, tmp_path):
         results = {
-            "q1": SearchResult(ranked=(("d2", 9), ("d1", 3)), clusters_searched=(0,)),
-            "q2": SearchResult(ranked=(), clusters_searched=(0,)),
+            "q1": SearchResult(ranked=(("d2", 9), ("d1", 3))),
+            "q2": SearchResult(ranked=()),
         }
         path = tmp_path / "results.tsv"
         write_results_file(results, path)

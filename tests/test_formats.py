@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from cipherclust.cli import _validate_artifacts
 from cipherclust.clustering import Cluster, ClusterSet, cluster_index, distribute, read_clusters, write_clusters
 from cipherclust.config import PipelineConfig
 from cipherclust.crypto import IdentityTokenCodec, token_to_b64
-from cipherclust.index import build_index_from_corpus, ingest, read_index, write_index
+from cipherclust.index import IndexDataError, build_index_from_corpus, ingest, read_index, write_index
 from cipherclust.search import (
     Abstracts, build_abstracts, check_pairing, prune, read_abstracts, search, write_abstracts,
 )
@@ -235,3 +236,35 @@ def test_a_loaded_cluster_set_holds_few_bytes_per_posting(tmp_path):
         tracemalloc.stop()
     assert loaded.index.token_count == len(tokens)
     assert held / n_postings < 78
+
+
+class TestOneSpellingPerToken:
+    """YWF= decodes to b"aa" as YWE= does, as base64 decoding ignores a padded last character's unused bits;
+    every reader refuses the spelling no writer writes, naming path:lineno, so a file loads only as written."""
+
+    def test_index(self, tmp_path):
+        path = tmp_path / "index.tsv"
+        path.write_text("YWE=\td1:1\nYWF=\td2:1\n")
+        with pytest.raises(IndexDataError, match=f"^{re.escape(str(path))}:2: malformed index line$"):
+            read_index(path)
+
+    @pytest.mark.parametrize("old, fault", [
+        ('"center":"YWE="', "malformed cluster line"), ('"t":"YWE="', "malformed token entry"),
+    ])
+    def test_clusters(self, tmp_path, old, fault):
+        index = ingest(records_from_freqs({b"aa": {"d1": 1}, b"bb": {"d2": 2}}, ["d1", "d2"]))
+        path = tmp_path / "clusters.jsonl"
+        write_clusters(ClusterSet(clusters=(Cluster(center=b"bb", tokens=(b"bb",)),
+                                            Cluster(center=b"aa", tokens=(b"aa",))), index=index, k_requested=2), path)
+        assert path.read_text().count(old) == 1
+        path.write_text(path.read_text().replace(old, old.replace("YWE=", "YWF=")))
+        where = re.escape(f"{path}:2: {fault}: 'YWF=' is not canonical base64")
+        with pytest.raises(IndexDataError, match=f"^{where}$"):
+            read_clusters(path)
+
+    def test_abstracts(self, tmp_path):
+        path = tmp_path / "abstracts.jsonl"
+        path.write_text('{"cluster":0,"entries":[["YmI=",2]]}\n{"cluster":1,"entries":[["YWF=",1]]}\n')
+        where = re.escape(f"{path}:2: malformed abstract line: 'YWF=' is not canonical base64")
+        with pytest.raises(IndexDataError, match=f"^{where}$"):
+            read_abstracts(path)

@@ -62,8 +62,9 @@ def test_library_modules_load_neither_numpy_nor_scipy():
 @pytest.mark.parametrize("extra", [[], ["--no-prune"]])
 def test_search_command_loads_neither_numpy_nor_scipy(run_dir, extra):
     code = "import json, sys\nfrom cipherclust.cli import main\nassert main(sys.argv[1:]) == 0\n" + REPORT_NUMERIC
-    args = ["search", "--query", "garlic sauce", "--clusters", str(run_dir / "clusters.jsonl"),
-            "--abstracts", str(run_dir / "abstracts.jsonl"), "--identity", *extra]
+    # a search with --no-prune reads no abstracts, and is refused one
+    args = ["search", "--query", "garlic sauce", "--clusters", str(run_dir / "clusters.jsonl"), "--identity",
+            *(extra or ["--abstracts", str(run_dir / "abstracts.jsonl")])]
     assert run_python(code, *args) == []
 
 

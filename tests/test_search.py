@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import random
@@ -86,7 +87,11 @@ class TestPrune:
 
     def test_fallback_to_all_clusters(self):
         abstracts = build_abstracts(small_cluster_set(), a=10)
-        assert prune([b"unknown"], abstracts, c=3) == [0, 1]
+        assert prune([b"unknown"], abstracts, c=3) == range(2)
+
+    def test_fallback_allocates_no_list_of_clusters(self):
+        # a list of a million ids would take 8 MB
+        assert prune([b"unknown"], Abstracts(10**6, {}, {}), c=3) == range(10**6)
 
     def test_top_c_by_score(self):
         abstracts = Abstracts(3, {b"q0": 5, b"q1": 3, b"q2": 1}, {b"q0": 0, b"q1": 1, b"q2": 2})
@@ -143,6 +148,23 @@ class TestSearch:
     def test_selected_must_be_nonempty(self):
         with pytest.raises(ValueError):
             search([b"T"], small_cluster_set(), [], cutoff=10)
+
+    def test_selected_is_read_once(self):
+        cs = small_cluster_set()
+        read = []
+
+        def ids():
+            for cid in range(cs.k_used):
+                read.append(cid)
+                yield cid
+
+        assert search([b"net", b"cake"], cs, ids(), cutoff=10) == search([b"net", b"cake"], cs, [0, 1], cutoff=10)
+        assert read == [0, 1]
+        with pytest.raises(ValueError, match="^at least one cluster must be selected$"):
+            search([b"net"], cs, (cid for cid in ()), cutoff=10)
+
+    def test_a_result_holds_the_ranking_and_the_work_done(self):
+        assert [f.name for f in dataclasses.fields(SearchResult)] == ["ranked", "postings_touched"]
 
     @pytest.mark.parametrize("cid", [2, -1])
     def test_selected_id_out_of_range(self, cid):
@@ -409,7 +431,7 @@ class TestAbstractsFile:
         path = tmp_path / "abstracts.jsonl"
         path.write_text(self.UNRANKED)
         abstracts = read_abstracts(path)
-        assert prune([b"unknown"], abstracts, c=3) == [0, 1]
+        assert prune([b"unknown"], abstracts, c=3) == range(2)
         with pytest.raises(IndexDataError, match=re.escape(f"{path}: 2 abstracts for 3 clusters; cluster 2 has")):
             check_pairing(abstracts, 3, {}, None, path)
 
@@ -556,8 +578,8 @@ class TestAgainstScanReference:
         for q in queries:
             for c in widths:
                 selected = prune(q, abstracts, c)
-                assert selected == scan_prune(q, ref_abstracts, c)
+                assert list(selected) == scan_prune(q, ref_abstracts, c)
                 for chosen in (selected, some, list(range(k))):
                     want = scan_search(q, cluster_tokens, postings, chosen, cutoff)
                     got = search(q, cs, chosen, cutoff)
-                    assert got == SearchResult(ranked=tuple(want), clusters_searched=tuple(chosen))
+                    assert got == SearchResult(ranked=tuple(want))
