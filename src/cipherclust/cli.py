@@ -152,14 +152,27 @@ def cmd_estimate_k(args) -> int:
 
 
 def _warn_k_shortfall(clusters) -> None:
-    """One JSON line on stderr when fewer clusters were formed than targeted; artifacts are unchanged."""
+    """One JSON line on stderr when fewer clusters were formed than targeted; artifacts are unchanged.
+
+    Fewer form only when fewer centers are admitted than targeted, so every
+    admitted center is a cluster's center. The line says why admission
+    stopped: the documents the centers' postings cover, out of all the
+    index's documents, and the rule that a token is admitted only while more
+    of its documents lie outside that coverage than inside.
+    """
     target, used = clusters.k_requested, clusters.k_used
     if used < target:
-        message = f"{used} of {target} target clusters formed: only {used} centers were admitted"
+        entries = clusters.index.entries
+        covered = len(set().union(*(entries[cluster.center] for cluster in clusters.clusters)))
+        total = len(clusters.index.docs)
+        message = (f"{used} of {target} target clusters formed: only {used} "
+                   f"{'center was' if used == 1 else 'centers were'} admitted, covering {covered} of {total} "
+                   "documents; a token is admitted only while more of its documents lie outside the covered "
+                   "ones than inside")
         if used == 1:
             message += "; every token is in one cluster, so pruning cannot narrow a search"
         warning = {"warning": "KShortfall", "message": message, "k_target": target, "k_used": used,
-                   "single_cluster": used == 1}
+                   "single_cluster": used == 1, "docs_covered": covered, "docs_total": total}
         print(json.dumps(warning), file=sys.stderr)
 
 
@@ -187,7 +200,7 @@ def cmd_search(args) -> int:
         selected = range(clusters.k_used)
     else:
         abstracts = read_abstracts(args.abstracts)
-        check_pairing(abstracts, clusters.k_used, clusters.cluster_of, clusters.index, args.abstracts)
+        check_pairing(abstracts, clusters, args.abstracts)
         selected = prune(tokens, abstracts, config.prune_width)
     result = search(tokens, clusters, selected, config.cutoff)
     sys.stdout.write(format_results(result))
@@ -210,7 +223,7 @@ def cmd_evaluate_search(args) -> int:
     codec = _codec(args, config)
     clusters = read_clusters(args.clusters)
     abstracts = read_abstracts(args.abstracts)
-    check_pairing(abstracts, clusters.k_used, clusters.cluster_of, clusters.index, args.abstracts)
+    check_pairing(abstracts, clusters, args.abstracts)
     queries = evaluation.load_queries(args.queries)
     results, timings = evaluation.run_benchmark(queries, clusters, abstracts, codec, config.prune_width, config.cutoff)
     evaluation.write_results_file(results, args.results)
@@ -305,12 +318,11 @@ def _check_run(index, clusters, abstracts, path, config) -> None:
     abstracts (read from path) pair with the clusters and keep to config.abstract_size."""
     if b"" in index.entries:
         raise CLIError("the index holds an empty token, which no reader reads")
-    cluster_of = {token: cid for cid, cluster in enumerate(clusters.clusters) for token in cluster.tokens}
-    if cluster_of.keys() != index.entries.keys():
+    if clusters.cluster_of.keys() != index.entries.keys():
         raise CLIError("clusters file does not partition the index tokens")
     if clusters.index != index:
         raise CLIError("clusters file postings differ from the index")
-    check_pairing(abstracts, clusters.k_used, cluster_of, index, path)
+    check_pairing(abstracts, clusters, path)
     if any(n > config.abstract_size for n in Counter(abstracts.cluster.values()).values()):
         raise CLIError("abstract exceeds the configured size")
 

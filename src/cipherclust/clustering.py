@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -133,26 +133,24 @@ def impact_views(index: CentralIndex) -> dict[CipherToken, tuple[str, ...]]:
 class ClusterSet:
     """k_used disjoint clusters whose token union equals the distributed index.
 
-    cluster_of maps each token to its cluster id, so a search finds a query
-    token's cluster with one lookup instead of probing every selected
-    cluster. views holds the impact_views of the index, for search's
-    threshold path, at the LONG_LIST_POSTINGS in force when it is first
-    read. Each is built on first use, so a build, which never searches,
-    builds neither; read_clusters builds both as it loads.
+    cluster_of maps each token to its cluster id. It is built once, with
+    the set, and its size is the disjointness check; search, check_pairing
+    and the build's partition check each read a token's cluster from it.
+    views holds the impact_views of the index, for search's threshold path,
+    at the LONG_LIST_POSTINGS in force when it is first read: a build, which
+    never searches, makes none, and read_clusters builds it as it loads.
     """
 
     clusters: tuple[Cluster, ...]
     index: CentralIndex
     k_requested: int
+    cluster_of: dict[CipherToken, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        listed = sum(len(cluster.tokens) for cluster in self.clusters)
-        if len(frozenset().union(*(cluster.tokens for cluster in self.clusters))) != listed:
+        cluster_of = {token: cid for cid, cluster in enumerate(self.clusters) for token in cluster.tokens}
+        if len(cluster_of) != sum(len(cluster.tokens) for cluster in self.clusters):
             raise ValueError("clusters must be disjoint and list each token once")
-
-    @cached_property
-    def cluster_of(self) -> dict[CipherToken, int]:
-        return {token: cid for cid, cluster in enumerate(self.clusters) for token in cluster.tokens}
+        object.__setattr__(self, "cluster_of", cluster_of)
 
     @cached_property
     def views(self) -> dict[CipherToken, tuple[str, ...]]:
@@ -409,8 +407,8 @@ def read_clusters(path: str | Path) -> ClusterSet:
     cluster count actually present. Every posting map holds one string per
     document id, the first one read, across all lines, and is sorted only if
     out of document order. Each token entry's parse tree is freed once its
-    map is built. Then the ClusterSet's cluster_of and views are built: a
-    server pays for them as it loads, not at its first query.
+    map is built. Then the ClusterSet's views are built: a server pays for
+    them as it loads, not at its first query.
     """
     clusters: list[Cluster] = []
     entries: dict[CipherToken, dict[str, int]] = {}
@@ -472,5 +470,5 @@ def read_clusters(path: str | Path) -> ClusterSet:
         raise IndexDataError(f"{path}: the clusters file holds no cluster")
     index = CentralIndex(entries)
     cluster_set = ClusterSet(clusters=tuple(clusters), index=index, k_requested=len(clusters))
-    cluster_set.cluster_of, cluster_set.views  # noqa: B018 - built here, at load
+    cluster_set.views  # noqa: B018 - built here, at load
     return cluster_set

@@ -220,7 +220,7 @@ def build_index_from_corpus(
         raw = path.read_bytes()
         if digest is not None:
             digest.update(path.name.encode("utf-8") + b"\0" + raw + b"\0")
-        return raw.decode("utf-8")
+        return _decode(raw, path)
 
     records = ((path.stem, extract_keywords(read(path), n, stop)) for path in paths)
     return ingest(records, codec.encrypt_token)
@@ -311,8 +311,9 @@ def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     Lines end at LF only (CR LF and CR read as LF). str.splitlines would also
     split at U+2028, U+0085 and other characters a document id may hold.
     The whole file is checked as UTF-8 before the first line is yielded, so
-    a decoding error comes before any fault a reader finds in a line, and
-    names its position in the file.
+    a decoding error comes before any fault a reader finds in a line. It is
+    an IndexDataError that names the path and the position in the whole
+    file, for every reader that reads its file through here.
     """
     _check_utf8(path)
     with open(path, encoding="utf-8") as fh:
@@ -322,7 +323,7 @@ def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 
 
 def _check_utf8(path: str | Path) -> None:
-    """Raise the error that reading path whole as UTF-8 raises, if any, holding one chunk at a time."""
+    """Raise _decode's error for path's whole contents, if any, holding one chunk at a time."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     try:
         with open(path, "rb") as fh:
@@ -330,8 +331,16 @@ def _check_utf8(path: str | Path) -> None:
                 decoder.decode(chunk)
         decoder.decode(b"", final=True)
     except UnicodeDecodeError:
-        Path(path).read_text(encoding="utf-8")  # the same error, with its position in the whole file
+        _decode(Path(path).read_bytes(), path)  # the same error, with its position in the whole file
         raise
+
+
+def _decode(raw: bytes, path: str | Path) -> str:
+    """raw, the contents of path, decoded as UTF-8; a decoding error names path and its position in raw."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IndexDataError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -412,4 +421,4 @@ def index_digest(index: CentralIndex) -> str:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """The crypto.words of a stopwords file: an entry "don't" gives don and t."""
-    return frozenset(words(Path(path).read_text(encoding="utf-8")))
+    return frozenset(words(_decode(Path(path).read_bytes(), path)))

@@ -9,15 +9,16 @@ so concurrent queries over shared snapshots are safe.
 Query cost follows the query, not the clusters. Cluster token sets are
 disjoint and each abstract lists tokens of its own cluster, so a token is in
 at most one cluster and at most one abstract. The lookup maps are built
-once, at load time. The abstracts are two maps, token -> abstract frequency
-and token -> cluster id, filled by build_abstracts or read_abstracts; the
-clusters' token -> cluster id map (ClusterSet.cluster_of, built on first
-use) is built by read_clusters. prune then looks each query token up once,
-O(query tokens), plus a sort of the clusters it hits, or returns range(k),
-every cluster, which allocates nothing, when it hits none. search reads the
-selection once, checking each id, then looks each query token up once and
-takes the posting lists of those in a selected cluster, O(clusters selected
-+ query tokens + postings added). The longest list seeds the
+once, when the maps are made. The abstracts are two maps, token -> abstract
+frequency and token -> cluster id, filled by build_abstracts or
+read_abstracts; the clusters' token -> cluster id map is
+ClusterSet.cluster_of, built with the set. prune then looks each query token
+up once, O(query tokens), plus a sort of the clusters it hits, or returns
+range(k), every cluster, which allocates nothing, when it hits none. search
+reads any other selection once, checking each id, then looks each query
+token up once and takes the posting lists of those in a selected cluster,
+O(clusters selected + query tokens + postings added); given range(k), it
+skips the walk, O(query tokens + postings added). The longest list seeds the
 scores in one dict() call; only the other lists' postings are added one by
 one. The cutoff-th best score is found by an integer sort of the scores, or
 by a heap of cutoff entries above HEAP_FLOOR_RATIO x cutoff scores, and
@@ -44,12 +45,12 @@ from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import add, lt
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import clustering
 from .clustering import ClusterSet
 from .crypto import CipherToken, token_from_b64, token_to_b64
-from .index import CentralIndex, IndexDataError, data_lines, write_lines
+from .index import IndexDataError, data_lines, write_lines
 
 # Above this many scores per result wanted, search finds the cutoff-th best with a heap of cutoff
 # entries rather than a full sort. Measured on CPython 3.11, nlargest(cutoff) overtakes sorted at
@@ -147,26 +148,33 @@ def search(
     """Rank documents of the selected clusters against the query tokens.
 
     selected must name distinct cluster ids in 0..k_used-1, at least one,
-    and is read once, so a generator will do; cutoff must be >= 1. Only
-    documents scoring at least the cutoff-th best score are sorted, so ties
-    at the cutoff rank as in a full sort. A query touching a list with an
-    impact view takes the threshold path, _threshold_top.
+    and is read once, so a generator will do; cutoff must be >= 1. A range
+    equal to range(k_used), every cluster in order, as prune's fallback
+    returns, is not walked: every token of the set is in a selected cluster.
+    Any other selection, a list of the same ids among them, is walked id by
+    id and refused at its first fault. Only documents scoring at least the
+    cutoff-th best score are sorted, so ties at the cutoff rank as in a full
+    sort. A query touching a list with an impact view takes the threshold
+    path, _threshold_top.
     """
     if cutoff < 1:
         raise ValueError(f"result cutoff must be >= 1, got {cutoff}")
     k = clusters.k_used
-    chosen: set[int] = set()
-    for cid in selected:
-        if not 0 <= cid < k:
-            raise ValueError(f"cluster id {cid} is out of range 0..{k - 1}")
-        if cid in chosen:
-            raise ValueError(f"cluster id {cid} is selected twice")
-        chosen.add(cid)
-    if not chosen:
-        raise ValueError("at least one cluster must be selected")
     cluster_of = clusters.cluster_of
+    if isinstance(selected, range) and selected == range(k):
+        found = [t for t in set(query_tokens) if t in cluster_of]
+    else:
+        chosen: set[int] = set()
+        for cid in selected:
+            if not 0 <= cid < k:
+                raise ValueError(f"cluster id {cid} is out of range 0..{k - 1}")
+            if cid in chosen:
+                raise ValueError(f"cluster id {cid} is selected twice")
+            chosen.add(cid)
+        if not chosen:
+            raise ValueError("at least one cluster must be selected")
+        found = [t for t in set(query_tokens) if cluster_of.get(t) in chosen]
     entries = clusters.index.entries
-    found = [t for t in set(query_tokens) if cluster_of.get(t) in chosen]
     lists = sorted(map(entries.__getitem__, found), key=len)
     long: list[CipherToken] = []
     if lists and len(lists[-1]) >= clustering.LONG_LIST_POSTINGS:
@@ -242,19 +250,17 @@ def _threshold_top(
     return tuple(ranked[:cutoff]), entries_read
 
 
-def check_pairing(
-    abstracts: Abstracts, k: int, cluster_of: Mapping[CipherToken, int], index: CentralIndex, path: str | Path
-) -> None:
-    """Reject abstracts that were not built from these clusters.
+def check_pairing(abstracts: Abstracts, clusters: ClusterSet, path: str | Path) -> None:
+    """Reject abstracts, read from path, that were not built from these clusters.
 
-    The clusters are given as their count k, the cluster id of each token
-    and the index they partition. There must be one abstract per cluster,
-    and each abstract token must be a token of its own cluster with its
-    total frequency in the index. The error names the abstracts file and the
-    cluster id. Costs one lookup per entry plus one pass over the postings
-    of the abstracts' tokens.
+    There must be one abstract per cluster (clusters.k_used), and each
+    abstract token must be a token of its own cluster (clusters.cluster_of)
+    with its total frequency in the clusters' index. The error names the
+    abstracts file and the cluster id. Costs one lookup per entry plus one
+    pass over the postings of the abstracts' tokens.
     """
-    n = abstracts.k
+    n, k = abstracts.k, clusters.k_used
+    cluster_of, index = clusters.cluster_of, clusters.index
     if n != k:
         unpaired = f"the abstract of cluster {k} has no cluster" if n > k else f"cluster {n} has no abstract"
         raise IndexDataError(f"{path}: {n} abstracts for {k} clusters; {unpaired}")

@@ -206,6 +206,25 @@ class TestPipelineCommand:
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("given", ["corpus file", "keyword file", "stopwords file", "config file"])
+    def test_a_file_not_in_utf8_is_named(self, tmp_path, mini_corpus_dir, capsys, given):
+        # each holds a Latin-1 e-acute, which is no UTF-8 sequence
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "good.txt").write_text("router bandwidth router\n")
+        bad = corpus / "bad.txt" if given == "corpus file" else tmp_path / "bad.txt"
+        bad.write_bytes({"corpus file": "caf\u00e9 router\n", "keyword file": "d1\tcaf\u00e9:1\n",
+                         "stopwords file": "the\ncaf\u00e9\n", "config file": "# caf\u00e9\n"}[given].encode("latin-1"))
+        argv = {"corpus file": ["--corpus", str(corpus)], "keyword file": ["--keywords", str(bad)],
+                "stopwords file": ["--corpus", str(mini_corpus_dir), "--stopwords", str(bad)],
+                "config file": ["--corpus", str(mini_corpus_dir), "--config", str(bad)]}[given]
+        out = tmp_path / "x"
+        assert main(["pipeline", *argv, "--identity", "--out", str(out)]) == 1
+        with pytest.raises(UnicodeDecodeError) as decoding:
+            bad.read_bytes().decode("utf-8")
+        assert json.loads(capsys.readouterr().err) == {"error": "IndexDataError", "message": f"{bad}: {decoding.value}"}
+        assert not out.exists()
+
 
 class TestKShortfall:
     """pipeline and cluster say on stderr when fewer clusters form than targeted."""
@@ -220,9 +239,14 @@ class TestKShortfall:
         k_report = json.loads((out / "k_report.json").read_text())
         assert k_report["k_used"] < k_report["k_target"]  # the mini corpus admits 6 of 9 centers
         [warning] = self._warnings(capsys)
-        assert warning["warning"] == "KShortfall"
         assert (warning["k_target"], warning["k_used"]) == (k_report["k_target"], k_report["k_used"])
-        assert warning["single_cluster"] is False
+        # the six centers cover 19 of the 20 documents, and no other token has more outside than inside
+        assert warning == {
+            "warning": "KShortfall",
+            "message": "6 of 9 target clusters formed: only 6 centers were admitted, covering 19 of 20 documents; "
+                       "a token is admitted only while more of its documents lie outside the covered ones than inside",
+            "k_target": 9, "k_used": 6, "single_cluster": False, "docs_covered": 19, "docs_total": 20,
+        }
 
     def test_cluster_command_warns_too(self, tmp_path, mini_corpus_dir, capsys):
         run = tmp_path / "run"
@@ -239,8 +263,16 @@ class TestKShortfall:
         kw.write_text("".join(f"doc{i}\tw{i}:1,shared:2\n" for i in range(4)))
         out = tmp_path / "run"
         assert main(["pipeline", "--keywords", str(kw), "--identity", "--out", str(out), "--k", "3"]) == 0
-        [warning] = self._warnings(capsys)
+        err = capsys.readouterr().err
+        [warning] = [json.loads(line) for line in err.splitlines()]
         assert (warning["k_target"], warning["k_used"], warning["single_cluster"]) == (3, 1, True)
+        assert err == json.dumps({
+            "warning": "KShortfall",
+            "message": "1 of 3 target clusters formed: only 1 center was admitted, covering 4 of 4 documents; "
+                       "a token is admitted only while more of its documents lie outside the covered ones than "
+                       "inside; every token is in one cluster, so pruning cannot narrow a search",
+            "k_target": 3, "k_used": 1, "single_cluster": True, "docs_covered": 4, "docs_total": 4,
+        }) + "\n"
 
     def test_silent_when_every_target_cluster_forms(self, tmp_path, mini_corpus_dir, capsys):
         out = tmp_path / "run"
@@ -803,7 +835,6 @@ class TestValidateArtifacts:
             raise AssertionError("a build searches nothing")
 
         monkeypatch.setattr(clustering, "impact_views", refuse)
-        monkeypatch.setattr(clustering.ClusterSet, "cluster_of", property(refuse))
         assert main(["pipeline", "--corpus", str(mini_corpus_dir), "--identity", "--out", str(tmp_path / "a")]) == 0
         monkeypatch.undo()
         assert main(["pipeline", "--corpus", str(mini_corpus_dir), "--identity", "--out", str(tmp_path / "b")]) == 0
@@ -947,6 +978,27 @@ class TestEvaluateCommands:
         ) == 0
         got = json.loads(comparison.read_text())
         assert {"dynamic_overall", "static_overall", "improvement_pct", "flags"} <= set(got)
+
+    def test_compare_of_two_different_partitions(self, tmp_path, pipeline_dir, embeddings_path, capsys):
+        # --k 10 admits the same 6 centers as auto, so that comparison reads +0.0%; --k 3 keeps 3 of them
+        static_clusters = tmp_path / "k3.jsonl"
+        assert main(["cluster", "--index", str(pipeline_dir / "index.tsv"), "--k", "3",
+                     "--out", str(static_clusters)]) == 0
+        assert static_clusters.read_bytes() != (pipeline_dir / "clusters.jsonl").read_bytes()
+        reports = {}
+        for name, clusters in (("dynamic", pipeline_dir / "clusters.jsonl"), ("static", static_clusters)):
+            reports[name] = tmp_path / f"{name}.json"
+            assert main(["evaluate", "coherence", "--clusters", str(clusters), "--embeddings", str(embeddings_path),
+                         "--out", str(reports[name])]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "compare", "--dynamic", str(reports["dynamic"]), "--static", str(reports["static"])]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got == {
+            "dynamic_overall": pytest.approx(0.7167361313293721, abs=1e-12),
+            "static_overall": pytest.approx(0.7540122678235966, abs=1e-12),
+            "improvement_pct": pytest.approx(-4.943704245266395, abs=1e-9),
+            "flags": ["dynamic_below_static"],
+        }
 
     def test_tsap_command(self, tmp_path, judgments_path, capsys):
         results = tmp_path / "results.tsv"

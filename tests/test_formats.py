@@ -189,7 +189,7 @@ class TestPostingMapsAreReadOnly:
         queries = [tokens[i:i + 4] for i in range(0, len(tokens), 3)]
 
         def serve(cluster_set):
-            check_pairing(abstracts, cluster_set.k_used, cluster_set.cluster_of, cluster_set.index, paths[2])
+            check_pairing(abstracts, cluster_set, paths[2])
             for query in queries:
                 search(query, cluster_set, prune(query, abstracts, config.prune_width), config.cutoff)
                 search(query, cluster_set, range(cluster_set.k_used), config.cutoff)

@@ -411,9 +411,9 @@ def test_data_lines_decoding_error_comes_first(tmp_path, tail):
     path.write_bytes(b"doc1\tnet\n" + b"doc2\tcake:1\n" * 2000 + (b"\xff" if not tail else tail))
     with pytest.raises(UnicodeDecodeError) as whole:
         path.read_text(encoding="utf-8")
-    with pytest.raises(UnicodeDecodeError) as got:
+    with pytest.raises(IndexDataError) as got:
         read_keyword_file(path)
-    assert str(got.value) == str(whole.value)
+    assert str(got.value) == f"{path}: {whole.value}"
 
 
 class TestKeywordFile:

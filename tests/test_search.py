@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cipherclust import clustering
-from cipherclust.clustering import Cluster, ClusterSet, distribute, impact_views
-from cipherclust.crypto import token_to_b64
-from cipherclust.index import IndexDataError, ingest
+from cipherclust.clustering import Cluster, ClusterSet, cluster_index, distribute, impact_views
+from cipherclust.crypto import IdentityTokenCodec, encrypt_query, token_to_b64
+from cipherclust.evaluation import load_queries
+from cipherclust.index import IndexDataError, build_index_from_corpus, ingest
 from cipherclust import search as search_module
 from cipherclust.search import (
     HEAP_FLOOR_RATIO,
@@ -175,6 +176,33 @@ class TestSearch:
         # counting cluster 0 twice would score d1 6 instead of 3
         with pytest.raises(ValueError, match="cluster id 0 is selected twice"):
             search([b"net"], small_cluster_set(), [0, 1, 0], cutoff=10)
+
+    @pytest.mark.parametrize("selected, fault", [
+        (range(3), "cluster id 2 is out of range 0..1"),
+        (range(-1, 2), "cluster id -1 is out of range 0..1"),
+        (range(0), "at least one cluster must be selected"),
+        ([0, 1, 2], "cluster id 2 is out of range 0..1"),
+        ([-1, 0, 1], "cluster id -1 is out of range 0..1"),
+        ([0, 1, 0], "cluster id 0 is selected twice"),
+        ([], "at least one cluster must be selected"),
+    ])
+    def test_a_selection_other_than_every_cluster_is_checked(self, selected, fault):
+        # range(k_used) is every id once; any other range, or any list, is checked id by id
+        cs = small_cluster_set()
+        with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+            search([b"net"], cs, selected, cutoff=10)
+        assert search([b"net", b"cake"], cs, range(1, 2), cutoff=10) == search([b"net", b"cake"], cs, [1], cutoff=10)
+
+    @pytest.mark.parametrize("long_at", [clustering.LONG_LIST_POSTINGS, 2])
+    def test_every_cluster_as_a_range_or_a_list_searches_alike(self, monkeypatch, mini_corpus_dir, queries_path,
+                                                               long_at):
+        monkeypatch.setattr(clustering, "LONG_LIST_POSTINGS", long_at)  # at 2, most queries take the views
+        cs, _ = cluster_index(build_index_from_corpus(mini_corpus_dir, IdentityTokenCodec(), 20))
+        queries = [encrypt_query(IdentityTokenCodec(), text) for _, text in load_queries(queries_path)]
+        for query in queries + [cs.index.tokens()]:
+            every, walked = search(query, cs, range(cs.k_used), 10), search(query, cs, list(range(cs.k_used)), 10)
+            assert (every.ranked, every.postings_touched) == (walked.ranked, walked.postings_touched)
+        assert bool(cs.views) == (long_at == 2)
 
     @pytest.mark.parametrize("cutoff", [0, -1])
     def test_cutoff_must_be_positive(self, cutoff):
@@ -432,8 +460,10 @@ class TestAbstractsFile:
         path.write_text(self.UNRANKED)
         abstracts = read_abstracts(path)
         assert prune([b"unknown"], abstracts, c=3) == range(2)
+        index = ingest([("d1", [(b"a", 1), (b"b", 1), (b"c", 1)])])
+        three = ClusterSet(tuple(Cluster(center=t, tokens=(t,)) for t in (b"a", b"b", b"c")), index, 3)
         with pytest.raises(IndexDataError, match=re.escape(f"{path}: 2 abstracts for 3 clusters; cluster 2 has")):
-            check_pairing(abstracts, 3, {}, None, path)
+            check_pairing(abstracts, three, path)
 
     def test_file_order_round_trips_byte_for_byte(self, tmp_path):
         path, again = tmp_path / "abstracts.jsonl", tmp_path / "again.jsonl"
