@@ -237,7 +237,9 @@ def cmd_evaluate_tsap(args) -> int:
 
     ranked = evaluation.read_results_file(args.results)
     judgments = evaluation.load_judgments(args.judgments)
-    scores = [evaluation.TsapScore(q, evaluation.tsap_at_10(docs, judgments, q)) for q, docs in ranked.items()]
+    # every query the results or the judgments name; a judged query with no ranked document scores 0.0
+    query_ids = dict.fromkeys([*ranked, *(q for q, _ in judgments)])
+    scores = [evaluation.TsapScore(q, evaluation.tsap_at_10(ranked.get(q, []), judgments, q)) for q in query_ids]
     _emit(asdict(evaluation.EvaluationReport(tsap_per_query=scores)), args.out)
     return 0
 
@@ -314,8 +316,8 @@ def _validate_artifacts(index, index_path, clusters_path, abstracts_path, config
 
 
 def _check_run(index, clusters, abstracts, path, config) -> None:
-    """Check that the clusters partition the index's tokens and hold its postings, and that the
-    abstracts (read from path) pair with the clusters and keep to config.abstract_size."""
+    """Check that the clusters partition the index's tokens and hold its postings, and that the abstracts
+    pair with the clusters and keep to config.abstract_size; path names the abstracts in messages."""
     if b"" in index.entries:
         raise CLIError("the index holds an empty token, which no reader reads")
     if clusters.cluster_of.keys() != index.entries.keys():

@@ -92,30 +92,27 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     return EmbeddingTable(dimension=dimension, vectors=vectors, digest=digest)
 
 
-def cluster_coherence(words: Iterable[str], table: EmbeddingTable) -> float | None:
-    """Mean cosine similarity over all unordered pairs of embeddable words.
+def cluster_coherence(words: Iterable[str], table: EmbeddingTable) -> tuple[float | None, int]:
+    """Mean cosine similarity over all unordered pairs of embeddable words, and how many words are embeddable.
 
-    Words missing from the table (or with zero vectors) are skipped; fewer
-    than two embeddable words means the cluster is not scorable (None).
-    For unit vectors u_i the pairwise sum is |sum u_i|^2 - n, so no n x n
-    matrix is needed.
+    A word is embeddable when the table gives it a nonzero vector; any other
+    word is skipped. Fewer than two embeddable words means the cluster is not
+    scorable (None). For unit vectors u_i the pairwise sum is |sum u_i|^2 - n,
+    so no n x n matrix is needed.
     """
     import numpy as np
 
     vecs = []
     for word in words:
         v = table.vectors.get(word)
-        if v is None:
-            continue
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            continue
-        vecs.append(v / norm)
+        norm = 0.0 if v is None else np.linalg.norm(v)
+        if norm != 0.0:
+            vecs.append(v / norm)
     n = len(vecs)
     if n < 2:
-        return None
+        return None, n
     total = np.stack(vecs).sum(axis=0)
-    return (float(total @ total) - n) / (n * (n - 1))
+    return (float(total @ total) - n) / (n * (n - 1)), n
 
 
 @dataclass(frozen=True)
@@ -193,8 +190,7 @@ def coherence_report(clusters: ClusterSet, table: EmbeddingTable) -> EvaluationR
                 "cluster tokens are not readable text; coherence needs an "
                 "identity-codec index"
             )
-        embeddable = sum(1 for w in words if w in table.vectors)
-        coherence = cluster_coherence(words, table)
+        coherence, embeddable = cluster_coherence(words, table)
         per_cluster.append(
             ClusterCoherence(
                 cluster=cid,
@@ -317,13 +313,14 @@ def write_results_file(results: dict[str, SearchResult], path: str | Path) -> No
 def read_results_file(path: str | Path) -> dict[str, list[str]]:
     """Ranked doc ids per query, in rank order.
 
-    As write_results_file writes them, each query's ranks must run 1, 2, 3, ...
-    in file order, up to TSAP_CUTOFF; rank 0, a repeated rank, a gap and a rank
-    past the cutoff are rejected with path:lineno.
+    As write_results_file writes them, each query's ranks must run 1, 2, 3, ... in file order, up to
+    TSAP_CUTOFF, and each score is an integer in plain digits; rank 0, a repeated rank, a gap, a rank
+    past the cutoff and a malformed score are rejected with path:lineno.
     """
     ranked: dict[str, list[str]] = {}
-    for lineno, (query_id, rank_s, doc_id, _) in _rows(path, 4, "queryId, rank, docId, score"):
+    for lineno, (query_id, rank_s, doc_id, score_s) in _rows(path, 4, "queryId, rank, docId, score"):
         rank = _parse_written_int(rank_s, "rank", f"{path}:{lineno}")
+        _parse_written_int(score_s, "score", f"{path}:{lineno}")
         docs = ranked.setdefault(query_id, [])
         if rank != len(docs) + 1:
             problem = "twice" if 1 <= rank <= len(docs) else f"where rank {len(docs) + 1} is due"
@@ -337,6 +334,16 @@ def read_results_file(path: str | Path) -> dict[str, list[str]]:
 # ---------------------------------------------------------------------------
 # benchmark runner: pruned vs whole-index search with monotonic timing
 
+def _best_ms(fn, *args) -> float:
+    """The fastest of BENCHMARK_REPEATS back-to-back calls of fn(*args), in ms."""
+    best = math.inf
+    for _ in range(BENCHMARK_REPEATS):
+        start = time.perf_counter_ns()
+        fn(*args)
+        best = min(best, time.perf_counter_ns() - start)
+    return best / 1e6
+
+
 def run_benchmark(
     queries: list[tuple[str, str]],
     clusters: ClusterSet,
@@ -347,33 +354,23 @@ def run_benchmark(
 ) -> tuple[dict[str, SearchResult], list[SearchTiming]]:
     """Search every benchmark query both pruned and unpruned.
 
-    Each path is timed as the best of BENCHMARK_REPEATS monotonic-clock runs.
+    Each query is pruned and searched once, untimed, for its result. Then the
+    pruned search, the full search and prune are each timed by _best_ms in a
+    pass of their own, not interleaved with the other two.
     """
     full_ids = range(clusters.k_used)
     results: dict[str, SearchResult] = {}
     timings: list[SearchTiming] = []
     for query_id, text in queries:
         tokens = encrypt_query(codec, text)
-        pruned_best = math.inf
-        full_best = math.inf
-        prune_best = math.inf
-        for _ in range(BENCHMARK_REPEATS):
-            start = time.perf_counter_ns()
-            selected = prune(tokens, abstracts, prune_width)
-            prune_best = min(prune_best, time.perf_counter_ns() - start)
-            start = time.perf_counter_ns()
-            result = search(tokens, clusters, selected, cutoff)
-            pruned_best = min(pruned_best, time.perf_counter_ns() - start)
-            start = time.perf_counter_ns()
-            search(tokens, clusters, full_ids, cutoff)
-            full_best = min(full_best, time.perf_counter_ns() - start)
-        results[query_id] = result
+        selected = prune(tokens, abstracts, prune_width)
+        results[query_id] = search(tokens, clusters, selected, cutoff)
         timings.append(
             SearchTiming(
                 query=query_id,
-                pruned_ms=pruned_best / 1e6,
-                full_ms=full_best / 1e6,
-                prune_ms=prune_best / 1e6,
+                pruned_ms=_best_ms(search, tokens, clusters, selected, cutoff),
+                full_ms=_best_ms(search, tokens, clusters, full_ids, cutoff),
+                prune_ms=_best_ms(prune, tokens, abstracts, prune_width),
                 clusters_searched=len(selected),
             )
         )

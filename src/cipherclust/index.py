@@ -362,11 +362,13 @@ def read_index(path: str | Path) -> CentralIndex:
     written as write_index writes an integer >= 1 (ASCII digits, no sign,
     separator, space or leading zero), a token on two lines and a document
     listed twice for one token; and, naming the path, a file of no token.
+    Every posting map holds one string per document id, the first one read.
     One regex match checks the posting field, so the per-posting loop only
     splits and converts; a line that fails a check is diagnosed by
     _posting_fault.
     """
     entries: dict[CipherToken, dict[str, int]] = {}
+    docs: dict[str, str] = {}
     for lineno, line in data_lines(path):
         try:
             token_s, rest = line.split("\t", 1)
@@ -381,7 +383,7 @@ def read_index(path: str | Path) -> CentralIndex:
         by_doc: dict[str, int] = {}
         for item in items:
             doc_id, _, freq_s = item.partition(":")
-            by_doc[doc_id] = int(freq_s)
+            by_doc[docs.setdefault(doc_id, doc_id)] = int(freq_s)
         if len(by_doc) != len(items):
             raise IndexDataError(f"{path}:{lineno}: {_posting_fault(items)}")
         entries[token] = in_doc_order(by_doc)

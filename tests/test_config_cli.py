@@ -1008,6 +1008,30 @@ class TestEvaluateCommands:
         scores = {row["query"]: row["score"] for row in report["tsap_per_query"]}
         assert scores["q01"] == pytest.approx(0.1)  # doc01 graded 2 at rank 1, doc08 unjudged
 
+    def test_tsap_scores_a_judged_query_that_found_nothing(self, tmp_path, pipeline_dir, judgments_path, capsys):
+        # no document holds q99's words, so evaluate search writes no row for it; a report without
+        # it would average over the queries that found something only
+        from cipherclust.evaluation import load_judgments, read_results_file, tsap_at_10
+
+        queries, judgments, results = tmp_path / "queries.tsv", tmp_path / "judgments.tsv", tmp_path / "results.tsv"
+        queries.write_text("q01\trouter bandwidth\nq99\tzzzz qqqq\n")
+        q01 = [line for line in judgments_path.read_text().splitlines() if line.startswith("q01\t")]
+        judgments.write_text("\n".join(["q99\tdoc01\t2", "q98\tdoc02\t1", *q01]) + "\n")
+        assert main(["evaluate", "search", "--queries", str(queries), "--identity",
+                     "--clusters", str(pipeline_dir / "clusters.jsonl"),
+                     "--abstracts", str(pipeline_dir / "abstracts.jsonl"), "--results", str(results),
+                     "--out", str(tmp_path / "timings.json")]) == 0
+        ranked = read_results_file(results)
+        assert list(ranked) == ["q01"]
+        assert main(["evaluate", "tsap", "--results", str(results), "--judgments", str(judgments)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        q01_score = tsap_at_10(ranked["q01"], load_judgments(judgments), "q01")
+        assert q01_score > 0
+        # results order first, then the judged-only queries in judgments order, each scoring 0.0
+        assert report["tsap_per_query"] == [
+            {"query": "q01", "score": q01_score}, {"query": "q99", "score": 0.0}, {"query": "q98", "score": 0.0},
+        ]
+
 
     @staticmethod
     def _evaluate_search(tmp_path, clusters, abstracts, *extra):

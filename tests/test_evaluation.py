@@ -1,3 +1,4 @@
+import random
 import re
 import tracemalloc
 from dataclasses import asdict
@@ -8,6 +9,7 @@ import pytest
 from cipherclust.cli import _emit
 from cipherclust.clustering import ClusteringError, cluster_index, write_clusters
 from cipherclust.evaluation import (
+    BENCHMARK_REPEATS,
     EvaluationError,
     EvaluationReport,
     cluster_coherence,
@@ -21,10 +23,10 @@ from cipherclust.evaluation import (
     tsap_at_10,
     write_results_file,
 )
-from cipherclust.crypto import IdentityTokenCodec
+from cipherclust.crypto import IdentityTokenCodec, encrypt_query
 from cipherclust.evaluation import EmbeddingTable
 from cipherclust.index import build_index_from_corpus, ingest
-from cipherclust.search import SearchResult, build_abstracts
+from cipherclust.search import SearchResult, build_abstracts, prune, search
 
 
 H10 = sum(1.0 / i for i in range(1, 11))
@@ -80,41 +82,48 @@ class TestLoadEmbeddings:
 class TestClusterCoherence:
     def test_identical_words(self):
         table = table_from({"net": [1.0, 0.0]})
-        assert cluster_coherence(["net", "net"], table) == pytest.approx(1.0)
+        coherence, embeddable = cluster_coherence(["net", "net"], table)
+        assert (coherence, embeddable) == (pytest.approx(1.0), 2)
 
     def test_orthogonal_pair(self):
         table = table_from({"a": [1.0, 0.0], "b": [0.0, 1.0]})
-        assert cluster_coherence(["a", "b"], table) == pytest.approx(0.0, abs=1e-12)
+        coherence, embeddable = cluster_coherence(["a", "b"], table)
+        assert (coherence, embeddable) == (pytest.approx(0.0, abs=1e-12), 2)
 
     def test_mean_of_three_pairwise_cosines(self):
         # three unit vectors with pairwise cosines exactly 0.2, 0.4, 0.6
         gram = np.array([[1.0, 0.2, 0.4], [0.2, 1.0, 0.6], [0.4, 0.6, 1.0]])
         vecs = np.linalg.cholesky(gram)
         table = table_from({"a": vecs[0], "b": vecs[1], "c": vecs[2]})
-        assert cluster_coherence(["a", "b", "c"], table) == pytest.approx(0.4, abs=1e-9)
+        coherence, embeddable = cluster_coherence(["a", "b", "c"], table)
+        assert (coherence, embeddable) == (pytest.approx(0.4, abs=1e-9), 3)
 
     def test_oov_words_skipped(self):
         table = table_from({"a": [1.0, 0.0], "b": [1.0, 0.0]})
-        assert cluster_coherence(["a", "b", "notthere"], table) == pytest.approx(1.0)
+        coherence, embeddable = cluster_coherence(["a", "b", "notthere"], table)
+        assert (coherence, embeddable) == (pytest.approx(1.0), 2)
 
     def test_fewer_than_two_embeddable_is_unscorable(self):
-        table = table_from({"a": [1.0, 0.0]})
-        assert cluster_coherence(["a", "x"], table) is None
-        assert cluster_coherence(["x", "y"], table) is None
+        table = table_from({"a": [1.0, 0.0], "z": [0.0, 0.0]})
+        assert cluster_coherence(["a", "x"], table) == (None, 1)
+        assert cluster_coherence(["x", "y"], table) == (None, 0)
+        assert cluster_coherence(["a", "z"], table) == (None, 1)  # a zero vector is not embeddable
 
     def test_bounded(self):
         rng = np.random.default_rng(1)
         table = table_from({f"w{i}": rng.normal(size=5).tolist() for i in range(12)})
-        got = cluster_coherence([f"w{i}" for i in range(12)], table)
+        got, embeddable = cluster_coherence([f"w{i}" for i in range(12)], table)
         assert -1.0 - 1e-9 <= got <= 1.0 + 1e-9
+        assert embeddable == 12
 
     def test_matches_pairwise_loop_in_linear_memory(self):
         rng = np.random.default_rng(5)
         small = table_from({f"w{i}": rng.normal(size=6).tolist() for i in range(9)})
         unit = [v / np.linalg.norm(v) for v in small.vectors.values()]
         pairs = [float(unit[i] @ unit[j]) for i in range(9) for j in range(i + 1, 9)]
-        got = cluster_coherence(list(small.vectors), small)
+        got, embeddable = cluster_coherence(list(small.vectors), small)
         assert got == pytest.approx(sum(pairs) / len(pairs), rel=0, abs=1e-12)
+        assert embeddable == 9
 
         # an n x n Gram matrix over these would need 512 MB
         big = table_from({f"w{i}": v for i, v in enumerate(rng.normal(size=(8000, 8)).tolist())})
@@ -140,6 +149,16 @@ class TestCoherenceReport:
         for entry in report.per_cluster:
             size = len(clusters.clusters[entry.cluster].tokens)
             assert entry.embeddable_tokens + entry.skipped_tokens == size
+
+    def test_a_zero_vector_word_is_counted_as_skipped(self):
+        # a word the table holds with a zero vector has no direction, so coherence skips it
+        # and the counts say so: embeddable + skipped is still the cluster's size
+        table = table_from({"a": [1.0, 0.0], "b": [0.0, 0.0], "c": [0.0, 1.0]})
+        for members, coherence, embeddable in (([b"a", b"b", b"c"], 0.0, 2), ([b"a", b"b"], None, 1)):
+            clusters, _ = cluster_index(ingest([("d1", [(t, 1) for t in members])]), k=1)
+            (entry,) = coherence_report(clusters, table).per_cluster
+            assert (entry.coherence, entry.embeddable_tokens, entry.skipped_tokens) == (
+                coherence, embeddable, len(members) - embeddable)
 
     def test_ciphertext_clusters_rejected(self, embeddings_path):
         idx = ingest([("d1", [(b"\xff\xfe", 3), (b"\xaa\xbb", 2)])])
@@ -325,6 +344,13 @@ class TestFilesAndBenchmark:
         with pytest.raises(EvaluationError, match=re.escape(f"{path}:2: rank '2.0' is not an integer")):
             read_results_file(path)
 
+    @pytest.mark.parametrize("score", ["banana", "-7", "4.0", "07", ""])
+    def test_malformed_score_rejected(self, tmp_path, score):
+        path = tmp_path / "results.tsv"
+        path.write_text(f"q1\t1\td2\t9\nq1\t2\td1\t{score}\n")
+        with pytest.raises(EvaluationError, match=re.escape(f"{path}:2: score {score!r} is not an integer")):
+            read_results_file(path)
+
     def test_repeated_rank_rejected(self, tmp_path):
         path = tmp_path / "results.tsv"
         path.write_text("q1\t1\td2\t9\nq2\t1\td2\t9\nq1\t1\td1\t3\n")
@@ -399,3 +425,52 @@ class TestFilesAndBenchmark:
             assert 1 <= timing.clusters_searched <= clusters.k_used
         for result in results.values():
             assert len(result.ranked) <= 10
+
+    def test_run_benchmark_times_each_path_in_its_own_pass(self, monkeypatch, mini_corpus_dir, queries_path):
+        # a fake clock that only search and prune advance, each call by its own amount: each timing
+        # must be the least of BENCHMARK_REPEATS back-to-back calls of its path alone
+        import cipherclust.evaluation as evaluation
+
+        index = build_index_from_corpus(mini_corpus_dir, IdentityTokenCodec(), n=20)
+        clusters, _ = cluster_index(index, k="auto")
+        abstracts = build_abstracts(clusters, a=100)
+        queries = load_queries(queries_path)
+        rng, clock, events = random.Random(3), [0], []
+
+        def counted(name, fn):
+            def call(*args):
+                cost = rng.randrange(1, 10**6)
+                clock[0] += cost
+                events.append((name, args, cost))
+                return fn(*args)
+            return call
+
+        def perf_counter_ns():
+            events.append("clock")
+            return clock[0]
+
+        monkeypatch.setattr(evaluation, "search", counted("search", search))
+        monkeypatch.setattr(evaluation, "prune", counted("prune", prune))
+        monkeypatch.setattr(evaluation.time, "perf_counter_ns", perf_counter_ns)
+        results, timings = run_benchmark(queries, clusters, abstracts, IdentityTokenCodec(), prune_width=3, cutoff=10)
+        monkeypatch.undo()
+
+        n = BENCHMARK_REPEATS
+        per_query = 2 + 3 * 3 * n  # prune and search untimed, then clock, call, clock n times per path
+        assert len(events) == len(queries) * per_query
+        assert list(results) == [q for q, _ in queries]
+        for (query_id, text), timing, at in zip(queries, timings, range(0, len(events), per_query), strict=True):
+            tokens = encrypt_query(IdentityTokenCodec(), text)
+            selected = prune(tokens, abstracts, 3)
+            assert results[query_id] == search(tokens, clusters, selected, 10)
+            assert (timing.query, timing.clusters_searched) == (query_id, len(selected))
+            pruned, full = (tokens, clusters, selected, 10), (tokens, clusters, range(clusters.k_used), 10)
+            prune_args = (tokens, abstracts, 3)
+            assert [event[:2] for event in events[at:at + 2]] == [("prune", prune_args), ("search", pruned)]
+            paths = ((timing.pruned_ms, "search", pruned), (timing.full_ms, "search", full),
+                     (timing.prune_ms, "prune", prune_args))
+            for i, (ms, name, args) in enumerate(paths):
+                runs = events[at + 2 + 3 * n * i:at + 2 + 3 * n * (i + 1)]
+                assert runs[0::3] == runs[2::3] == ["clock"] * n
+                assert [event[:2] for event in runs[1::3]] == [(name, args)] * n
+                assert ms == min(event[2] for event in runs[1::3]) / 1e6

@@ -289,6 +289,18 @@ class TestIndexFile:
         again = read_index(path)
         assert posting_tuples(again) == posting_tuples(example_index)
 
+    def test_read_index_holds_one_string_per_document(self, tmp_path, mini_corpus_dir):
+        index = build_index_from_corpus(mini_corpus_dir, IdentityTokenCodec(), n=20)
+        path = tmp_path / "index.tsv"
+        write_index(index, path)
+        loaded = read_index(path)
+        assert loaded == index
+        # one string per document, shared by every line's map
+        shared: dict[str, str] = {}
+        entries = loaded.entries.values()
+        assert all(shared.setdefault(doc, doc) is doc for by_doc in entries for doc in by_doc)
+        assert len(shared) < sum(map(len, entries))
+
     def test_tokens_sorted_by_ciphertext_bytes(self, tmp_path):
         idx = ingest([("d1", [(b"\x01", 1), (b"zz", 2), (b"+a", 3)])])
         path = tmp_path / "index.tsv"
