@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -217,7 +218,7 @@ def _distribute(
     centers: list[CipherToken],
     k_requested: int | None,
 ) -> ClusterSet:
-    """distribute, given the index's tokens in byte order and their frequency matrix."""
+    """distribute, given the index's tokens in byte order (a row is found by bisection) and their frequency matrix."""
     if not centers:
         raise ClusteringError("at least one center is required")
     if len(set(centers)) != len(centers):
@@ -264,7 +265,7 @@ def cooccurring_pairs(freq: FrequencyMatrix, center_freq: FrequencyMatrix) -> tu
 
 
 def _assign(tokens: list[CipherToken], freq: FrequencyMatrix, center_list: list[CipherToken]) -> list[list[int]]:
-    """distribute's scoring: per center (byte order), the rows in `tokens` it wins, ascending."""
+    """distribute's scoring: per center (byte order), the rows it wins, ascending; bisects the byte-ordered tokens."""
     import numpy as np
 
     n_centers, n_docs = len(center_list), freq.n_docs
@@ -272,8 +273,7 @@ def _assign(tokens: list[CipherToken], freq: FrequencyMatrix, center_list: list[
     totals = np.bincount(freq.row_of(), weights=freq.data, minlength=freq.n_rows)
     lengths = np.diff(freq.indptr)
 
-    token_pos = {t: i for i, t in enumerate(tokens)}
-    center_rows = np.array([token_pos[c] for c in center_list], dtype=np.int64)
+    center_rows = np.array([bisect_left(tokens, c) for c in center_list], dtype=np.int64)
     center_freq = freq.rows(center_rows)
     center_totals = totals[center_rows]
     # ascending center * n_docs + doc keys of the centers' postings, for f_c lookups
@@ -346,19 +346,18 @@ def _assign(tokens: list[CipherToken], freq: FrequencyMatrix, center_list: list[
 def cluster_index(index: CentralIndex, k: int | str = "auto") -> tuple[ClusterSet, KEstimate]:
     """Full clustering pass: trim, diag(C), pick centers, distribute.
 
-    The frequency matrix is built once, over every token: diag(C) reads the
-    kept tokens' rows and distribute all of them. k may be a positive
-    integer or "auto" to use the trace estimate. The estimate is returned
-    for a fixed k too; the cluster set's k_requested is the k actually
-    targeted.
+    The frequency matrix is built once, over every token in byte order:
+    diag(C) reads the kept tokens' rows, found by bisection since trim keeps
+    byte order, and distribute all of them. k may be a positive integer or
+    "auto" to use the trace estimate. The estimate is returned for a fixed k
+    too; the cluster set's k_requested is the k actually targeted.
     """
     from .matrices import estimate_k_from_diagonal, frequency_matrix, separation_diagonal
 
     tokens = index.tokens()
     freq = frequency_matrix(index, tokens)
     kept = trim(index).kept
-    kept_set = set(kept)
-    kept_freq = freq.rows([i for i, token in enumerate(tokens) if token in kept_set])
+    kept_freq = freq.rows([bisect_left(tokens, token) for token in kept])
     diag = separation_diagonal(kept_freq)
     estimate = estimate_k_from_diagonal(diag)
     k_target = estimate.k if k == "auto" else int(k)

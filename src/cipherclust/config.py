@@ -31,7 +31,7 @@ def _check(name: str, value, where: str = "") -> None:
     if name == "codec":
         valid = value in ("keyed", "identity")
     else:
-        valid = name == "k_mode" and value == "auto" or isinstance(value, int) and value >= 1
+        valid = name == "k_mode" and value == "auto" or type(value) is int and value >= 1
     if not valid:
         raise ConfigError(f"{where}{name} must be {_WANTED[name]}, got {value!r}")
 
@@ -45,10 +45,10 @@ class PipelineConfig:
     k_mode: int | str = "auto"
     codec: str = "keyed"
 
-    def validate(self) -> "PipelineConfig":
+    def __post_init__(self):
+        # construction and every dataclasses.replace check each field, so no config holds an invalid value
         for name in _WANTED:
             _check(name, getattr(self, name))
-        return self
 
 
 def coerce(name: str, raw: str, where: str):
@@ -96,4 +96,4 @@ def load_config(explicit_path: str | None = None, overrides: dict | None = None)
         config = replace(config, **parse_config_file(path))
     if overrides:
         config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    return config.validate()
+    return config

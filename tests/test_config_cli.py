@@ -3,6 +3,7 @@ import json
 import re
 import shutil
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,13 +24,24 @@ BAD_FILE_LINES = [
 
 class TestConfig:
     def test_defaults(self):
-        config = PipelineConfig().validate()
+        config = PipelineConfig()
         assert config.keywords_per_doc == 20
         assert config.abstract_size == 100
         assert config.prune_width == 3
         assert config.cutoff == 10
         assert config.k_mode == "auto"
         assert config.codec == "keyed"
+
+    @pytest.mark.parametrize("name, value, wanted", [
+        ("cutoff", 0, "a positive integer"), ("cutoff", True, "a positive integer"),
+        ("codec", "rsa", "'keyed' or 'identity'"), ("k_mode", "AUTO", "'auto' or a positive integer"),
+    ])
+    def test_an_invalid_value_is_refused_at_construction(self, name, value, wanted):
+        message = f"^{name} must be {re.escape(wanted)}, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig(**{name: value})
+        with pytest.raises(ConfigError, match=message):
+            replace(PipelineConfig(), **{name: value})
 
     def test_file_parsing(self, tmp_path):
         path = tmp_path / "conf"
@@ -523,7 +535,7 @@ class TestStageCommands:
         from cipherclust.index import IndexDataError, read_index
 
         index_path, clusters_path = pipeline_dir / "index.tsv", pipeline_dir / "clusters.jsonl"
-        index, config = read_index(index_path), PipelineConfig().validate()
+        index, config = read_index(index_path), PipelineConfig()
         _validate_artifacts(index, index_path, clusters_path, pipeline_dir / "abstracts.jsonl", config)
         lines = (pipeline_dir / "abstracts.jsonl").read_text().splitlines()
         first = json.loads(lines[0])
@@ -542,7 +554,7 @@ class TestStageCommands:
         assert main(["pipeline", "--corpus", str(mini_corpus_dir), "--identity", "--out", str(run),
                      "--abstract-size", "1"]) == 0
         index_path, abstracts_path = run / "index.tsv", run / "abstracts.jsonl"
-        index, config = read_index(index_path), PipelineConfig(abstract_size=1).validate()
+        index, config = read_index(index_path), PipelineConfig(abstract_size=1)
         listed = {t for line in abstracts_path.read_text().splitlines() for t, _ in json.loads(line)["entries"]}
         lines = [json.loads(line) for line in (run / "clusters.jsonl").read_text().splitlines()]
         entry = next(e for line in lines for e in line["tokens"] if e["t"] not in listed)
@@ -640,6 +652,52 @@ class TestNothingToIndex:
         assert not out.exists()
 
 
+class TestInputDiagnostics:
+    """Each malformed input below is refused through the CLI with its exact message, naming the file at fault."""
+
+    @staticmethod
+    def _refused(capsys, *argv) -> dict:
+        assert main([str(arg) for arg in argv]) == 1
+        return json.loads(capsys.readouterr().err.splitlines()[-1])
+
+    def test_a_keyword_line_without_a_tab(self, tmp_path, capsys):
+        keywords, out = tmp_path / "kw.tsv", tmp_path / "out"
+        keywords.write_text("d1 router:1\n")
+        assert self._refused(capsys, "pipeline", "--keywords", keywords, "--identity", "--out", out) == {
+            "error": "IndexDataError", "message": f"{keywords}:1: expected `docId<TAB>term:freq,...`"}
+        assert not out.exists()
+
+    def test_a_corpus_of_no_txt_document(self, tmp_path, capsys):
+        corpus, out = tmp_path / "corpus", tmp_path / "out"
+        corpus.mkdir()
+        (corpus / "d1.md").write_text("router bandwidth\n")
+        assert self._refused(capsys, "pipeline", "--corpus", corpus, "--identity", "--out", out) == {
+            "error": "IndexDataError", "message": f"no .txt documents found in {corpus}"}
+        assert not out.exists()
+
+    def test_a_key_file_of_64_characters_not_hex(self, tmp_path, mini_corpus_dir, capsys):
+        key, out = tmp_path / "bad.key", tmp_path / "out"
+        key.write_text("g" * 64 + "\n")
+        assert self._refused(capsys, "pipeline", "--corpus", mini_corpus_dir, "--key", key, "--out", out) == {
+            "error": "CryptoError", "message": f"key file {key} must hold 32 raw bytes or 64 hex characters"}
+        assert not out.exists()
+
+    def test_conflicting_judgments(self, tmp_path, capsys):
+        results, judgments = tmp_path / "results.tsv", tmp_path / "judgments.tsv"
+        results.write_text("q1\t1\td1\t5\n")
+        judgments.write_text("q1\td1\t2\nq1\td1\t1\n")
+        assert self._refused(capsys, "evaluate", "tsap", "--results", results, "--judgments", judgments) == {
+            "error": "EvaluationError", "message": f"{judgments}:2: conflicting grades for ('q1', 'd1')"}
+
+    def test_an_embeddings_first_line_of_no_component(self, tmp_path, pipeline_dir, capsys):
+        embeddings, out = tmp_path / "embeddings.txt", tmp_path / "coherence.json"
+        embeddings.write_text("router\nbandwidth 1.0 0.0\n")
+        assert self._refused(capsys, "evaluate", "coherence", "--clusters", pipeline_dir / "clusters.jsonl",
+                             "--embeddings", embeddings, "--out", out) == {
+            "error": "EvaluationError", "message": f"{embeddings}:1: vector has no components"}
+        assert not out.exists()
+
+
 class TestIntegerFlags:
     """An integer flag is read by its config field's rule and a fault names the flag, as a file names path:lineno."""
 
@@ -693,7 +751,7 @@ class TestValidateArtifacts:
     def _built(pipeline_dir):
         from cipherclust.index import read_index
 
-        return read_index(pipeline_dir / "index.tsv"), PipelineConfig().validate()
+        return read_index(pipeline_dir / "index.tsv"), PipelineConfig()
 
     @staticmethod
     def _rewrite(src, dst, edit):
@@ -811,9 +869,9 @@ class TestValidateArtifacts:
         largest = max(Counter(read_abstracts(abstracts_path).cluster.values()).values())
         assert largest > 1
         paths = (pipeline_dir / "index.tsv", pipeline_dir / "clusters.jsonl", abstracts_path)
-        _validate_artifacts(index, *paths, PipelineConfig(abstract_size=largest).validate())
+        _validate_artifacts(index, *paths, PipelineConfig(abstract_size=largest))
         with pytest.raises(CLIError, match="^abstract exceeds the configured size$"):
-            _validate_artifacts(index, *paths, PipelineConfig(abstract_size=largest - 1).validate())
+            _validate_artifacts(index, *paths, PipelineConfig(abstract_size=largest - 1))
 
     @pytest.mark.parametrize("name, fault", [("index.tsv", "the index holds no token"),
                                              ("clusters.jsonl", "the clusters file holds no cluster")])

@@ -175,7 +175,7 @@ class TestPostingMapsAreReadOnly:
     """Posting maps are plain dicts, so nothing downstream of a builder may change one."""
 
     def test_no_stage_changes_a_posting_map(self, tmp_path, mini_corpus_dir):
-        config = PipelineConfig().validate()
+        config = PipelineConfig()
         index = build_index_from_corpus(mini_corpus_dir, IdentityTokenCodec(), config.keywords_per_doc)
         built, _ = cluster_index(index)
         paths = [tmp_path / name for name in ("index.tsv", "clusters.jsonl", "abstracts.jsonl")]
