@@ -15,9 +15,9 @@ evolves): it walks the kept tokens' rows against a covered-document mask and
 reads only C's diagonal, computed from those rows without forming C.
 Distribution is batched over all rows: it scores the token-center pairs that
 share a document, plus the few disjoint centers that can still win or tie,
-so its cost follows co-occurrence rather than tokens x centers. Clustering
-runs on numpy alone; the scipy chain of `matrices.matrix_pipeline` is only
-an input `choose_centers` accepts.
+into one running winner per token, so its cost follows co-occurrence, not
+tokens x centers. Clustering runs on numpy alone; the scipy chain of
+`matrices.matrix_pipeline` is only an input `choose_centers` accepts.
 
 numpy and the matrices module are imported by the functions that compute
 with them, so reading and writing clusters files (the search path) loads
@@ -218,7 +218,7 @@ def _distribute(
     centers: list[CipherToken],
     k_requested: int | None,
 ) -> ClusterSet:
-    """distribute, given the index's tokens in byte order (a row is found by bisection) and their frequency matrix."""
+    """distribute given byte-ordered tokens and their frequency matrix: a cluster is its center's rows, ascending."""
     if not centers:
         raise ClusteringError("at least one center is required")
     if len(set(centers)) != len(centers):
@@ -229,7 +229,7 @@ def _distribute(
 
     center_list = sorted(centers)
     clusters = tuple(
-        Cluster(center=c, tokens=tuple(sorted([c] + [tokens[i] for i in rows])))
+        Cluster(center=c, tokens=tuple(map(tokens.__getitem__, rows)))
         for c, rows in zip(center_list, _assign(tokens, freq, center_list))
     )
     return ClusterSet(clusters=clusters, index=index, k_requested=k_requested or len(centers))
@@ -265,7 +265,7 @@ def cooccurring_pairs(freq: FrequencyMatrix, center_freq: FrequencyMatrix) -> tu
 
 
 def _assign(tokens: list[CipherToken], freq: FrequencyMatrix, center_list: list[CipherToken]) -> list[list[int]]:
-    """distribute's scoring: per center (byte order), the rows it wins, ascending; bisects the byte-ordered tokens."""
+    """distribute's scoring, a running winner per row: per center (byte order), the rows it wins, its own among them."""
     import numpy as np
 
     n_centers, n_docs = len(center_list), freq.n_docs
@@ -307,13 +307,18 @@ def _assign(tokens: list[CipherToken], freq: FrequencyMatrix, center_list: list[
                 out[rows] = np.sum(np.sort(terms, axis=1), axis=1)
         return out
 
-    # co-occurring pairs of the non-center tokens, scored exactly
+    # co-occurring pairs of the non-center tokens, scored exactly; per row, the best score so far and
+    # the center index that won it (a center wins its own row), ties to the smaller index (= ciphertext)
     co_tok, co_cen = cooccurring_pairs(freq, center_freq)
     keep = ~is_center[co_tok]
     co_tok, co_cen = co_tok[keep], co_cen[keep]
-    pair_tok, pair_cen, pair_score = [co_tok], [co_cen], [score(co_tok, co_cen, shared=True)]
+    co_score = score(co_tok, co_cen, shared=True)
     best = np.full(len(tokens), -np.inf)
-    np.maximum.at(best, co_tok, pair_score[0])
+    np.maximum.at(best, co_tok, co_score)
+    won = np.full(len(tokens), n_centers)
+    won[center_rows] = np.arange(n_centers)
+    hit = co_score == best[co_tok]
+    np.minimum.at(won, co_tok[hit], co_cen[hit])
 
     # T_c levels in ascending order, each led by its smallest center index
     # (= ciphertext); score the leader as if disjoint while that reaches the best
@@ -324,22 +329,16 @@ def _assign(tokens: list[CipherToken], freq: FrequencyMatrix, center_list: list[
     for leader in leaders:
         if not len(tok):
             break
-        cen = np.full(len(tok), leader)
-        s = score(tok, cen, shared=False)
-        pair_tok.append(tok)
-        pair_cen.append(cen)
-        pair_score.append(s)
-        reached = s >= best[tok]
-        best[tok] = np.maximum(best[tok], s)
-        tok = tok[reached]
+        s = score(tok, np.full(len(tok), leader), shared=False)
+        held = best[tok]
+        take = (s > held) | ((s == held) & (leader < won[tok]))
+        best[tok[take]], won[tok[take]] = s[take], leader
+        tok = tok[s >= held]
 
-    # per token the best score wins, ties to the smaller center index (= ciphertext)
-    pair_tok, pair_cen, pair_score = (np.concatenate(a) for a in (pair_tok, pair_cen, pair_score))
-    order = np.lexsort((pair_cen, -pair_score, pair_tok))
-    won = order[np.diff(pair_tok[order], prepend=-1) != 0]
-    by_center = won[np.argsort(pair_cen[won], kind="stable")]
-    split = np.searchsorted(pair_cen[by_center], np.arange(n_centers + 1))
-    members = pair_tok[by_center].tolist()
+    # every row is won, so a stable sort by winner splits the rows, ascending, by center
+    by_center = np.argsort(won, kind="stable")
+    split = np.searchsorted(won[by_center], np.arange(n_centers + 1))
+    members = by_center.tolist()
     return [members[split[j]:split[j + 1]] for j in range(n_centers)]
 
 

@@ -27,7 +27,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import filterfalse, islice
+from itertools import compress, filterfalse, islice
 from operator import attrgetter, itemgetter, lt
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -89,7 +89,7 @@ class CentralIndex:
 
 @dataclass(frozen=True)
 class TrimmedIndex:
-    """The tokens of an index that reach its mean document co-occurrence.
+    """The tokens of an index that reach its mean document co-occurrence, in byte order (readers do not re-sort).
 
     Only `kept` tokens enter matrix construction and center selection; the
     others rejoin at distribution time.
@@ -184,9 +184,9 @@ def trim(index: CentralIndex) -> TrimmedIndex:
     if index.token_count == 0:
         raise IndexDataError("cannot trim an empty index")
     tokens = index.tokens()
-    counts = {t: len(index.entries[t]) for t in tokens}
-    mean = sum(counts.values()) / len(tokens)
-    return TrimmedIndex(index=index, kept=tuple(t for t in tokens if counts[t] >= mean))
+    counts = [len(index.entries[t]) for t in tokens]
+    mean = sum(counts) / len(counts)
+    return TrimmedIndex(index=index, kept=tuple(compress(tokens, [n >= mean for n in counts])))
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ def matrix_pipeline(trimmed: TrimmedIndex) -> dict[str, LabeledMatrix]:
 
     if not trimmed.kept:
         raise MatrixError("trimmed index has no kept tokens")
-    tokens = tuple(sorted(trimmed.kept))
+    tokens = trimmed.kept
     docs = tuple(trimmed.index.docs)
     a = frequency_matrix(trimmed.index, tokens)
     shape = (len(tokens), len(docs))

@@ -340,12 +340,11 @@ class TestDistributeAgainstDenseScorer:
         freqs, centers = case
         self.check(ingest(records_from_freqs(freqs)), centers)
 
-    def test_tie_between_different_totals_goes_to_the_smaller_ciphertext(self):
-        big = 10**15
-        idx = ingest([("d0", [(b"t", 2)]), ("d1", [(b"z", big)]), ("d2", [(b"m", big + 1)]),
-                      ("d3", [(b"a", big + 2)])])
-        # the three disjoint centers score the same although their totals
-        # differ, and the one with the largest total has the smallest bytes
+    # t ties the three disjoint centers although their totals differ; the smallest bytes have the
+    # largest total, or the smallest, so the T_c levels meet the winner last or first
+    @pytest.mark.parametrize("order", [b"zma", b"amz"], ids=["winner-last", "winner-first"])
+    def test_tie_between_different_totals_goes_to_the_smaller_ciphertext(self, order):
+        idx = ingest([("d0", [(b"t", 2)])] + [(f"d{i + 1}", [(bytes([c]), 10**15 + i)]) for i, c in enumerate(order)])
         freqs = {t: dict(postings) for t, postings in idx.entries.items()}
         assert len(set(relatedness_scores(freqs, b"t", [b"z", b"m", b"a"]).values())) == 1
         self.check(idx, [b"z", b"m", b"a"])
