@@ -8,8 +8,7 @@ defaults, then the config file (--config or CLUSTCRYPT_CONFIG), then flags.
 
 Only the numeric commands (estimate-k, cluster, evaluate coherence,
 pipeline) load numpy, through the functions they call; the others never
-do. scipy is loaded only by estimate-k --dump-matrices, the one command
-that forms the whole A -> N -> R -> S -> C chain.
+do. numpy is the one dependency.
 """
 from __future__ import annotations
 

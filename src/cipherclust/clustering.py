@@ -16,7 +16,7 @@ reads only C's diagonal, computed from those rows without forming C.
 Distribution is batched over all rows: it scores the token-center pairs that
 share a document, plus the few disjoint centers that can still win or tie,
 into one running winner per token, so its cost follows co-occurrence, not
-tokens x centers. Clustering runs on numpy alone; the scipy chain of
+tokens x centers. Clustering runs on numpy alone; the chain of
 `matrices.matrix_pipeline` is only an input `choose_centers` accepts.
 
 numpy and the matrices module are imported by the functions that compute
@@ -188,7 +188,7 @@ def distribute(index: CentralIndex, centers: list[CipherToken], k_requested: int
     least D of its own T_c, since f + f_c >= f. So:
 
     1. Every co-occurring pair is scored exactly. `cooccurring_pairs`
-       finds them through a document -> centers list.
+       finds them as the pattern of F . F_c^T, through F_c's transpose.
     2. The distinct T_c are walked in ascending order, scoring D against
        the smallest-ciphertext center of each, until D falls strictly below
        the token's best score so far. D bounds every disjoint center at that
@@ -235,38 +235,11 @@ def _distribute(
     return ClusterSet(clusters=clusters, index=index, k_requested=k_requested or len(centers))
 
 
-def cooccurring_pairs(freq: FrequencyMatrix, center_freq: FrequencyMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(row of freq, row of center_freq) of every pair of rows sharing a document.
-
-    Each posting of freq is expanded over the centers of its document, read
-    from a document -> centers list; the pair keys, sorted in place and each
-    kept where it differs from the one before (np.unique imports numpy.ma),
-    order the pairs by row of freq, then by center. The work grows with the
-    postings times the centers per document.
-    """
-    import numpy as np
-
-    n_docs, n_centers = freq.n_docs, center_freq.n_rows
-    # document -> centers list: the centers' postings ordered by document, then center
-    by_doc = np.argsort(center_freq.indices, kind="stable")
-    doc_centers = center_freq.row_of()[by_doc]
-    doc_ptr = np.zeros(n_docs + 1, dtype=np.int64)
-    np.cumsum(np.bincount(center_freq.indices, minlength=n_docs), out=doc_ptr[1:])
-
-    starts = doc_ptr[freq.indices]
-    counts = doc_ptr[freq.indices + 1] - starts
-    expanded = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
-    keys = np.repeat(freq.row_of(), counts) * n_centers + doc_centers[expanded]
-    keys.sort()
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys = keys[first]
-    return keys // n_centers, keys % n_centers
-
-
 def _assign(tokens: list[CipherToken], freq: FrequencyMatrix, center_list: list[CipherToken]) -> list[list[int]]:
     """distribute's scoring, a running winner per row: per center (byte order), the rows it wins, its own among them."""
     import numpy as np
+
+    from .matrices import cooccurring_pairs
 
     n_centers, n_docs = len(center_list), freq.n_docs
 
@@ -309,7 +282,7 @@ def _assign(tokens: list[CipherToken], freq: FrequencyMatrix, center_list: list[
 
     # co-occurring pairs of the non-center tokens, scored exactly; per row, the best score so far and
     # the center index that won it (a center wins its own row), ties to the smaller index (= ciphertext)
-    co_tok, co_cen = cooccurring_pairs(freq, center_freq)
+    co_tok, co_cen, _ = cooccurring_pairs(freq, center_freq.transpose())
     keep = ~is_center[co_tok]
     co_tok, co_cen = co_tok[keep], co_cen[keep]
     co_score = score(co_tok, co_cen, shared=True)

@@ -145,9 +145,9 @@ def ingest(records: Iterable[tuple[str, Iterable[tuple[Any, int]]]], token=bytes
     encrypt_token for terms, bytes for token records. That map is local to
     the call, so no key-derived value outlives it. When the records end, each
     key's per-document map becomes its token's posting list (see
-    in_doc_order). Rejects duplicate document ids, any (key, doc) pair given
-    two frequencies, and two keys of one token. A document with no pair is
-    checked, but holds no posting.
+    in_doc_order), freed as it is copied. Rejects duplicate document ids, any
+    (key, doc) pair given two frequencies, and two keys of one token. A
+    document with no pair is checked, but holds no posting.
     """
     seen_docs: set[str] = set()
     acc: dict[Any, dict[str, int]] = {}
@@ -169,8 +169,8 @@ def ingest(records: Iterable[tuple[str, Iterable[tuple[Any, int]]]], token=bytes
                     f"conflicting frequencies for (token={token_to_b64(token_of[key])}, doc={doc_id!r}): "
                     f"{by_doc[doc_id]} vs {freq}"
                 )
-    entries = {token_of[key]: in_doc_order(by_doc) for key, by_doc in acc.items()}
-    if len(entries) < len(acc):
+    entries = {token_of[key]: in_doc_order(acc.pop(key)) for key in list(acc)}
+    if len(entries) < len(token_of):
         [(shared, _)] = Counter(token_of.values()).most_common(1)
         raise IndexDataError(f"two keys map to the token {token_to_b64(shared)}")
     return CentralIndex(entries)

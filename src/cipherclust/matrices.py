@@ -6,12 +6,12 @@ importance per token) -> their product C, a token-to-token similarity
 matrix. The sum of C's diagonal (each token's separation factor) estimates
 how many topic clusters the index needs: k = ceil(trace).
 
-The build reads only C's diagonal, so it never forms C.
-`frequency_matrix` builds the frequency matrix as plain CSR arrays and
-`separation_diagonal` computes diag(C) from them directly, bit for bit as
-the chain computes it. The whole chain, as scipy.sparse matrices, is built
-only by `matrix_pipeline`, for `estimate-k --dump-matrices` and the tests;
-scipy is imported there and nowhere else, so the build loads numpy alone.
+Every matrix is CSR arrays (`FrequencyMatrix`) on numpy alone. The build
+reads only C's diagonal, which `separation_diagonal` computes from the
+frequency matrix, bit for bit as the chain computes it. The whole chain is
+built only by `matrix_pipeline`, for `estimate-k --dump-matrices` and the
+tests; its C comes from `cooccurring_pairs`, which also finds distribute's
+co-occurring token-center pairs.
 
 Normalizations define 0/0 as 0 so degenerate rows and columns propagate as
 zeros instead of NaNs.
@@ -19,18 +19,15 @@ zeros instead of NaNs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .crypto import CipherToken, token_to_b64
 from .index import CentralIndex, TrimmedIndex, write_lines
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 
 class MatrixError(ValueError):
@@ -43,7 +40,8 @@ class FrequencyMatrix:
 
     Row i holds the postings of the i-th token it was built from: the
     frequencies as floats in `data` and the documents' positions in the
-    index's document order, ascending, in `indices`.
+    index's document order, ascending, in `indices`. The chain's matrices
+    use the same arrays, with n_docs the column count.
     """
 
     data: np.ndarray
@@ -67,6 +65,12 @@ class FrequencyMatrix:
         np.cumsum(lengths, out=indptr[1:])
         at = np.repeat(self.indptr[rows] - indptr[:-1], lengths) + np.arange(indptr[-1])
         return FrequencyMatrix(self.data[at], self.indices[at], indptr, self.n_docs)
+
+    def transpose(self) -> FrequencyMatrix:
+        """The transposed matrix: a stable sort of the entries by column keeps each new row's columns ascending."""
+        by_col = np.argsort(self.indices, kind="stable")
+        indptr = np.searchsorted(self.indices[by_col], np.arange(self.n_docs + 1))
+        return FrequencyMatrix(self.data[by_col], self.row_of()[by_col], indptr, self.n_rows)
 
 
 def frequency_matrix(index: CentralIndex, tokens: Sequence[CipherToken]) -> FrequencyMatrix:
@@ -114,6 +118,46 @@ def separation_diagonal(a: FrequencyMatrix) -> np.ndarray:
     return diag
 
 
+# expanded entries per block of rows: bounds cooccurring_pairs' temporaries, not its results
+_PAIR_BLOCK = 1 << 16
+
+
+def cooccurring_pairs(
+    a: FrequencyMatrix, b: FrequencyMatrix, sums: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(row of a, column of b) of each nonzero of a . b, by row then column, and with sums their values.
+
+    a's columns are b's rows: documents, for b a token-document matrix
+    transposed. Each entry of a expands over b's row of its column, in
+    blocks of a's rows of at most _PAIR_BLOCK expanded entries (or one row).
+    Keys never mix between blocks, so each block's are sorted and deduplicated
+    alone (np.unique would import numpy.ma). A value adds its products by
+    np.add.at in expansion order, by ascending document from 0.0: the order
+    of the row-wise sparse product. Without sums the third array is None.
+    """
+    before = np.concatenate(([0], np.cumsum(np.diff(b.indptr)[a.indices])))  # expanded entries before each of a's
+    row_before = before[a.indptr]
+    keys, values = [], []
+    lo = 0
+    while lo < a.n_rows:
+        hi = max(lo + 1, int(np.searchsorted(row_before, row_before[lo] + _PAIR_BLOCK, side="right")) - 1)
+        at = slice(a.indptr[lo], a.indptr[hi])
+        counts = np.diff(before[a.indptr[lo]:a.indptr[hi] + 1])
+        # expanded entry e of a's entry p is b's entry e - before[p] + (b's row start at p's column)
+        q = np.arange(row_before[lo], row_before[hi]) + np.repeat(b.indptr[a.indices[at]] - before[at], counts)
+        expanded = np.repeat(np.arange(lo, hi), np.diff(row_before[lo:hi + 1])) * b.n_docs + b.indices[q]
+        block = np.sort(expanded)
+        first = np.ones(len(block), dtype=bool)
+        np.not_equal(block[1:], block[:-1], out=first[1:])
+        keys.append(block[first])
+        if sums:
+            values.append(np.zeros(len(keys[-1])))
+            np.add.at(values[-1], np.searchsorted(keys[-1], expanded), np.repeat(a.data[at], counts) * b.data[q])
+        lo = hi
+    pairs = np.concatenate(keys)
+    return pairs // b.n_docs, pairs % b.n_docs, np.concatenate(values) if sums else None
+
+
 @dataclass(frozen=True)
 class KEstimate:
     k: int
@@ -129,7 +173,7 @@ def estimate_k_from_diagonal(diag: np.ndarray) -> KEstimate:
 
 
 # ---------------------------------------------------------------------------
-# the A -> N -> R -> S -> C chain as scipy.sparse matrices
+# the A -> N -> R -> S -> C chain
 
 @dataclass(frozen=True)
 class LabeledMatrix:
@@ -142,14 +186,12 @@ class LabeledMatrix:
 
     row_labels: tuple
     col_labels: tuple
-    mat: sparse.csr_matrix
+    mat: FrequencyMatrix
 
     def __post_init__(self) -> None:
-        if self.mat.shape != (len(self.row_labels), len(self.col_labels)):
-            raise MatrixError(
-                f"shape {self.mat.shape} does not match labels "
-                f"({len(self.row_labels)}, {len(self.col_labels)})"
-            )
+        shape = (self.mat.n_rows, self.mat.n_docs)
+        if shape != (len(self.row_labels), len(self.col_labels)):
+            raise MatrixError(f"shape {shape} does not match labels ({len(self.row_labels)}, {len(self.col_labels)})")
 
 
 def matrix_pipeline(trimmed: TrimmedIndex) -> dict[str, LabeledMatrix]:
@@ -157,40 +199,37 @@ def matrix_pipeline(trimmed: TrimmedIndex) -> dict[str, LabeledMatrix]:
 
     A: raw frequencies, rows the kept tokens in byte order, columns
     index.docs (every document holding a posting, in id order). N, R and
-    S^T hold `_normalized`'s entries: N is A over its column maxima, R is N row-normalized (each
-    token's importance distribution over documents), and S is N
-    column-normalized and transposed (each document's distribution over
-    tokens; documents with no kept token give zero rows). C = R . S, kept
-    sparse.
+    S^T hold `_normalized`'s entries at A's positions: N is A over its
+    column maxima, R is N row-normalized (each token's importance
+    distribution over documents), and S is N column-normalized and
+    transposed (each document's distribution over tokens; documents with no
+    kept token give empty rows). C = R . S, each row in label order.
     """
-    from scipy import sparse
-
     if not trimmed.kept:
         raise MatrixError("trimmed index has no kept tokens")
     tokens = trimmed.kept
     docs = tuple(trimmed.index.docs)
     a = frequency_matrix(trimmed.index, tokens)
-    shape = (len(tokens), len(docs))
-
-    def at_a(values: np.ndarray) -> sparse.csr_matrix:
-        return sparse.csr_matrix((values, a.indices, a.indptr), shape=shape)
-
     n, r, s_t = _normalized(a)
-    r_mat, s_mat = at_a(r), at_a(s_t).T.tocsr()
+    r_mat, s_mat = replace(a, data=r), replace(a, data=s_t).transpose()
+    rows, cols, sums = cooccurring_pairs(r_mat, s_mat, sums=True)
+    c_mat = FrequencyMatrix(sums, cols, np.searchsorted(rows, np.arange(len(tokens) + 1)), len(tokens))
     return {
-        "A": LabeledMatrix(tokens, docs, at_a(a.data)),
-        "N": LabeledMatrix(tokens, docs, at_a(n)),
+        "A": LabeledMatrix(tokens, docs, a),
+        "N": LabeledMatrix(tokens, docs, replace(a, data=n)),
         "R": LabeledMatrix(tokens, docs, r_mat),
         "S": LabeledMatrix(docs, tokens, s_mat),
-        "C": LabeledMatrix(tokens, tokens, (r_mat @ s_mat).tocsr()),
+        "C": LabeledMatrix(tokens, tokens, c_mat),
     }
 
 
 def c_diagonal(c: LabeledMatrix) -> np.ndarray:
-    """The diagonal of the chain's C (extracted without densifying); rejects the other four."""
+    """The diagonal of the chain's C, read from its CSR arrays; rejects the other four."""
     if c.row_labels != c.col_labels:
         raise MatrixError("separation factors need the token-to-token matrix C")
-    return c.mat.diagonal()
+    row_of = c.mat.row_of()
+    on = c.mat.indices == row_of
+    return np.bincount(row_of[on], weights=c.mat.data[on], minlength=c.mat.n_rows)
 
 
 def estimate_k(c: LabeledMatrix) -> KEstimate:
@@ -204,7 +243,7 @@ def _label_str(label) -> str:
 
 def dump_matrix(matrix: LabeledMatrix, path: str | Path) -> None:
     """Debug TSV: row label, then one `col:value` field per nonzero entry."""
-    csr = matrix.mat.tocsr()
+    csr = matrix.mat
     cols = [_label_str(label) for label in matrix.col_labels]
 
     def row(i: int, label) -> str:

@@ -55,9 +55,25 @@ def posting_tuples(index) -> dict[bytes, tuple[tuple[str, int], ...]]:
     return {token: tuple(postings.items()) for token, postings in index.entries.items()}
 
 
+def dense(matrix) -> np.ndarray:
+    """A LabeledMatrix as a dense array, rows and columns in label order."""
+    m = matrix.mat
+    out = np.zeros((len(m.indptr) - 1, m.n_docs))
+    out[np.repeat(np.arange(len(m.indptr) - 1), np.diff(m.indptr)), m.indices] = m.data
+    return out
+
+
+def assert_same_csr(matrix, want) -> None:
+    """A LabeledMatrix's CSR arrays equal a scipy CSR matrix's: the shape, the keys and each value's bits."""
+    m = matrix.mat
+    assert (len(m.indptr) - 1, m.n_docs) == want.shape
+    assert np.array_equal(m.indptr, want.indptr) and np.array_equal(m.indices, want.indices)
+    assert m.data.dtype == want.data.dtype and m.data.tobytes() == want.data.tobytes()
+
+
 def entry(matrix, row_label, col_label) -> float:
     """One entry of a LabeledMatrix, addressed by its labels."""
-    return float(matrix.mat[matrix.row_labels.index(row_label), matrix.col_labels.index(col_label)])
+    return float(dense(matrix)[matrix.row_labels.index(row_label), matrix.col_labels.index(col_label)])
 
 
 @pytest.fixture

@@ -262,3 +262,27 @@ def product_pairs(freq, center_freq) -> tuple[np.ndarray, np.ndarray]:
     product = (pattern(freq) @ pattern(center_freq).T).tocoo()
     order = np.lexsort((product.col, product.row))
     return product.row[order].astype(np.int64), product.col[order].astype(np.int64)
+
+
+def scipy_chain(trimmed) -> dict:
+    """A -> N -> R -> S -> C as scipy.sparse CSR matrices by letter, C's columns sorted in each row.
+
+    N, R and S^T take `_normalized`'s entries at A's positions; S is their
+    transpose and C = R . S comes from scipy's sparse product, the
+    independent reference for the chain's transpose and product.
+    """
+    from scipy import sparse
+
+    from cipherclust.matrices import _normalized, frequency_matrix
+
+    a = frequency_matrix(trimmed.index, trimmed.kept)
+    shape = (a.n_rows, a.n_docs)
+
+    def at_a(values):
+        return sparse.csr_matrix((values, a.indices, a.indptr), shape=shape)
+
+    n, r, s_t = _normalized(a)
+    r_mat, s_mat = at_a(r), at_a(s_t).T.tocsr()
+    c = (r_mat @ s_mat).tocsr()
+    c.sort_indices()
+    return {"A": at_a(a.data), "N": at_a(n), "R": r_mat, "S": s_mat, "C": c}

@@ -29,6 +29,8 @@ from cipherclust.search import build_abstracts, prune, search
 from conftest import (
     EXAMPLE_DOCS,
     EXAMPLE_FREQS,
+    assert_same_csr,
+    dense,
     doc_sets,
     entry,
     keep_all,
@@ -41,6 +43,7 @@ from oracles import (
     assignment_matches,
     dense_pipeline,
     exact_pipeline,
+    scipy_chain,
 )
 
 EXACT_TRACE = 2.1830616958374516
@@ -110,7 +113,7 @@ def test_criterion_01_worked_example_golden():
         tokens = sorted(EXAMPLE_FREQS)
         dense_a = [[EXAMPLE_FREQS[t].get(d, 0) for d in docs] for t in tokens]
         exact_c, exact_trace = exact_pipeline(dense_a)
-        got_c = mats["C"].mat.toarray()
+        got_c = dense(mats["C"])
         for i in range(len(tokens)):
             for j in range(len(tokens)):
                 assert got_c[i][j] == pytest.approx(float(exact_c[i][j]), abs=1e-9)
@@ -132,11 +135,11 @@ def test_criterion_02_stochasticity_fuzz():
             index, _ = random_index(rng, m, d)
             mats = matrix_pipeline(trim(index))
             for name in ("R", "S", "C"):
-                sums = np.asarray(mats[name].mat.sum(axis=1)).ravel()
+                sums = dense(mats[name]).sum(axis=1)
                 nonzero = sums > 1e-12
                 assert np.allclose(sums[nonzero], 1.0, atol=1e-9), name
             c = mats["C"].mat
-            if c.nnz:
+            if c.data.size:
                 assert c.data.min() >= -1e-12 and c.data.max() <= 1 + 1e-9
             est = estimate_k(mats["C"])
             assert 1 <= est.k <= est.m
@@ -180,12 +183,14 @@ def test_criterion_04_oracle_equivalence():
         for _ in range(12):
             index, freqs = random_index(rng, int(rng.integers(2, 51)), int(rng.integers(1, 51)))
             mats = matrix_pipeline(keep_all(index))
+            want_c = scipy_chain(keep_all(index))["C"]
+            assert_same_csr(mats["C"], want_c)
             tokens = index.tokens()
             dense_a = [[float(freqs[t].get(d, 0)) for d in index.docs] for t in tokens]
             _, _, _, dense_c = dense_pipeline(dense_a)
-            assert np.allclose(mats["C"].mat.toarray(), dense_c, atol=1e-9)
+            assert np.allclose(dense(mats["C"]), dense_c, atol=1e-9)
 
-            diag = {t: float(v) for t, v in zip(mats["C"].row_labels, mats["C"].mat.diagonal())}
+            diag = {t: float(v) for t, v in zip(mats["C"].row_labels, want_c.diagonal())}
             est = estimate_k(mats["C"])
             for k in {1, est.k, len(tokens)}:
                 assert choose_centers(k, mats["C"], index) == algorithm_centers(k, diag, doc_sets(index))

@@ -17,17 +17,16 @@ from cipherclust.clustering import (
     choose_centers,
     choose_centers_from_diagonal,
     cluster_index,
-    cooccurring_pairs,
     distribute,
     read_clusters,
     write_clusters,
 )
 from cipherclust.crypto import IdentityTokenCodec
 from cipherclust.index import IndexDataError, build_index_from_corpus, ingest, trim
-from cipherclust.matrices import estimate_k, frequency_matrix, matrix_pipeline
+from cipherclust.matrices import cooccurring_pairs, estimate_k, frequency_matrix, matrix_pipeline
 
 from conftest import (
-    EXAMPLE_FREQS, doc_sets, keep_all, posting_tuples, random_index, records_from_freqs, structured_freqs,
+    EXAMPLE_FREQS, dense, doc_sets, keep_all, posting_tuples, random_index, records_from_freqs, structured_freqs,
 )
 from oracles import (
     algorithm_centers,
@@ -158,7 +157,7 @@ class TestChooseCenters:
 
     def test_worked_example_matches_transliteration(self, example_index):
         c = example_C(example_index)
-        diag = {t: float(v) for t, v in zip(c.row_labels, c.mat.diagonal())}
+        diag = {t: float(v) for t, v in zip(c.row_labels, dense(c).diagonal())}
         want = algorithm_centers(3, diag, doc_sets(example_index))
         got = choose_centers(3, c, example_index)
         assert got == want == [b"Uh5W"]  # the coverage gate admits only one
@@ -177,7 +176,7 @@ class TestChooseCenters:
         for _ in range(30):
             index, _ = random_index(rng, int(rng.integers(2, 30)), int(rng.integers(2, 15)))
             c = matrix_pipeline(keep_all(index))["C"]
-            diag = {t: float(v) for t, v in zip(c.row_labels, c.mat.diagonal())}
+            diag = {t: float(v) for t, v in zip(c.row_labels, dense(c).diagonal())}
             for k in (1, 3, index.token_count):
                 assert choose_centers(k, c, index) == algorithm_centers(k, diag, doc_sets(index))
 
@@ -361,14 +360,14 @@ class TestDistributeAgainstDenseScorer:
 
 
 class TestCooccurringPairs:
-    """The document -> centers expansion must find exactly the nonzeros of the boolean F . F_c^T."""
+    """The expansion over F_c's transpose must find exactly the nonzeros of the boolean F . F_c^T."""
 
     @staticmethod
     def check(index, centers):
         tokens = index.tokens()
         freq = frequency_matrix(index, tokens)
         center_freq = freq.rows([tokens.index(c) for c in sorted(centers)])
-        got = cooccurring_pairs(freq, center_freq)
+        got = cooccurring_pairs(freq, center_freq.transpose())
         want = product_pairs(freq, center_freq)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 

@@ -11,10 +11,12 @@ import pytest
 
 from cipherclust.cli import main
 from cipherclust.clustering import read_clusters
-from cipherclust.crypto import IdentityTokenCodec
+from cipherclust.crypto import IdentityTokenCodec, token_to_b64
 from cipherclust.evaluation import load_queries, run_benchmark, write_results_file
+from cipherclust.index import read_index, trim
 from cipherclust.search import read_abstracts
 from conftest import DATA_DIR
+from oracles import scipy_chain
 
 ARTIFACTS = ("index.tsv", "clusters.jsonl", "abstracts.jsonl", "k_report.json")
 
@@ -39,13 +41,13 @@ GOLDEN = {
     },
 }
 
-# estimate-k --dump-matrices over the keyed-auto index.tsv
+# estimate-k --dump-matrices over the keyed-auto index.tsv; each row's fields in label order
 GOLDEN_MATRICES = {
     "A.tsv": "e8d3d32e44c9ff0648b806ffb81e5660fe2c938cb2269d841a34a3c737453094",
     "N.tsv": "91f55f7f0b6ef2d0d0388449d0fd4797ad74dc4f977bcbc345f9ca83ffa5784d",
     "R.tsv": "f5fac20eb1c719e93c6458202faa174edec5cdeecfc03e50fc0425d8c42757c3",
     "S.tsv": "d7190e77a3ec9e147b361b4b88a1e82248d0f19872270d10c49986a357631086",
-    "C.tsv": "7009b94d9645676139ff477d2e0daf6c45d7c7d18dc0573af695e17b7df87129",
+    "C.tsv": "55a7881b55dfbbc995b77c87915288fcd8497a991ca4a147334da824cd778d41",
 }
 
 
@@ -83,11 +85,29 @@ def test_pipeline_artifacts(tmp_path, mini_corpus_dir, key_file, name):
     assert {f: sha256(tmp_path / f) for f in ARTIFACTS} == GOLDEN[name]
 
 
-def test_dumped_matrices(tmp_path, mini_corpus_dir, key_file):
-    run_pipeline("keyed-auto", tmp_path / "run", mini_corpus_dir, key_file)
-    dump = tmp_path / "dump"
-    assert main(["estimate-k", "--index", str(tmp_path / "run" / "index.tsv"), "--dump-matrices", str(dump)]) == 0
-    assert {f: sha256(dump / f) for f in GOLDEN_MATRICES} == GOLDEN_MATRICES
+@pytest.fixture(scope="module")
+def dumped(tmp_path_factory, key_file):
+    """The keyed-auto run's directory, with its matrices dumped under dump/."""
+    run = tmp_path_factory.mktemp("dumped")
+    run_pipeline("keyed-auto", run, DATA_DIR / "mini_corpus", key_file)
+    assert main(["estimate-k", "--index", str(run / "index.tsv"), "--dump-matrices", str(run / "dump")]) == 0
+    return run
+
+
+def test_dumped_matrices(dumped):
+    assert {f: sha256(dumped / "dump" / f) for f in GOLDEN_MATRICES} == GOLDEN_MATRICES
+
+
+def test_dumped_C_rows_hold_the_scipy_product_in_label_order(dumped):
+    trimmed = trim(read_index(dumped / "index.tsv"))
+    want = scipy_chain(trimmed)["C"]
+    labels = [token_to_b64(t) for t in trimmed.kept]
+    rows = (dumped / "dump" / "C.tsv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == len(labels)
+    for i, row in enumerate(rows):
+        lo, hi = want.indptr[i], want.indptr[i + 1]
+        fields = [f"{labels[j]}:{value:.12g}" for j, value in zip(want.indices[lo:hi], want.data[lo:hi])]
+        assert row.split("\t") == [labels[i], *fields]
 
 
 @pytest.fixture(scope="module")

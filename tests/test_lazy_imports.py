@@ -1,8 +1,8 @@
 """build-index, abstracts, the search path and the file-only evaluate commands load neither numpy nor scipy.
 
-Numeric commands load numpy and never load scipy; only estimate-k
---dump-matrices, which forms the whole A -> N -> R -> S -> C chain, loads
-scipy.
+Numeric commands load numpy and never load scipy; that includes
+estimate-k --dump-matrices, which forms the whole A -> N -> R -> S -> C
+chain.
 
 Each check runs in a fresh interpreter, because this test process already
 holds numpy and scipy.
@@ -102,15 +102,21 @@ def numeric_args(command: str, run_dir: Path, tmp_path: Path) -> list[str]:
         "pipeline": ["--corpus", str(DATA_DIR / "mini_corpus"), "--identity", "--out", str(tmp_path / "run")],
         "cluster": ["--index", str(run_dir / "index.tsv"), "--k", "2", "--out", str(tmp_path / "c.jsonl")],
         "estimate-k": ["--index", str(run_dir / "index.tsv")],
+        # the value of --dump-matrices, then estimate-k's other flag
+        "estimate-k --dump-matrices": [str(tmp_path / "m"), "--index", str(run_dir / "index.tsv")],
         "evaluate coherence": ["--clusters", str(run_dir / "clusters.jsonl"),
                                "--embeddings", str(DATA_DIR / "synthetic_embeddings.txt")],
     }[command]
 
 
-@pytest.mark.parametrize("command", ["pipeline", "cluster", "estimate-k", "evaluate coherence"])
+@pytest.mark.parametrize(
+    "command", ["pipeline", "cluster", "estimate-k", "estimate-k --dump-matrices", "evaluate coherence"]
+)
 def test_numeric_commands_load_numpy_and_never_scipy(run_dir, tmp_path, command):
     args = numeric_args(command, run_dir, tmp_path)
     assert run_python(RECORD_LOADED, *command.split(), *args) == {"rc": 0, "end": ["numpy"]}
+    if command == "estimate-k --dump-matrices":
+        assert sorted(p.name for p in (tmp_path / "m").iterdir()) == ["A.tsv", "C.tsv", "N.tsv", "R.tsv", "S.tsv"]
 
 
 @pytest.mark.parametrize("command", ["pipeline", "cluster"])
@@ -120,9 +126,3 @@ def test_builds_leave_numpy_ma_unloaded(run_dir, tmp_path, command):
             "print(json.dumps('numpy.ma' in sys.modules))")
     assert run_python(code, command, *numeric_args(command, run_dir, tmp_path)) is False
 
-
-def test_dump_matrices_loads_scipy(run_dir, tmp_path):
-    args = ["estimate-k", "--index", str(run_dir / "index.tsv"), "--dump-matrices", str(tmp_path / "m")]
-    got = run_python(RECORD_LOADED, *args)
-    assert got == {"rc": 0, "end": ["numpy", "scipy", "scipy.sparse"]}
-    assert sorted(p.name for p in (tmp_path / "m").iterdir()) == ["A.tsv", "C.tsv", "N.tsv", "R.tsv", "S.tsv"]

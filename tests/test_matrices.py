@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cipherclust import matrices
 from cipherclust.clustering import choose_centers
-from cipherclust.index import TrimmedIndex, ingest, trim
+from cipherclust.crypto import IdentityTokenCodec
+from cipherclust.index import TrimmedIndex, build_index_from_corpus, ingest, trim
 from cipherclust.matrices import (
     MatrixError,
+    cooccurring_pairs,
     dump_matrix,
     estimate_k,
     estimate_k_from_diagonal,
@@ -21,13 +24,15 @@ from cipherclust.matrices import (
 from conftest import (
     EXAMPLE_DOCS,
     EXAMPLE_FREQS,
+    assert_same_csr,
+    dense,
     entry,
     keep_all,
     random_index,
     records_from_freqs,
     structured_freqs,
 )
-from oracles import dense_pipeline, exact_pipeline
+from oracles import dense_pipeline, exact_pipeline, product_pairs, scipy_chain
 
 # Frozen by the exact rational oracle over the worked example.
 EXACT_TRACE = 2.1830616958374516
@@ -80,7 +85,7 @@ class TestWorkedExample:
     def test_A_matches_the_reference_frequencies(self):
         mats = example_matrices()
         a = mats["A"]
-        assert a.mat.shape == (5, 6)
+        assert dense(a).shape == (5, 6)
         assert entry(a, b"Uh5W", "d1") == 30
         assert entry(a, b"tH7c", "d3") == 68
         assert entry(a, b"oR1r", "d1") == 0
@@ -127,7 +132,7 @@ class TestWorkedExample:
         mats = example_matrices()
         dense_a, tokens = dense_example()
         exact_c, exact_trace = exact_pipeline([[int(v) for v in row] for row in dense_a])
-        got = mats["C"].mat.toarray()
+        got = dense(mats["C"])
         for i in range(5):
             for j in range(5):
                 assert got[i][j] == pytest.approx(float(exact_c[i][j]), abs=1e-9)
@@ -155,7 +160,7 @@ class TestBuildA:
     def test_single_cell(self):
         index = ingest([("d1", [(b"t", 7)])])
         a = matrix_pipeline(keep_all(index))["A"]
-        assert a.mat.toarray().tolist() == [[7.0]]
+        assert dense(a).tolist() == [[7.0]]
 
     def test_missing_posting_is_zero(self):
         index = ingest([("d1", [(b"t", 7)]), ("d2", [(b"u", 1)])])
@@ -172,7 +177,7 @@ class TestNormalize:
     def test_single_entry_column_becomes_one(self):
         index = ingest([("d1", [(b"t", 9)])])
         n = matrix_pipeline(keep_all(index))["N"]
-        assert n.mat.toarray().tolist() == [[1.0]]
+        assert dense(n).tolist() == [[1.0]]
 
     def test_zero_column_stays_zero(self):
         # doc d2 holds only u, which the trim drops
@@ -182,8 +187,7 @@ class TestNormalize:
 
     def test_columns_attain_one(self, example_index):
         n = matrix_pipeline(keep_all(example_index))["N"]
-        dense = n.mat.toarray()
-        assert np.allclose(dense.max(axis=0), 1.0)
+        assert np.allclose(dense(n).max(axis=0), 1.0)
 
 
 class TestRandS:
@@ -196,13 +200,13 @@ class TestRandS:
         # doc d2 holds only u, which the trim drops
         index = ingest([("d1", [(b"t", 3)]), ("d2", [(b"u", 1)])])
         s = matrix_pipeline(TrimmedIndex(index, (b"t",)))["S"]
-        assert s.mat.shape == (2, 1)
+        assert dense(s).shape == (2, 1)
         assert entry(s, "d2", b"t") == 0.0
 
     def test_one_token_C_is_identity(self):
         index = ingest([("d1", [(b"t", 4)]), ("d2", [(b"t", 9)])])
         mats = matrix_pipeline(keep_all(index))
-        assert mats["C"].mat.toarray().tolist() == [[1.0]]
+        assert dense(mats["C"]).tolist() == [[1.0]]
 
 
 class TestEstimateK:
@@ -217,7 +221,7 @@ class TestEstimateK:
         freqs = {f"t{i}".encode(): {"d1": 3, "d2": 5, "d3": 2} for i in range(4)}
         mats = matrix_pipeline(keep_all(ingest(records_from_freqs(freqs))))
         est = estimate_k(mats["C"])
-        diag = mats["C"].mat.diagonal()
+        diag = dense(mats["C"]).diagonal()
         assert np.allclose(diag, 0.25, atol=1e-12)
         assert est.trace == pytest.approx(1.0, abs=1e-12)
         assert est.k == 1
@@ -229,7 +233,7 @@ class TestEstimateK:
         want = separation_diagonal(frequency_matrix(example_index, tokens))
         assert np.array_equal(c_diagonal(mats["C"]), want)
         for i in range(len(tokens)):
-            assert c_diagonal(mats["C"])[i] == mats["C"].mat[i, i]
+            assert c_diagonal(mats["C"])[i] == dense(mats["C"])[i, i]
 
     @pytest.mark.parametrize("name", ["A", "S"])
     def test_only_C_is_accepted(self, example_index, name):
@@ -250,7 +254,7 @@ class TestProperties:
             index, _ = random_index(rng, int(rng.integers(1, 40)), int(rng.integers(1, 25)))
             mats = matrix_pipeline(trim(index))
             for name in ("R", "S", "C"):
-                sums = np.asarray(mats[name].mat.sum(axis=1)).ravel()
+                sums = dense(mats[name]).sum(axis=1)
                 nonzero = sums > 1e-12
                 assert np.allclose(sums[nonzero], 1.0, atol=1e-9), name
             c = mats["C"].mat
@@ -268,7 +272,7 @@ class TestProperties:
             }
             mats = matrix_pipeline(trim(ingest(records_from_freqs(scaled, index.docs))))
             for name in ("N", "R", "S", "C"):
-                assert np.array_equal(base[name].mat.toarray(), mats[name].mat.toarray()), name
+                assert np.array_equal(dense(base[name]), dense(mats[name])), name
             assert estimate_k(mats["C"]).k == estimate_k(base["C"]).k
 
     def test_input_order_permutation_is_identity(self):
@@ -284,7 +288,7 @@ class TestProperties:
             ]
             mats = matrix_pipeline(trim(ingest(shuffled)))
             for name in ("A", "N", "R", "S", "C"):
-                assert np.array_equal(base[name].mat.toarray(), mats[name].mat.toarray()), name
+                assert np.array_equal(dense(base[name]), dense(mats[name])), name
 
     def test_relabeling_preserves_trace_and_k(self):
         rng = np.random.default_rng(31)
@@ -306,10 +310,10 @@ class TestProperties:
             tokens = sorted(freqs)
             dense_a = [[float(freqs[t].get(d, 0)) for d in index.docs] for t in tokens]
             n, r, s, c = dense_pipeline(dense_a)
-            assert np.allclose(mats["N"].mat.toarray(), n, atol=1e-9)
-            assert np.allclose(mats["R"].mat.toarray(), r, atol=1e-9)
-            assert np.allclose(mats["S"].mat.toarray(), s, atol=1e-9)
-            assert np.allclose(mats["C"].mat.toarray(), c, atol=1e-9)
+            assert np.allclose(dense(mats["N"]), n, atol=1e-9)
+            assert np.allclose(dense(mats["R"]), r, atol=1e-9)
+            assert np.allclose(dense(mats["S"]), s, atol=1e-9)
+            assert np.allclose(dense(mats["C"]), c, atol=1e-9)
 
 
 class TestDump:
@@ -340,16 +344,18 @@ def frequency_indexes(draw):
 
 
 class TestDirectDiagonal:
-    """separation_diagonal must equal the diagonal of the chain's C bit for bit."""
+    """separation_diagonal must equal the diagonal of the chain's C and of scipy's product bit for bit."""
 
     @staticmethod
     def check(trimmed):
         c = matrix_pipeline(trimmed)["C"]
+        want = scipy_chain(trimmed)["C"].diagonal()
         direct = separation_diagonal(frequency_matrix(trimmed.index, trimmed.kept))
-        assert np.array_equal(direct, c.mat.diagonal())
+        assert np.array_equal(direct, want)
+        assert np.array_equal(c_diagonal(c), want)
         est = estimate_k_from_diagonal(direct)
         assert est == estimate_k(c)
-        assert est.trace == math.fsum(c.mat.diagonal().tolist())
+        assert est.trace == math.fsum(want.tolist())
 
     @settings(max_examples=200, deadline=None)
     @given(index=frequency_indexes())
@@ -372,7 +378,7 @@ class TestDirectDiagonal:
 class TestFrequencyMatrix:
     def test_matches_the_chain_A(self, example_index):
         f = frequency_matrix(example_index, example_index.tokens())
-        a = matrix_pipeline(keep_all(example_index))["A"].mat
+        a = scipy_chain(keep_all(example_index))["A"]
         assert np.array_equal(f.data, a.data)
         assert np.array_equal(f.indices, a.indices)
         assert np.array_equal(f.indptr, a.indptr)
@@ -387,3 +393,93 @@ class TestFrequencyMatrix:
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.n_docs == want.n_docs == len(index.docs)
+
+
+class TestAgainstScipyChain:
+    """Each of the five matrices' indptr, indices and data equal the scipy chain's bit for bit."""
+
+    @staticmethod
+    def check(trimmed):
+        mats, want = matrix_pipeline(trimmed), scipy_chain(trimmed)
+        for name in ("A", "N", "R", "S", "C"):
+            assert_same_csr(mats[name], want[name])
+
+    def test_worked_example(self, example_index):
+        self.check(keep_all(example_index))
+
+    def test_mini_corpus(self, mini_corpus_dir):
+        index = build_index_from_corpus(mini_corpus_dir, IdentityTokenCodec(), n=20)
+        self.check(trim(index))
+        self.check(keep_all(index))
+
+    def test_structured_freqs(self):
+        rng = np.random.default_rng(36)
+        for _ in range(3):
+            freqs = structured_freqs(rng, n_tokens=3_000, n_docs=600, n_topics=30)
+            self.check(trim(ingest(records_from_freqs(freqs, [f"d{j:04d}" for j in range(600)]))))
+
+
+# a and b lead with no pair; c expands to 5 entries alone; d and e share no document with the centers
+BLOCK_FREQS = {
+    b"a": {"d0": 1, "d1": 2},
+    b"b": {"d1": 3},
+    b"c": {"d2": 4, "d3": 5, "d4": 6},
+    b"d": {"d0": 2, "d6": 1},
+    b"e": {"d6": 8},
+    b"m": {"d2": 7, "d3": 1, "d4": 2, "d5": 3},
+    b"n": {"d2": 1, "d3": 9, "d5": 4},
+    b"z": {"d5": 2},
+}
+CENTER_ROWS = [5, 6, 7]
+
+
+class TestPairBlocks:
+    """cooccurring_pairs gives the same pairs, sums and C in blocks of any size as in one block."""
+
+    ONE_BLOCK = 1 << 40
+
+    @staticmethod
+    def expand(monkeypatch, block, a, b):
+        monkeypatch.setattr(matrices, "_PAIR_BLOCK", block)
+        return cooccurring_pairs(a, b.transpose(), sums=True)
+
+    def check(self, monkeypatch, a, b):
+        want = self.expand(monkeypatch, self.ONE_BLOCK, a, b)
+        oracle = product_pairs(a, b)
+        assert np.array_equal(want[0], oracle[0]) and np.array_equal(want[1], oracle[1])
+        for block in (1, 3):
+            got = self.expand(monkeypatch, block, a, b)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+        return want
+
+    @pytest.fixture
+    def freq(self):
+        index = ingest(records_from_freqs(BLOCK_FREQS))
+        return frequency_matrix(index, index.tokens())
+
+    def test_leading_rows_without_pairs_and_a_row_over_the_block(self, monkeypatch, freq):
+        rows, _, _ = self.check(monkeypatch, freq, freq.rows(CENTER_ROWS))
+        assert rows.min() == 2 and set(rows.tolist()) == {2, 5, 6, 7}
+
+    def test_no_row_expands(self, monkeypatch, freq):
+        rows, cols, sums = self.check(monkeypatch, freq.rows([0, 1, 3, 4]), freq.rows(CENTER_ROWS))
+        assert rows.size == cols.size == sums.size == 0
+
+    def test_product_sums(self, monkeypatch, freq):
+        # F . F^T: each pair's sum of f * f over its shared documents, exact in integers
+        rows, cols, sums = self.check(monkeypatch, freq, freq)
+        by_doc = [BLOCK_FREQS[t] for t in sorted(BLOCK_FREQS)]
+        assert sums.tolist() == [sum(f * by_doc[j].get(d, 0) for d, f in by_doc[i].items()) for i, j in zip(rows, cols)]
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_chain_C(self, monkeypatch, block):
+        rng = np.random.default_rng(3636)
+        freqs = structured_freqs(rng, n_tokens=300, n_docs=60, n_topics=6)
+        trimmed = trim(ingest(records_from_freqs(freqs, [f"d{j:04d}" for j in range(60)])))
+        want = matrix_pipeline(trimmed)["C"]
+        monkeypatch.setattr(matrices, "_PAIR_BLOCK", block)
+        got = matrix_pipeline(trimmed)["C"]
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got.mat, name).tobytes() == getattr(want.mat, name).tobytes()
+        assert_same_csr(got, scipy_chain(trimmed)["C"])
