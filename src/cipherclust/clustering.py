@@ -369,77 +369,92 @@ def read_clusters(path: str | Path) -> ClusterSet:
     order, a token with no posting, a token listed twice (in one cluster or
     in two), a posting list naming a document twice, a frequency that is
     not an integer >= 1, a document id that is not a string or that ingest
-    rejects (checked when the document is first seen), and a center missing
-    from its own cluster's tokens; and, naming the path, a file of no
-    cluster. Since clusters are disjoint, a missing center also rejects two
-    clusters sharing a center.
+    rejects (checked when the document is first seen), a token entry
+    anywhere but in its line's tokens array, and a center missing from its
+    own cluster's tokens; and, naming the path, a file of no cluster. Since
+    clusters are disjoint, a missing center also rejects two clusters
+    sharing a center.
+
+    Each line is decoded by one JSON decoder, which files every object
+    keyed exactly t and postings as soon as it completes it: the entry's
+    posting map goes into the index and the object becomes its token, so
+    no entry's lists outlive it and a one-cluster file never holds its
+    line's whole parse tree. Any other item of the tokens array (an entry
+    with an extra key among them) is filed in the walk over that array
+    after the decode. Within a line, faults are found in this order: a
+    decoded entry's fault or a JSON syntax error, whichever the decoder
+    reaches first; the center's fault; the tokens array's, with the walk's
+    item by item; the id's; a token entry outside the tokens array; a
+    center missing from the cluster. Every fault of a line comes before any
+    fault of the next.
 
     The requested k is not stored in the file; k_requested is set to the
     cluster count actually present. Every posting map holds one string per
     document id, the first one read, across all lines, and is sorted only if
-    out of document order. Each token entry's parse tree is freed once its
-    map is built. Then the ClusterSet's views are built: a server pays for
-    them as it loads, not at its first query.
+    out of document order. Then the ClusterSet's views are built: a server
+    pays for them as it loads, not at its first query.
     """
     clusters: list[Cluster] = []
     entries: dict[CipherToken, dict[str, int]] = {}
     docs: dict[str, str] = {}
+
+    def filed(entry) -> CipherToken:
+        """File one token entry's posting map in entries, checked, and return its token."""
+        try:
+            name = entry["t"]
+            token = token_from_b64(name)
+            postings = list(entry["postings"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise IndexDataError(f"{where}: malformed token entry: {exc}")
+        if not postings:
+            raise IndexDataError(f"{where}: token {name} has no posting")
+        if token in entries:
+            raise IndexDataError(f"{where}: token {name} is listed twice")
+        by_doc: dict[str, int] = {}
+        for posting in postings:
+            try:
+                doc_id, freq = posting
+            except (ValueError, TypeError) as exc:
+                raise IndexDataError(f"{where}: token {name} has a malformed posting: {exc}")
+            if type(doc_id) is not str:
+                raise IndexDataError(f"{where}: token {name} has document id {doc_id!r}; need a string")
+            if type(freq) is not int or freq < 1:
+                raise IndexDataError(
+                    f"{where}: token {name} has frequency {freq!r} for {doc_id!r}; need an integer >= 1"
+                )
+            if doc_id in by_doc:
+                raise IndexDataError(f"{where}: token {name} lists document {doc_id!r} twice")
+            shared = docs.get(doc_id)
+            if shared is None:
+                check_doc_id(doc_id, f"{where}: ")
+                shared = docs[doc_id] = doc_id
+            by_doc[shared] = freq
+        entries[token] = in_doc_order(by_doc)
+        return token
+
+    decoder = json.JSONDecoder(object_hook=lambda obj: filed(obj) if obj.keys() == {"t", "postings"} else obj)
     for lineno, line in data_lines(path):
         where = f"{path}:{lineno}"
+        filed_before = len(entries)
         try:
-            obj = json.loads(line)
-            center_s = obj["center"]
-            center = token_from_b64(center_s)
-            token_objs = list(obj["tokens"])
+            obj = decoder.decode(line)
+            center = token_from_b64(obj["center"])
+            # an entry the decoder filed is its token: JSON decodes to no other bytes
+            tokens = tuple(sorted(item if type(item) is bytes else filed(item) for item in obj["tokens"]))
             cid = obj["id"]
+        except IndexDataError:
+            raise
         except (ValueError, KeyError, TypeError) as exc:
             raise IndexDataError(f"{where}: malformed cluster line: {exc}")
-        # token_objs now holds the only reference to each token entry; a
-        # one-cluster file is a single line holding every posting
-        del obj
         if type(cid) is not int or cid != len(clusters):
             raise IndexDataError(f"{where}: cluster ids must be 0,1,2,... in order")
-        members: list[CipherToken] = []
-        for i in range(len(token_objs)):
-            entry, token_objs[i] = token_objs[i], None
-            try:
-                name = entry["t"]
-                token = token_from_b64(name)
-                postings = list(entry["postings"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise IndexDataError(f"{where}: malformed token entry: {exc}")
-            if not postings:
-                raise IndexDataError(f"{where}: token {name} has no posting")
-            if token in entries:
-                raise IndexDataError(f"{where}: token {name} is listed twice")
-            by_doc: dict[str, int] = {}
-            for posting in postings:
-                try:
-                    doc_id, freq = posting
-                except (ValueError, TypeError) as exc:
-                    raise IndexDataError(f"{where}: token {name} has a malformed posting: {exc}")
-                if type(doc_id) is not str:
-                    raise IndexDataError(f"{where}: token {name} has document id {doc_id!r}; need a string")
-                if type(freq) is not int or freq < 1:
-                    raise IndexDataError(
-                        f"{where}: token {name} has frequency {freq!r} for {doc_id!r}; need an integer >= 1"
-                    )
-                if doc_id in by_doc:
-                    raise IndexDataError(f"{where}: token {name} lists document {doc_id!r} twice")
-                shared = docs.get(doc_id)
-                if shared is None:
-                    check_doc_id(doc_id, f"{where}: ")
-                    shared = docs[doc_id] = doc_id
-                by_doc[shared] = freq
-            entries[token] = in_doc_order(by_doc)
-            members.append(token)
-        tokens = tuple(sorted(members))
+        if len(entries) - filed_before != len(tokens):
+            raise IndexDataError(f"{where}: a token entry lies outside the cluster's tokens array")
         if center not in tokens:
-            raise IndexDataError(f"{where}: center {center_s} is not among the cluster's tokens")
+            raise IndexDataError(f"{where}: center {token_to_b64(center)} is not among the cluster's tokens")
         clusters.append(Cluster(center=center, tokens=tokens))
     if not clusters:
         raise IndexDataError(f"{path}: the clusters file holds no cluster")
-    index = CentralIndex(entries)
-    cluster_set = ClusterSet(clusters=tuple(clusters), index=index, k_requested=len(clusters))
+    cluster_set = ClusterSet(clusters=tuple(clusters), index=CentralIndex(entries), k_requested=len(clusters))
     cluster_set.views  # noqa: B018 - built here, at load
     return cluster_set

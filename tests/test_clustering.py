@@ -21,7 +21,7 @@ from cipherclust.clustering import (
     read_clusters,
     write_clusters,
 )
-from cipherclust.crypto import IdentityTokenCodec
+from cipherclust.crypto import IdentityTokenCodec, token_to_b64
 from cipherclust.index import IndexDataError, build_index_from_corpus, ingest, trim
 from cipherclust.matrices import cooccurring_pairs, estimate_k, frequency_matrix, matrix_pipeline
 
@@ -542,6 +542,63 @@ class TestReadClustersRejectsMalformedEntries:
             read_clusters(mini_clusters_file)
 
 
+class TestReadClustersFaultOrder:
+    """Each token entry is filed as the decoder completes it: within a line its fault comes first, and an
+    entry is accepted only in its line's tokens array."""
+
+    def test_entry_fault_before_a_later_syntax_error(self, mini_clusters_file):
+        name = json.loads(mini_clusters_file.read_text().splitlines()[1])["tokens"][0]["t"]
+        _edit_line(mini_clusters_file, 2, lambda obj: obj["tokens"][0].__setitem__("postings", []))
+        lines = mini_clusters_file.read_text().splitlines()
+        lines[1] = lines[1].removesuffix("]}") + ",]}"  # a comma after the last entry
+        mini_clusters_file.write_text("\n".join(lines) + "\n")
+        where = re.escape(f"{mini_clusters_file}:2: ")
+        with pytest.raises(IndexDataError, match=f"^{where}token {re.escape(name)} has no posting$"):
+            read_clusters(mini_clusters_file)
+
+    def test_entry_fault_before_the_line_id(self, mini_clusters_file):
+        name = json.loads(mini_clusters_file.read_text().splitlines()[1])["tokens"][0]["t"]
+
+        def no_posting_and_a_bad_id(obj):
+            obj["tokens"][0]["postings"] = []
+            obj["id"] = 5
+
+        _edit_line(mini_clusters_file, 2, no_posting_and_a_bad_id)
+        where = re.escape(f"{mini_clusters_file}:2: ")
+        with pytest.raises(IndexDataError, match=f"^{where}token {re.escape(name)} has no posting$"):
+            read_clusters(mini_clusters_file)
+
+    def test_a_line_that_is_a_token_entry(self, mini_clusters_file):
+        lines = mini_clusters_file.read_text().splitlines()
+        lines[1] = json.dumps({"t": token_to_b64(b"stray"), "postings": [["d1", 1]]})
+        mini_clusters_file.write_text("\n".join(lines) + "\n")
+        where = re.escape(f"{mini_clusters_file}:2: ")
+        fault = "malformed cluster line: byte indices must be integers or slices, not str"
+        with pytest.raises(IndexDataError, match=f"^{where}{fault}$"):
+            read_clusters(mini_clusters_file)
+
+    def test_an_entry_with_an_extra_key_loads(self, mini_clusters_file):
+        loaded = read_clusters(mini_clusters_file)
+        _edit_line(mini_clusters_file, 2, lambda obj: obj["tokens"][0].__setitem__("note", 1))
+        again = read_clusters(mini_clusters_file)
+        assert again == loaded
+
+    def test_a_decoded_entry_fault_is_not_rewrapped(self, mini_clusters_file):
+        _edit_line(mini_clusters_file, 2, lambda obj: obj["tokens"][0]["postings"][0].__setitem__(0, "a\tb"))
+        where = re.escape(f"{mini_clusters_file}:2: ")
+        with pytest.raises(IndexDataError, match=f"^{where}document id 'a\\\\tb' contains reserved characters$"):
+            read_clusters(mini_clusters_file)
+
+    @pytest.mark.parametrize("place", ["line", "entry"])
+    def test_a_token_entry_outside_the_tokens_array(self, mini_clusters_file, place):
+        stray = {"t": token_to_b64(b"stray"), "postings": [["d1", 1]]}
+        _edit_line(mini_clusters_file, 2,
+                   lambda obj: (obj if place == "line" else obj["tokens"][0]).__setitem__("extra", stray))
+        where = re.escape(f"{mini_clusters_file}:2: ")
+        with pytest.raises(IndexDataError, match=f"^{where}a token entry lies outside the cluster's tokens array$"):
+            read_clusters(mini_clusters_file)
+
+
 def test_read_clusters_holds_one_string_per_document(mini_clusters_file):
     first = json.loads(mini_clusters_file.read_text().splitlines()[0])
     loaded = read_clusters(mini_clusters_file)
@@ -584,27 +641,35 @@ def test_write_clusters_renders_one_token_entry_at_a_time(tmp_path):
 
 
 def test_read_clusters_frees_each_token_entry_once_its_map_is_built(tmp_path):
-    # One cluster, so one line holds all 30,000 postings. The read peaks near that line's JSON parse
-    # tree: each token entry's part of the tree is freed as its map is built (holding the whole
-    # tree to the end of the line reads about 40% above it, freeing it about 20%).
+    # One cluster, so one line holds all 30,000 postings, over 6,000 mostly short lists as in a text
+    # corpus. Each token entry is filed as the decoder completes it, so the read holds the line and the
+    # maps built so far, never the line's parse tree: it peaks near 1.5x what it keeps (decoding the
+    # whole line first reads above 3x).
     rng = random.Random(5)
-    vocabulary = [f"tok{i:05d}".encode() for i in range(1000)]
+    vocabulary = [f"tok{i:05d}".encode() for i in range(6000)]
     index = ingest([(f"doc{j:05d}", [(t, rng.randint(1, 9)) for t in rng.sample(vocabulary, 10)])
                     for j in range(3000)])
     tokens = index.tokens()
     path = tmp_path / "clusters.jsonl"
     write_clusters(ClusterSet(clusters=(Cluster(center=tokens[0], tokens=tuple(tokens)),), index=index,
                               k_requested=1), path)
+    del index
     line = path.read_text()
 
-    def traced_peak(fn) -> int:
+    def traced(fn) -> tuple[int, int]:
+        """(bytes held after fn, peak bytes during fn), both above what was traced before it."""
         gc.collect()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            fn()
-            return tracemalloc.get_traced_memory()[1] - base
+            kept = fn()
+            gc.collect()
+            held, peak = (m - base for m in tracemalloc.get_traced_memory())
+            del kept
+            return held, peak
         finally:
             tracemalloc.stop()
 
-    assert traced_peak(lambda: read_clusters(path)) < 1.3 * traced_peak(lambda: json.loads(line))
+    held, peak = traced(lambda: read_clusters(path))
+    assert peak < 2 * held
+    assert peak < 1.3 * traced(lambda: json.loads(line))[1]

@@ -23,6 +23,8 @@ def test_reports_the_build_it_ran_in_one_json_line():
     assert (report["scale"], report["postings"], report["k_used"]) == (1, 80_000, 50)
     assert 0 < report["tokens"] < report["postings"]
     assert report["wall_s"] > 0 and report["vmhwm_mb"] > 0
+    # the built clusters and abstracts, loaded in a child of their own: a traced peak is at least what is kept
+    assert report["load_s"] > 0 and 0 < report["load_held_mb"] <= report["load_peak_mb"]
     assert sorted(report["sha256"]) == ["abstracts.jsonl", "clusters.jsonl", "index.tsv", "k_report.json"]
 
 
