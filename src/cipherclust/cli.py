@@ -96,7 +96,12 @@ def _add_codec_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The file's sha256, read in 64 KiB chunks so no artifact is held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _write_json(path: Path, obj) -> str:

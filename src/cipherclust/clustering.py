@@ -9,15 +9,16 @@ log co-occurrence score that only needs frequencies, never plaintext. The
 score of one token-center pair is defined in the `distribute` docstring;
 `tests/oracles.py` (`relatedness_scores`) states it as a plain loop.
 
-Both stages run on the token-document frequency matrix that `cluster_index`
-builds once. Center selection is inherently sequential (the coverage set
-evolves): it walks the kept tokens' rows against a covered-document mask and
-reads only C's diagonal, computed from those rows without forming C.
-Distribution is batched over all rows: it scores the token-center pairs that
-share a document, plus the few disjoint centers that can still win or tie,
-into one running winner per token, so its cost follows co-occurrence, not
-tokens x centers. Clustering runs on numpy alone; the chain of
-`matrices.matrix_pipeline` is only an input `choose_centers` accepts.
+Both stages run on token-document frequency matrices, one at a time.
+Center selection is inherently sequential (the coverage set evolves): it
+walks the kept tokens' matrix against a covered-document mask and reads only
+C's diagonal, computed from that matrix without forming C. Distribution
+builds the matrix of every token and is batched over its rows: it scores the
+token-center pairs that share a document, plus the few disjoint centers that
+can still win or tie, into one running winner per token, so its cost follows
+co-occurrence, not tokens x centers. Clustering runs on numpy alone; the
+chain of `matrices.matrix_pipeline` is only an input `choose_centers`
+accepts.
 
 numpy and the matrices module are imported by the functions that compute
 with them, so reading and writing clusters files (the search path) loads
@@ -169,6 +170,10 @@ _SCORE_BLOCK = 1 << 13
 def distribute(index: CentralIndex, centers: list[CipherToken], k_requested: int | None = None) -> ClusterSet:
     """Assign every non-center token of the index to its most related center.
 
+    cluster_index calls it with the centers it chose; it builds the
+    frequency matrix of every token, in byte order, so a cluster is its
+    center's rows, ascending.
+
     The relatedness of token t to center c sums, over t's documents d,
     kappa * log(rho): the contribution kappa = f_t(d) / T_t and the
     co-occurrence rho = (f_t(d) + f_c(d)) / (T_t + T_c), where f is an
@@ -207,18 +212,6 @@ def distribute(index: CentralIndex, centers: list[CipherToken], k_requested: int
     """
     from .matrices import frequency_matrix
 
-    tokens = index.tokens()
-    return _distribute(index, tokens, frequency_matrix(index, tokens), centers, k_requested)
-
-
-def _distribute(
-    index: CentralIndex,
-    tokens: list[CipherToken],
-    freq: FrequencyMatrix,
-    centers: list[CipherToken],
-    k_requested: int | None,
-) -> ClusterSet:
-    """distribute given byte-ordered tokens and their frequency matrix: a cluster is its center's rows, ascending."""
     if not centers:
         raise ClusteringError("at least one center is required")
     if len(set(centers)) != len(centers):
@@ -227,10 +220,11 @@ def _distribute(
         if center not in index.entries:
             raise ClusteringError(f"center {token_to_b64(center)} is not in the index")
 
+    tokens = index.tokens()
     center_list = sorted(centers)
     clusters = tuple(
         Cluster(center=c, tokens=tuple(map(tokens.__getitem__, rows)))
-        for c, rows in zip(center_list, _assign(tokens, freq, center_list))
+        for c, rows in zip(center_list, _assign(tokens, frequency_matrix(index, tokens), center_list))
     )
     return ClusterSet(clusters=clusters, index=index, k_requested=k_requested or len(centers))
 
@@ -318,24 +312,22 @@ def _assign(tokens: list[CipherToken], freq: FrequencyMatrix, center_list: list[
 def cluster_index(index: CentralIndex, k: int | str = "auto") -> tuple[ClusterSet, KEstimate]:
     """Full clustering pass: trim, diag(C), pick centers, distribute.
 
-    The frequency matrix is built once, over every token in byte order:
-    diag(C) reads the kept tokens' rows, found by bisection since trim keeps
-    byte order, and distribute all of them. k may be a positive integer or
-    "auto" to use the trace estimate. The estimate is returned for a fixed k
-    too; the cluster set's k_requested is the k actually targeted.
+    diag(C) and the centers read the kept tokens' frequency matrix, which is
+    freed before distribute builds the matrix of every token, so the two are
+    never held at once. k may be a positive integer or "auto" to use the
+    trace estimate. The estimate is returned for a fixed k too; the cluster
+    set's k_requested is the k actually targeted.
     """
     from .matrices import estimate_k_from_diagonal, frequency_matrix, separation_diagonal
 
-    tokens = index.tokens()
-    freq = frequency_matrix(index, tokens)
     kept = trim(index).kept
-    kept_freq = freq.rows([bisect_left(tokens, token) for token in kept])
+    kept_freq = frequency_matrix(index, kept)
     diag = separation_diagonal(kept_freq)
     estimate = estimate_k_from_diagonal(diag)
     k_target = estimate.k if k == "auto" else int(k)
     centers = choose_centers_from_diagonal(k_target, kept, diag, kept_freq)
-    del kept_freq  # not held through distribute, where the build's memory peaks
-    return _distribute(index, tokens, freq, centers, k_target), estimate
+    del kept_freq
+    return distribute(index, centers, k_target), estimate
 
 
 # ---------------------------------------------------------------------------

@@ -97,12 +97,11 @@ def _normalized(a: FrequencyMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     col_max = np.zeros(a.n_docs)
     np.maximum.at(col_max, a.indices, a.data)
     n = a.data / col_max[a.indices]
-    row_of = a.row_of()
     row_sum = np.zeros(a.n_rows)
-    np.add.at(row_sum, row_of, n)
+    np.add.at(row_sum, a.row_of(), n)
     col_sum = np.zeros(a.n_docs)
     np.add.at(col_sum, a.indices, n)
-    return n, n / row_sum[row_of], n / col_sum[a.indices]
+    return n, n / row_sum[a.row_of()], n / col_sum[a.indices]
 
 
 def separation_diagonal(a: FrequencyMatrix) -> np.ndarray:
@@ -112,7 +111,7 @@ def separation_diagonal(a: FrequencyMatrix) -> np.ndarray:
     in ascending d from 0.0, the order of the sparse product R . S, so the
     result equals matrix_pipeline's C diagonal bit for bit.
     """
-    _, r, s_t = _normalized(a)
+    r, s_t = _normalized(a)[1:]  # N is not held through the products
     diag = np.zeros(a.n_rows)
     np.add.at(diag, a.row_of(), r * s_t)
     return diag

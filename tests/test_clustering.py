@@ -4,6 +4,7 @@ import json
 import random
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -420,6 +421,32 @@ class TestClusterIndexAndFiles:
         again = read_clusters(path)
         assert {"cluster_of", "views"} <= vars(again).keys()
         assert again.cluster_of == cs.cluster_of and again.views == cs.views == {}
+
+    def test_holds_one_token_document_matrix_at_a_time(self, mini_corpus_dir, monkeypatch):
+        # diag(C) and the centers read the kept tokens' matrix, which is dead before distribute builds
+        # the matrix of every token
+        from cipherclust import matrices
+
+        index = build_index_from_corpus(mini_corpus_dir, IdentityTokenCodec(), n=20)
+        n_kept, n_tokens = len(trim(index).kept), len(index.tokens())
+        assert n_kept < n_tokens
+        built, seen = [], []  # (rows, weak reference) per matrix built; the calls, in order
+        build, diagonal = matrices.frequency_matrix, matrices.separation_diagonal
+
+        def building(index, tokens):
+            seen.append(("matrix", len(tokens), [rows for rows, ref in built if ref() is not None]))
+            freq = build(index, tokens)
+            built.append((freq.n_rows, weakref.ref(freq)))
+            return freq
+
+        def diagonal_of(a):
+            seen.append(("diagonal", [rows for rows, _ in built]))
+            return diagonal(a)
+
+        monkeypatch.setattr(matrices, "frequency_matrix", building)
+        monkeypatch.setattr(matrices, "separation_diagonal", diagonal_of)
+        cluster_index(index, k="auto")
+        assert seen == [("matrix", n_kept, []), ("diagonal", [n_kept]), ("matrix", n_tokens, [])]
 
     def test_serialization_is_deterministic(self, tmp_path, example_index):
         cs, _ = cluster_index(example_index, k="auto")

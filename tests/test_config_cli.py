@@ -918,13 +918,12 @@ class TestPipelineChecks:
         for name in ("read_index", "read_clusters", "read_abstracts"):
             monkeypatch.setattr(cli, name, refuse)
         reads = []
-        read_bytes = Path.read_bytes
 
-        def counting(path):
-            reads.append(path.name)
-            return read_bytes(path)
+        def counting(path, *args, **kwargs):
+            reads.append(Path(path).name)
+            return open(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "read_bytes", counting)
+        monkeypatch.setattr(cli, "open", counting, raising=False)
         assert self.pipeline(mini_corpus_dir, tmp_path / "a") == 0
         monkeypatch.undo()
         assert sorted(name for name in reads if name in self.NAMES) == sorted(self.NAMES[:-1])
